@@ -30,12 +30,10 @@ from .calibrate import (
 from .divergence import distance
 from .estimator import (
     baseline_ranking,
-    baseline_select,
     merge_profiles,
     profile_distance,
     score_sources,
     score_table,
-    select,
     zscale,
 )
 from .io import ProfileRegistry, read_embeddings_bin, read_embeddings_csv
@@ -58,7 +56,6 @@ __all__ = [
     "SummaryVector",
     "DEFAULT_K_GRID",
     "baseline_ranking",
-    "baseline_select",
     "distance",
     "gain_table",
     "merge_profiles",
@@ -69,7 +66,6 @@ __all__ = [
     "read_embeddings_csv",
     "score_sources",
     "score_table",
-    "select",
     "smooth",
     "spearman_rho",
     "summarize",

@@ -4,16 +4,17 @@ Calibration picks (k, distance) by maximizing the mean Spearman rank
 correlation between candidate scores and measured transfer improvements over
 a set of training tasks. The objective is a rank statistic, hence piecewise
 constant in k, so a grid search is exact up to grid resolution.
+
+Evaluation compares every selection method on one target at a time
+(compare_methods); the CLI and the synthetic study both report through it.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .core import (
     CalibrationReport,
@@ -22,6 +23,7 @@ from .core import (
     EstimatorConfig,
     GridPoint,
     ImprovementRecord,
+    ScoredSource,
 )
 from .errors import (
     DegenerateConstantInput,
@@ -32,26 +34,32 @@ from .errors import (
     UnknownSource,
     ZeroDenominator,
 )
-from .estimator import profile_distance, zscale
+from .estimator import (
+    active_baselines,
+    baseline_ranking,
+    profile_distance,
+    score_sources,
+    zscale,
+)
+from .io import fmt
 
 # k in [-3, 0] by steps of 0.05; distance works against size, so k <= 0.
 DEFAULT_K_GRID: tuple[float, ...] = tuple(round(-3.0 + 0.05 * i, 2) for i in range(61))
 
 TrainingTask = tuple[DatasetProfile, Sequence[ImprovementRecord]]
 
+SELECTIONS_HEADER = "target,method,selection,perf,gain_vs_p2l,picks_to_best"
+
 
 @dataclass(frozen=True)
 class EvaluationConfig:
-    """Grid and rank-quality settings for calibration and evaluation."""
+    """Calibration grid: k values, distance kinds and smoothing epsilon."""
 
-    top_T: int = 1
     k_grid: tuple[float, ...] = DEFAULT_K_GRID
     distance_kinds: tuple[DivergenceKind, ...] = tuple(DivergenceKind)
     epsilon: float = 1e-6
 
     def __post_init__(self):
-        if self.top_T < 1:
-            raise ValueError("top_T must be >= 1")
         if not self.k_grid:
             raise ValueError("k grid must be nonempty")
         kinds = tuple(DivergenceKind(k) for k in self.distance_kinds)
@@ -59,6 +67,18 @@ class EvaluationConfig:
             raise ValueError("distance_kinds must be a nonempty set of distinct kinds")
         object.__setattr__(self, "distance_kinds", kinds)
         object.__setattr__(self, "k_grid", tuple(float(k) for k in self.k_grid))
+
+
+def average_ranks(values) -> np.ndarray:
+    """1-based ranks of a 1-d array; tied values share the mean of their ranks."""
+    x = np.asarray(values, dtype=np.float64)
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], x.size]
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
 
 
 def spearman_rho(a, b) -> float:
@@ -71,9 +91,7 @@ def spearman_rho(a, b) -> float:
         raise LengthMismatch("need at least two observations")
     if np.all(a == a[0]) or np.all(b == b[0]):
         raise DegenerateConstantInput("rank correlation of a constant list is undefined")
-    ra = rankdata(a, method="average")
-    rb = rankdata(b, method="average")
-    rho = float(np.corrcoef(ra, rb)[0, 1])
+    rho = float(np.corrcoef(average_ranks(a), average_ranks(b))[0, 1])
     return min(1.0, max(-1.0, rho))
 
 
@@ -109,17 +127,10 @@ def tune_k(training_tasks: Sequence[TrainingTask],
         if target.name in task_names:
             raise ValueError(f"duplicate training task {target.name!r}")
         task_names.add(target.name)
-        names = [r.source_name for r in records]
-        if len(set(names)) != len(names):
-            raise DuplicateSourceName(
-                f"task {target.name!r} names a source twice")
-        for n in names:
-            if n not in pool:
-                raise UnknownSource(f"task {target.name!r} references unknown source {n!r}")
-        if len(names) < 3:
+        candidates = _candidates(target.name, records, pool)
+        if len(candidates) < 3:
             raise TooFewSources(
-                f"task {target.name!r} has {len(names)} sources, need >= 3")
-        candidates = [pool[n] for n in names]
+                f"task {target.name!r} has {len(candidates)} sources, need >= 3")
         z_logs = zscale(np.log([float(c.size) for c in candidates]))
         z_dists = {}
         for kind in cfg.distance_kinds:
@@ -144,8 +155,19 @@ def tune_k(training_tasks: Sequence[TrainingTask],
         for name, z_logs, z_dists, improvements in prepared
     }
     return CalibrationReport(best_k=best.k, best_distance=best.distance,
-                             grid=tuple(grid), per_task_rho=per_task,
-                             top_T=cfg.top_T)
+                             grid=tuple(grid), per_task_rho=per_task)
+
+
+def _candidates(task: str, records: Sequence[ImprovementRecord],
+                pool: Mapping[str, DatasetProfile]) -> list[DatasetProfile]:
+    """The pool profiles a task's records name, in record order."""
+    names = [r.source_name for r in records]
+    if len(set(names)) != len(names):
+        raise DuplicateSourceName(f"task {task!r} names a source twice")
+    for n in names:
+        if n not in pool:
+            raise UnknownSource(f"task {task!r} references unknown source {n!r}")
+    return [pool[n] for n in names]
 
 
 def picks_to_best(ranking: Sequence[str], best_true: str) -> int:
@@ -194,6 +216,64 @@ def gain_table(records: Sequence[ImprovementRecord],
             raise ZeroDenominator(f"method {method!r} has zero performance")
         gains[method] = (ours_perf - denom) / denom
     return gains
+
+
+def best_source(records: Sequence[ImprovementRecord]) -> str:
+    """The truly best source: largest improvement, ties to the smaller name."""
+    return min(records, key=lambda r: (-r.improvement, r.source_name)).source_name
+
+
+@dataclass(frozen=True)
+class MethodOutcome:
+    """One selection method's pick for one target, scored against ground truth."""
+
+    method: str
+    selection: str | None      # None: no transfer (B4)
+    perf: float                # perf_transfer of the pick, perf_scratch for None
+    gain_vs_p2l: float         # gain_table's (perf(P2L) - perf) / perf; 0 for P2L
+    picks_to_best: int | None  # None for B4, which ranks nothing
+
+
+def compare_methods(target: DatasetProfile, records: Sequence[ImprovementRecord],
+                    pool: Mapping[str, DatasetProfile], cfg: EstimatorConfig,
+                    reference_name: str | None = None, rng_seed: int | None = None,
+                    allow_mixed_extractors: bool = False,
+                    ) -> tuple[list[ScoredSource], dict[str, MethodOutcome]]:
+    """Run every selection method on one target and score it against its records.
+
+    The candidates are the pool sources the records name, in record order.
+    Methods run in the order P2L, B1, B2 (only with a reference), B3 (only
+    with a seed), B4, B5. Returns P2L's scored candidates and each method's
+    outcome keyed by method.
+    """
+    candidates = _candidates(target.name, records, pool)
+    scored = score_sources(target, candidates, cfg,
+                           allow_mixed_extractors=allow_mixed_extractors)
+    rankings: dict[str, list[str] | None] = {"P2L": [s.source_name for s in scored]}
+    for kind in active_baselines(reference_name, rng_seed):
+        rankings[kind] = baseline_ranking(
+            kind, target, candidates, cfg, reference_name=reference_name,
+            rng_seed=rng_seed, allow_mixed_extractors=allow_mixed_extractors)
+    selections = {m: None if rk is None else rk[0] for m, rk in rankings.items()}
+    gains = gain_table(records, selections)
+    perf = {r.source_name: r.perf_transfer for r in records}
+    best = best_source(records)
+    return scored, {
+        m: MethodOutcome(
+            method=m, selection=chosen,
+            perf=records[0].perf_scratch if chosen is None else perf[chosen],
+            gain_vs_p2l=gains.get(m, 0.0),
+            picks_to_best=(None if rankings[m] is None
+                           else picks_to_best(rankings[m], best)))
+        for m, chosen in selections.items()}
+
+
+def selection_row(target_name: str, outcome: MethodOutcome) -> str:
+    """One SELECTIONS_HEADER row; an absent selection or position is empty."""
+    chosen = "" if outcome.selection is None else outcome.selection
+    pick = "" if outcome.picks_to_best is None else outcome.picks_to_best
+    return (f"{target_name},{outcome.method},{chosen},{fmt(outcome.perf)},"
+            f"{fmt(outcome.gain_vs_p2l)},{pick}")
 
 
 def write_grid_csv(report: CalibrationReport | Sequence[GridPoint], path) -> None:

@@ -10,48 +10,19 @@ import os
 import sys
 from pathlib import Path
 
-from . import oracle
+from . import estimator, oracle
 from .calibrate import (
     DEFAULT_K_GRID,
+    SELECTIONS_HEADER,
     EvaluationConfig,
-    gain_table,
-    picks_to_best,
+    compare_methods,
+    selection_row,
     tune_k,
     write_grid_csv,
 )
 from .core import DivergenceKind, EstimatorConfig, Summarizer
-from .errors import (
-    BadHeader,
-    BadMagic,
-    BadSpec,
-    DegenerateConstantInput,
-    DimensionMismatch,
-    DuplicateSourceName,
-    EmptyCandidates,
-    EmptyMatrix,
-    InvalidName,
-    LengthMismatch,
-    MissingRecord,
-    MissingReference,
-    MissingSeed,
-    MixedExtractors,
-    MixedSummarizers,
-    NameCollision,
-    NegativeComponent,
-    NegativeMass,
-    NonFiniteValue,
-    NonPositiveComponent,
-    NonPositiveEpsilon,
-    NotFound,
-    RaggedRow,
-    TooFewSources,
-    TruncatedFile,
-    UnknownName,
-    UnknownSource,
-    UnsupportedVersion,
-    ZeroDenominator,
-)
-from .estimator import baseline_ranking, baseline_select, merge_profiles, score_sources
+from .errors import InputError, ReferentialError, StateError
+from .estimator import merge_profiles, score_sources
 from .io import (
     ProfileRegistry,
     fmt,
@@ -60,16 +31,6 @@ from .io import (
     sniff_and_read_embeddings,
 )
 from .summarize import profile_from_matrix
-
-INPUT_ERRORS = (BadHeader, BadMagic, TruncatedFile, UnsupportedVersion, RaggedRow,
-                NonFiniteValue, EmptyMatrix, NegativeMass, NegativeComponent,
-                NonPositiveComponent, NonPositiveEpsilon, DimensionMismatch,
-                DuplicateSourceName, EmptyCandidates, MixedExtractors,
-                MixedSummarizers, MissingSeed, LengthMismatch,
-                DegenerateConstantInput, TooFewSources, InvalidName,
-                MissingRecord, ZeroDenominator, BadSpec, ValueError)
-STATE_ERRORS = (NameCollision,)
-REFERENTIAL_ERRORS = (NotFound, UnknownSource, UnknownName, MissingReference)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -106,6 +67,18 @@ def _parse_kinds(text: str | None) -> tuple[DivergenceKind, ...]:
     return tuple(DivergenceKind(part.strip().upper()) for part in text.split(","))
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+def _estimator_config(args) -> EstimatorConfig:
+    return EstimatorConfig(distance=DivergenceKind(args.distance.upper()), k=args.k,
+                           epsilon=args.epsilon)
+
+
 def cmd_profile(args) -> int:
     registry = _registry(args)
     matrix = sniff_and_read_embeddings(args.input)
@@ -134,32 +107,34 @@ def cmd_rank(args) -> int:
     target = _load_target(args, registry)
     candidates = [p for p in registry.load_all()
                   if p.role == "source" and p.name != target.name]
-    cfg = EstimatorConfig(distance=DivergenceKind(args.distance.upper()), k=args.k,
-                          epsilon=args.epsilon)
+    cfg = _estimator_config(args)
     scored = score_sources(target, candidates, cfg,
                            allow_mixed_extractors=args.allow_mixed_extractors)
+    picks = {}
+    if args.baselines:
+        active = estimator.active_baselines(args.reference, args.seed)
+        for kind in ("B1", "B2", "B3", "B5"):
+            # Looked up through the module so a wrapper installed on
+            # p2l.estimator.baseline_ranking sees this call.
+            picks[kind] = "" if kind not in active else estimator.baseline_ranking(
+                kind, target, candidates, cfg,
+                reference_name=args.reference, rng_seed=args.seed,
+                allow_mixed_extractors=args.allow_mixed_extractors)[0]
     sizes = {p.name: p.size for p in candidates}
     rows = scored if args.top is None else scored[:args.top]
     print("name,size,distance,z_log_size,z_distance,score")
     for s in rows:
         print(f"{s.source_name},{sizes[s.source_name]},{fmt(s.distance_value)},"
               f"{fmt(s.z_log_size)},{fmt(s.z_distance)},{fmt(s.score)}")
-    if args.baselines:
-        for kind in ("B1", "B2", "B3", "B5"):
-            if kind == "B2" and args.reference is None:
-                pick = ""
-            elif kind == "B3" and args.seed is None:
-                pick = ""
-            else:
-                pick = baseline_select(
-                    kind, target, candidates, cfg,
-                    reference_name=args.reference, rng_seed=args.seed,
-                    allow_mixed_extractors=args.allow_mixed_extractors)
-            print(f"baseline,{kind},{pick}")
+    for kind, pick in picks.items():
+        print(f"baseline,{kind},{pick}")
     return EXIT_OK
 
 
-def _tasks_from_truth(registry: ProfileRegistry, records):
+def _tasks_from_truth(registry: ProfileRegistry, path):
+    records = read_improvements_csv(path)
+    if not records:
+        raise ValueError("ground-truth file has no records")
     grouped = group_records_by_target(records)
     tasks = [(registry.load(name), recs) for name, recs in grouped.items()]
     sources = [p for p in registry.load_all() if p.role == "source"]
@@ -168,11 +143,8 @@ def _tasks_from_truth(registry: ProfileRegistry, records):
 
 def cmd_calibrate(args) -> int:
     registry = _registry(args)
-    records = read_improvements_csv(args.truth)
-    if not records:
-        return _fail("ground-truth file has no records", EXIT_INPUT)
-    tasks, sources = _tasks_from_truth(registry, records)
-    cfg = EvaluationConfig(top_T=args.top, k_grid=_parse_grid(args.grid),
+    tasks, sources = _tasks_from_truth(registry, args.truth)
+    cfg = EvaluationConfig(k_grid=_parse_grid(args.grid),
                            distance_kinds=_parse_kinds(args.kinds),
                            epsilon=args.epsilon)
     report = tune_k(tasks, sources, cfg)
@@ -186,49 +158,18 @@ def cmd_calibrate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     registry = _registry(args)
-    records = read_improvements_csv(args.truth)
-    if not records:
-        return _fail("ground-truth file has no records", EXIT_INPUT)
-    grouped = group_records_by_target(records)
-    sources = {p.name: p for p in registry.load_all() if p.role == "source"}
-    cfg = EstimatorConfig(distance=DivergenceKind(args.distance.upper()), k=args.k,
-                          epsilon=args.epsilon)
-
-    print("target,method,selection,perf,gain_vs_p2l,picks_to_best")
-    for target_name, recs in grouped.items():
-        target = registry.load(target_name)
-        for r in recs:
-            if r.source_name not in sources:
-                raise UnknownSource(
-                    f"ground truth references unknown source {r.source_name!r}")
-        candidates = [sources[r.source_name] for r in recs]
-        scored = score_sources(target, candidates, cfg,
-                               allow_mixed_extractors=args.allow_mixed_extractors)
-        ranking = [s.source_name for s in scored]
-        best_true = sorted(recs, key=lambda r: (-r.improvement, r.source_name))[0].source_name
-
-        methods: dict[str, str | None] = {"P2L": ranking[0]}
-        rankings: dict[str, list[str] | None] = {"P2L": ranking}
-        for kind in ("B1", "B2", "B3", "B4", "B5"):
-            if kind == "B2" and args.reference is None:
-                continue
-            if kind == "B3" and args.seed is None:
-                continue
-            rk = baseline_ranking(kind, target, candidates, cfg,
-                                  reference_name=args.reference, rng_seed=args.seed,
-                                  allow_mixed_extractors=args.allow_mixed_extractors)
-            rankings[kind] = rk
-            methods[kind] = None if rk is None else rk[0]
-        gains = gain_table(recs, methods)
-        perf = {r.source_name: r.perf_transfer for r in recs}
-        scratch = recs[0].perf_scratch
-        for method, selection in methods.items():
-            p = scratch if selection is None else perf[selection]
-            gain = 0.0 if method == "P2L" else gains[method]
-            rk = rankings.get(method)
-            pick = "" if rk is None else picks_to_best(rk, best_true)
-            print(f"{target_name},{method},{'' if selection is None else selection},"
-                  f"{fmt(p)},{fmt(gain)},{pick}")
+    tasks, sources = _tasks_from_truth(registry, args.truth)
+    pool = {p.name: p for p in sources}
+    cfg = _estimator_config(args)
+    rows = []
+    for target, recs in tasks:
+        _, outcomes = compare_methods(
+            target, recs, pool, cfg, reference_name=args.reference,
+            rng_seed=args.seed, allow_mixed_extractors=args.allow_mixed_extractors)
+        rows.extend(selection_row(target.name, o) for o in outcomes.values())
+    print(SELECTIONS_HEADER)
+    for row in rows:
+        print(row)
     return EXIT_OK
 
 
@@ -255,7 +196,7 @@ def cmd_simulate(args) -> int:
     report = tune_k(tasks, sources, eval_cfg)
     est = EstimatorConfig(distance=report.best_distance, k=report.best_k,
                           epsilon=eval_cfg.epsilon)
-    study = oracle.run_study(world, cfg, est, eval_cfg, records=records)
+    study = oracle.run_study(world, cfg, est, records=records)
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -295,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--distance", default="KL")
     p.add_argument("--k", type=float, required=True)
     p.add_argument("--epsilon", type=float, default=1e-6)
-    p.add_argument("--top", type=int, default=None)
+    p.add_argument("--top", type=_positive_int, default=None)
     p.add_argument("--baselines", action="store_true")
     p.add_argument("--reference", default=None, help="reference source for B2")
     p.add_argument("--seed", type=int, default=None, help="seed for the B3 baseline")
@@ -309,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="grid CSV output path")
     p.add_argument("--grid", default=None, help="k grid as min:max:step")
     p.add_argument("--kinds", default=None, help="comma-separated distance kinds")
-    p.add_argument("--top", type=int, default=1)
     p.add_argument("--epsilon", type=float, default=1e-6)
     add_registry(p)
     p.set_defaults(func=cmd_calibrate)
@@ -350,13 +290,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except STATE_ERRORS as exc:
+    except StateError as exc:
         return _fail(str(exc), EXIT_STATE)
-    except REFERENTIAL_ERRORS as exc:
+    except ReferentialError as exc:
         return _fail(str(exc), EXIT_REFERENTIAL)
-    except INPUT_ERRORS as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    except OSError as exc:
+    except (InputError, ValueError, OSError) as exc:
         return _fail(str(exc), EXIT_INPUT)
 
 

@@ -186,7 +186,6 @@ class EstimatorConfig:
     distance: DivergenceKind = DivergenceKind.KL
     k: float = -1.0
     epsilon: float = 1e-6
-    summarizer: Summarizer = Summarizer("mean", 0.0)
     # Swap the argument order of the (asymmetric) KL divergence.
     reverse_kl: bool = False
 
@@ -269,13 +268,10 @@ class CalibrationReport:
     best_distance: DivergenceKind
     grid: tuple[GridPoint, ...]
     per_task_rho: Mapping[str, float]
-    top_T: int = 1
 
     def __post_init__(self):
         if not self.grid:
             raise ValueError("calibration grid must be nonempty")
-        if self.top_T < 1:
-            raise ValueError("top_T must be >= 1")
         best = self.best_point()
         max_rho = max(g.mean_rho for g in self.grid)
         if best.mean_rho != max_rho:

@@ -11,7 +11,6 @@ baselines B1..B5 and size-weighted profile merging.
 """
 from __future__ import annotations
 
-import math
 import random
 from typing import Sequence
 
@@ -39,6 +38,13 @@ from .errors import (
 )
 
 BASELINES = ("B1", "B2", "B3", "B4", "B5")
+
+
+def active_baselines(reference_name: str | None, rng_seed: int | None) -> list[str]:
+    """The baselines that can run: B2 needs a reference, B3 needs a seed."""
+    return [kind for kind in BASELINES
+            if not (kind == "B2" and reference_name is None
+                    or kind == "B3" and rng_seed is None)]
 
 
 def zscale(values) -> np.ndarray:
@@ -144,13 +150,6 @@ def score_sources(target: DatasetProfile, sources: Sequence[DatasetProfile],
     return score_table(names, sizes, dists, cfg.k)
 
 
-def select(scored: Sequence[ScoredSource]) -> str:
-    """Best candidate of a score_sources result (already deterministically sorted)."""
-    if not scored:
-        raise EmptyCandidates("cannot select from an empty ranking")
-    return scored[0].source_name
-
-
 def baseline_ranking(kind: str, target: DatasetProfile,
                      sources: Sequence[DatasetProfile],
                      cfg: EstimatorConfig | None = None,
@@ -194,18 +193,6 @@ def baseline_ranking(kind: str, target: DatasetProfile,
     dists = {s.name: profile_distance(target, s, cfg) for s in sources}
     return [s.name for s in
             sorted(sources, key=lambda s: (dists[s.name], -s.size, s.name))]
-
-
-def baseline_select(kind: str, target: DatasetProfile,
-                    sources: Sequence[DatasetProfile],
-                    cfg: EstimatorConfig | None = None,
-                    reference_name: str | None = None,
-                    rng_seed: int | None = None,
-                    allow_mixed_extractors: bool = False) -> str | None:
-    """First pick of the baseline's ranking; None for B4."""
-    ranking = baseline_ranking(kind, target, sources, cfg, reference_name,
-                               rng_seed, allow_mixed_extractors)
-    return None if ranking is None else ranking[0]
 
 
 def merge_profiles(profiles: Sequence[DatasetProfile], name: str) -> DatasetProfile:

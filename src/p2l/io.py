@@ -22,7 +22,9 @@ from .core import DatasetProfile, EmbeddingMatrix, ImprovementRecord, Summarizer
 from .errors import (
     BadHeader,
     BadMagic,
+    DuplicateSourceName,
     EmptyMatrix,
+    InconsistentScratch,
     InvalidName,
     NameCollision,
     NonFiniteValue,
@@ -39,6 +41,8 @@ _BIN_HEAD = struct.Struct("<4sIIQB")  # magic, version, dim, count, id length
 _NAME_RE = re.compile(r"^[A-Za-z0-9_-]+$")
 MANIFEST_NAME = "manifest.json"
 IMPROVEMENTS_HEADER = "target,source,perf_transfer,perf_scratch"
+PROFILE_KEYS = ("name", "role", "size", "dim", "summarizer", "extractor_id",
+                "raw_mean", "summary")
 
 
 def fmt(x: float) -> str:
@@ -165,11 +169,14 @@ def profile_to_dict(profile: DatasetProfile) -> dict:
     }
 
 
-def profile_from_dict(doc: dict) -> DatasetProfile:
-    if doc.get("format") != "p2l-profile":
+def profile_from_dict(doc) -> DatasetProfile:
+    if not isinstance(doc, dict) or doc.get("format") != "p2l-profile":
         raise BadHeader("not a profile document")
     if doc.get("version") != 1:
         raise UnsupportedVersion(f"profile version {doc.get('version')!r} unsupported")
+    missing = [key for key in PROFILE_KEYS if key not in doc]
+    if missing:
+        raise BadHeader(f"profile document lacks {', '.join(missing)}")
     summary = SummaryVector(
         values=np.array(doc["summary"], dtype=np.float64),
         raw_mean=np.array(doc["raw_mean"], dtype=np.float64),
@@ -201,7 +208,8 @@ class ProfileRegistry:
         manifest = root / MANIFEST_NAME
         if manifest.exists():
             doc = json.loads(manifest.read_text())
-            if doc.get("format") != "p2l-registry" or doc.get("version") != 1:
+            if (not isinstance(doc, dict) or doc.get("format") != "p2l-registry"
+                    or doc.get("version") != 1):
                 raise UnsupportedVersion(f"registry manifest {doc!r} unsupported")
         else:
             _atomic_write_text(
@@ -279,7 +287,23 @@ def write_improvements_csv(path, records: Iterable[ImprovementRecord]) -> None:
 
 def group_records_by_target(records: Iterable[ImprovementRecord],
                             ) -> dict[str, list[ImprovementRecord]]:
+    """Records per target, targets in first-seen order.
+
+    Rejects a (target, source) pair that appears twice and a target whose
+    records disagree on its from-scratch performance.
+    """
     grouped: dict[str, list[ImprovementRecord]] = {}
+    pairs = set()
     for r in records:
-        grouped.setdefault(r.target_name, []).append(r)
+        if (r.target_name, r.source_name) in pairs:
+            raise DuplicateSourceName(
+                f"ground truth pairs target {r.target_name!r} with source "
+                f"{r.source_name!r} twice")
+        pairs.add((r.target_name, r.source_name))
+        recs = grouped.setdefault(r.target_name, [])
+        if recs and r.perf_scratch != recs[0].perf_scratch:
+            raise InconsistentScratch(
+                f"target {r.target_name!r} has perf_scratch "
+                f"{fmt(recs[0].perf_scratch)} and {fmt(r.perf_scratch)}")
+        recs.append(r)
     return grouped

@@ -28,28 +28,23 @@ from typing import Sequence
 import numpy as np
 
 from .calibrate import (
-    EvaluationConfig,
-    gain_table,
-    picks_to_best,
+    SELECTIONS_HEADER,
+    MethodOutcome,
+    best_source,
+    compare_methods,
+    selection_row,
     spearman_or_zero,
 )
 from .core import (
     DatasetProfile,
-    DivergenceKind,
     EmbeddingMatrix,
     EstimatorConfig,
     ImprovementRecord,
     Summarizer,
 )
 from .errors import BadSpec, UnknownName
-from .estimator import (
-    baseline_ranking,
-    merge_profiles,
-    profile_distance,
-    score_sources,
-    select,
-)
-from .io import fmt, write_improvements_csv
+from .estimator import merge_profiles, profile_distance, score_sources
+from .io import fmt, group_records_by_target, write_improvements_csv
 from .summarize import profile_from_matrix
 
 
@@ -519,9 +514,7 @@ def calibration_tasks(world: OracleWorld,
                                  list[DatasetProfile]]:
     """(target profile, its records) pairs plus the source pool, in world order."""
     sources, targets = build_profiles(world)
-    by_target: dict[str, list[ImprovementRecord]] = {}
-    for r in records:
-        by_target.setdefault(r.target_name, []).append(r)
+    by_target = group_records_by_target(records)
     tasks = [(targets[name], by_target[name]) for name in world.target_names()
              if name in by_target]
     return tasks, sources
@@ -540,6 +533,7 @@ class StudyReport:
     per_target_rho: dict[str, float]
     mean_rho: float
     best_true: dict[str, str]
+    outcomes: dict[str, dict[str, MethodOutcome]]  # target -> method -> outcome
     selections: dict[str, dict[str, str | None]]  # method -> target -> source
     mean_accuracy: dict[str, float]
     hit_rate: dict[str, float]
@@ -550,91 +544,59 @@ class StudyReport:
 
 def run_study(world: OracleWorld, cfg: OracleConfig,
               estimator_cfg: EstimatorConfig,
-              eval_cfg: EvaluationConfig | None = None,
               records: Sequence[ImprovementRecord] | None = None,
               reference_name: str | None = None,
               rng_seed: int | None = None) -> StudyReport:
     """Score every target against every source and compare selection methods.
 
     Emits per-target rank correlation between scores and improvements, each
-    method's mean accuracy, top-T hit rate (T from eval_cfg, default 1) and
-    picks-to-best, and per-target gain tables relative to our selection. B2
-    joins only when a reference is named, B3 only when rng_seed is given.
+    method's mean accuracy, top-1 hit rate and picks-to-best, and per-target
+    gain tables relative to our selection. B2 joins only when a reference is
+    named, B3 only when rng_seed is given.
     """
-    eval_cfg = eval_cfg if eval_cfg is not None else EvaluationConfig()
-    source_names = world.source_names()
     target_names = world.target_names()
-    if len(source_names) < 3:
+    if len(world.source_names()) < 3:
         raise BadSpec("study needs at least three source domains")
     if len(target_names) < 2:
         raise BadSpec("study needs at least two targets")
     if records is None:
         records = ground_truth(world, cfg)
     records = list(records)
-    perf = {(r.target_name, r.source_name): r.perf_transfer for r in records}
-    scratch = {r.target_name: r.perf_scratch for r in records}
-    by_target: dict[str, list[ImprovementRecord]] = {}
-    for r in records:
-        by_target.setdefault(r.target_name, []).append(r)
-
+    by_target = group_records_by_target(records)
     source_profiles, target_profiles = build_profiles(world)
-
-    methods = ["P2L", "B1"]
-    if reference_name is not None:
-        methods.append("B2")
-    if rng_seed is not None:
-        methods.append("B3")
-    methods += ["B4", "B5"]
+    pool = {p.name: p for p in source_profiles}
 
     per_target_rho: dict[str, float] = {}
     best_true: dict[str, str] = {}
-    selections: dict[str, dict[str, str | None]] = {m: {} for m in methods}
-    picks: dict[str, dict[str, int]] = {m: {} for m in methods if m != "B4"}
-    hits: dict[str, list[bool]] = {m: [] for m in methods if m != "B4"}
-    gains: dict[str, dict[str, float]] = {}
-
+    outcomes: dict[str, dict[str, MethodOutcome]] = {}
     for target in target_names:
         recs = by_target[target]
-        profile = target_profiles[target]
-        scored = score_sources(profile, source_profiles, estimator_cfg)
+        scored, outcomes[target] = compare_methods(
+            target_profiles[target], recs, pool, estimator_cfg,
+            reference_name=reference_name, rng_seed=rng_seed)
         escore = {s.source_name: s.score for s in scored}
         per_target_rho[target] = spearman_or_zero(
             [escore[r.source_name] for r in recs],
             [r.improvement for r in recs])
-        best = sorted(recs, key=lambda r: (-r.improvement, r.source_name))[0]
-        best_true[target] = best.source_name
+        best_true[target] = best_source(recs)
 
-        rankings: dict[str, list[str] | None] = {
-            "P2L": [s.source_name for s in scored]}
-        for m in methods:
-            if m == "P2L":
-                continue
-            rankings[m] = baseline_ranking(
-                m, profile, source_profiles, estimator_cfg,
-                reference_name=reference_name, rng_seed=rng_seed)
-        for m in methods:
-            ranking = rankings[m]
-            selections[m][target] = None if ranking is None else ranking[0]
-            if ranking is not None:
-                picks[m][target] = picks_to_best(ranking, best_true[target])
-                hits[m].append(best_true[target] in ranking[:eval_cfg.top_T])
-        gains[target] = gain_table(recs, {m: selections[m][target] for m in methods})
-
-    def method_perf(m: str, t: str) -> float:
-        chosen = selections[m][t]
-        return scratch[t] if chosen is None else perf[(t, chosen)]
-
-    mean_accuracy = {m: float(np.mean([method_perf(m, t) for t in target_names]))
-                     for m in methods}
-    hit_rate = {m: float(np.mean(hits[m])) for m in hits}
-    mean_picks = {m: float(np.mean(list(picks[m].values()))) for m in picks}
-    mean_rho = float(np.mean(list(per_target_rho.values())))
-
-    return StudyReport(seed=world.seed, estimator=estimator_cfg, records=records,
-                       per_target_rho=per_target_rho, mean_rho=mean_rho,
-                       best_true=best_true, selections=selections,
-                       mean_accuracy=mean_accuracy, hit_rate=hit_rate,
-                       picks=picks, mean_picks=mean_picks, gains=gains)
+    methods = list(outcomes[target_names[0]])
+    ranked = [m for m in methods if m != "B4"]
+    picks = {m: {t: outcomes[t][m].picks_to_best for t in target_names} for m in ranked}
+    return StudyReport(
+        seed=world.seed, estimator=estimator_cfg, records=records,
+        per_target_rho=per_target_rho,
+        mean_rho=float(np.mean(list(per_target_rho.values()))),
+        best_true=best_true, outcomes=outcomes,
+        selections={m: {t: outcomes[t][m].selection for t in target_names}
+                    for m in methods},
+        mean_accuracy={m: float(np.mean([outcomes[t][m].perf for t in target_names]))
+                       for m in methods},
+        hit_rate={m: float(np.mean([p == 1 for p in picks[m].values()])) for m in ranked},
+        picks=picks,
+        mean_picks={m: float(np.mean(list(picks[m].values()))) for m in ranked},
+        gains={t: {m: o.gain_vs_p2l for m, o in outcomes[t].items() if m != "P2L"}
+               for t in target_names})
 
 
 @dataclass(frozen=True)
@@ -696,7 +658,8 @@ def merged_source_study(world: OracleWorld, cfg: OracleConfig,
         div = profile_distance(profile, ref_profile, est)
         perf_ref = _finetune_from(world, ref_model, reference, target, cfg)
         perf_merged = _finetune_from(world, merged_model, "merged", target, cfg)
-        predicted = select(score_sources(profile, [ref_profile, merged_profile], est))
+        predicted = score_sources(profile, [ref_profile, merged_profile],
+                                  est)[0].source_name
         if perf_ref > perf_merged:
             winner = "reference"
         elif perf_merged > perf_ref:
@@ -727,18 +690,9 @@ def write_study_files(study: StudyReport, outdir) -> None:
         lines.append(f"{target},{fmt(rho)},{study.best_true[target]}")
     (outdir / "per_target.csv").write_text("\n".join(lines) + "\n")
 
-    lines = ["target,method,selection,perf,gain_vs_p2l,picks_to_best"]
-    perf = {(r.target_name, r.source_name): r.perf_transfer for r in study.records}
-    scratch = {r.target_name: r.perf_scratch for r in study.records}
-    for target in study.per_target_rho:
-        for method in study.selections:
-            chosen = study.selections[method][target]
-            p = scratch[target] if chosen is None else perf[(target, chosen)]
-            gain = 0.0 if method == "P2L" else study.gains[target][method]
-            pick = study.picks.get(method, {}).get(target)
-            lines.append(
-                f"{target},{method},{'' if chosen is None else chosen},"
-                f"{fmt(p)},{fmt(gain)},{'' if pick is None else pick}")
+    lines = [SELECTIONS_HEADER]
+    for target, outcomes in study.outcomes.items():
+        lines.extend(selection_row(target, o) for o in outcomes.values())
     (outdir / "selections.csv").write_text("\n".join(lines) + "\n")
 
     lines = ["method,mean_accuracy,top1_hit_rate,mean_picks_to_best"]

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from p2l.calibrate import (
     DEFAULT_K_GRID,
     EvaluationConfig,
+    average_ranks,
     gain_table,
     picks_to_best,
     spearman_or_zero,
@@ -71,6 +72,19 @@ class TestSpearman:
         # ranks of a: (1.5, 1.5, 3); classical formula does not apply
         rho = spearman_rho([5, 5, 9], [1, 2, 3])
         assert rho == pytest.approx(0.866025403784, abs=1e-9)
+
+    def test_average_ranks_match_scipy_rankdata(self):
+        stats = pytest.importorskip("scipy.stats")
+
+        # Small integers force ties; the floats mix in distinct values.
+        @given(st.lists(st.integers(-3, 3).map(float) | st.floats(-1e6, 1e6),
+                        min_size=1, max_size=40))
+        @settings(max_examples=200, deadline=None)
+        def check(values):
+            np.testing.assert_array_equal(
+                average_ranks(values), stats.rankdata(values, method="average"))
+
+        check()
 
     @given(st.integers(3, 30), st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=100, deadline=None)
@@ -200,11 +214,11 @@ class TestPicksToBest:
 
     def test_first_pick_iff_selected(self):
         from p2l.core import EstimatorConfig
-        from p2l.estimator import score_sources, select
+        from p2l.estimator import score_sources
         target, sources, records = distance_task()
         scored = score_sources(target, sources, EstimatorConfig(k=-1.0))
         ranking = [s.source_name for s in scored]
-        chosen = select(scored)
+        chosen = scored[0].source_name
         assert picks_to_best(ranking, chosen) == 1
         for name in ranking[1:]:
             assert picks_to_best(ranking, name) > 1

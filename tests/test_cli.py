@@ -1,9 +1,16 @@
 import csv
 import io as stdlib_io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import p2l
+from p2l import oracle
 from p2l.cli import main
 from p2l.core import EmbeddingMatrix
 from p2l.io import ProfileRegistry, write_embeddings_bin, write_embeddings_csv, \
@@ -133,6 +140,30 @@ class TestRankCommand:
                            registry_dir, "--k", "-1", "--top", "1")
         assert len(parse_csv(out)) == 2
 
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_rank_top_must_be_positive(self, capsys, tmp_path, registry_dir, top):
+        target = seed_registry(tmp_path, registry_dir)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["rank", "--target", str(target), "--registry", registry_dir,
+                  "--k", "-1", "--top", top])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("doc", ["missing_dim", "list"])
+    def test_rank_malformed_profile_exits_2(self, capsys, tmp_path, registry_dir,
+                                            doc):
+        seed_registry(tmp_path, registry_dir)
+        path = Path(registry_dir) / "mid.profile.json"
+        content = json.loads(path.read_text())
+        del content["dim"]
+        path.write_text(json.dumps([] if doc == "list" else content))
+        code, out, err = run(capsys, "rank", "--target", "mid", "--registry",
+                             registry_dir, "--k", "0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("p2l: error:") and err.count("\n") == 1
+
     def test_rank_baselines_rows(self, capsys, tmp_path, registry_dir):
         target = seed_registry(tmp_path, registry_dir)
         code, out, _ = run(capsys, "rank", "--target", str(target), "--registry",
@@ -167,6 +198,15 @@ class TestRankCommand:
         code, _, _ = run(capsys, "rank", "--target", "ghost", "--registry",
                          registry_dir, "--k", "0")
         assert code == 4
+
+    def test_rank_unknown_reference_exits_4_before_output(self, capsys, tmp_path,
+                                                          registry_dir):
+        target = seed_registry(tmp_path, registry_dir)
+        code, out, _ = run(capsys, "rank", "--target", str(target), "--registry",
+                           registry_dir, "--k", "-1", "--baselines",
+                           "--reference", "ghost")
+        assert code == 4
+        assert out == ""
 
     def test_rank_mixed_extractors_exit_2_then_override(self, capsys, tmp_path,
                                                         registry_dir):
@@ -228,6 +268,22 @@ class TestCalibrateAndEvaluate:
                          "--k", "0")
         assert code == 4
 
+    @pytest.mark.parametrize("command", ["calibrate", "evaluate"])
+    @pytest.mark.parametrize("extra_row", ["tprof,mid,0.5,0.2",     # duplicate pair
+                                           "tprof,other,0.5,0.9"])  # scratch 0.9 vs 0.2
+    def test_inconsistent_truth_exits_2_before_output(self, capsys, tmp_path,
+                                                      registry_dir, command,
+                                                      extra_row):
+        truth = self.seed_truth(tmp_path, registry_dir)
+        truth.write_text(truth.read_text() + extra_row + "\n")
+        extra = (["--out", str(tmp_path / "g.csv")] if command == "calibrate"
+                 else ["--k", "0"])
+        code, out, err = run(capsys, command, "--truth", str(truth),
+                             "--registry", registry_dir, *extra)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("p2l: error:")
+
     def test_evaluate_gain_arithmetic(self, capsys, tmp_path, registry_dir):
         truth = self.seed_truth(tmp_path, registry_dir)
         code, out, _ = run(capsys, "evaluate", "--truth", str(truth),
@@ -281,6 +337,47 @@ class TestSimulateCommand:
                          "per_target.csv", "selections.csv", "summary.txt"]
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+    def test_evaluate_prints_the_study_selections(self, capsys, tmp_path):
+        """evaluate over a simulated world's profiles, at the study's own k and
+        distance, reproduces the study's selections.csv row for row."""
+        seed, sources, targets = 7, 4, 4
+        outdir = tmp_path / "study"
+        code, stdout, _ = run(capsys, "simulate", "--seed", str(seed),
+                              "--sources", str(sources), "--targets", str(targets),
+                              "--out", str(outdir))
+        assert code == 0
+        _, best_k, best_distance, _ = parse_csv(stdout)[1]
+
+        world = oracle.default_world(seed, oracle.OracleConfig(), n_sources=sources,
+                                     n_targets=targets)
+        source_profiles, target_profiles = oracle.build_profiles(world)
+        registry_dir = tmp_path / "registry"
+        registry = ProfileRegistry.open(registry_dir)
+        for profile in source_profiles:
+            registry.save(profile)
+        for name in world.target_names():
+            registry.save(target_profiles[name])
+
+        code, stdout, _ = run(capsys, "evaluate", "--truth",
+                              str(outdir / "ground_truth.csv"), "--registry",
+                              str(registry_dir), "--k", best_k,
+                              "--distance", best_distance)
+        assert code == 0
+        assert stdout == (outdir / "selections.csv").read_text()
+
+
+class TestImports:
+    def test_cli_import_does_not_load_scipy(self):
+        src = str(Path(p2l.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, p2l.cli; sys.exit('scipy' in sys.modules)"],
+            env=env, timeout=60)
+        assert result.returncode == 0
 
 
 class TestEnvRegistry:

@@ -23,11 +23,9 @@ from p2l.errors import (
 )
 from p2l.estimator import (
     baseline_ranking,
-    baseline_select,
     merge_profiles,
     score_sources,
     score_table,
-    select,
     zscale,
 )
 from p2l.summarize import profile_from_matrix, summarize
@@ -105,7 +103,7 @@ class TestScoreSources:
                    for n, s in (("a", 100), ("b", 10_000), ("c", 10))]
         scored = score_sources(target, sources, EstimatorConfig(k=-2.0))
         assert [s.source_name for s in scored] == ["b", "a", "c"]
-        assert select(scored) == "b"
+        assert scored[0].source_name == "b"
 
     def test_dim_mismatch(self):
         target = profile("t", 10, [1.0, 1.0], role="target")
@@ -120,7 +118,7 @@ class TestScoreSources:
             score_sources(target, [alien], EstimatorConfig(k=-1.0))
         scored = score_sources(target, [alien], EstimatorConfig(k=-1.0),
                                allow_mixed_extractors=True)
-        assert select(scored) == "s"
+        assert scored[0].source_name == "s"
 
     def test_reverse_kl_swaps_arguments(self):
         target = profile("t", 10, [0.5, 0.5], role="target")
@@ -136,11 +134,12 @@ class TestSelect:
         target = profile("t", 10, [1.0, 1.0], role="target")
         scored = score_sources(target, [profile("only", 5, [1.0, 2.0])],
                                EstimatorConfig(k=-1.0))
-        assert select(scored) == "only"
+        assert scored[0].source_name == "only"
 
     def test_empty(self):
+        target = profile("t", 10, [1.0, 1.0], role="target")
         with pytest.raises(EmptyCandidates):
-            select([])
+            score_sources(target, [], EstimatorConfig(k=-1.0))
 
 
 class TestBaselines:
@@ -154,36 +153,35 @@ class TestBaselines:
         self.cfg = EstimatorConfig(distance="CITYBLOCK", k=-1.0)
 
     def test_b1_largest(self):
-        assert baseline_select("B1", self.target, self.sources) == "big_far"
+        assert baseline_ranking("B1", self.target, self.sources)[0] == "big_far"
 
     def test_b1_tie_break_lexicographic(self):
         sources = [profile("zeta", 10, [1.0, 2.0]), profile("alpha", 10, [2.0, 1.0])]
-        assert baseline_select("B1", self.target, sources) == "alpha"
+        assert baseline_ranking("B1", self.target, sources)[0] == "alpha"
 
     def test_b2_fixed_reference(self):
-        assert baseline_select("B2", self.target, self.sources,
-                               reference_name="mid") == "mid"
+        assert baseline_ranking("B2", self.target, self.sources,
+                                reference_name="mid")[0] == "mid"
         with pytest.raises(MissingReference):
-            baseline_select("B2", self.target, self.sources, reference_name="nope")
+            baseline_ranking("B2", self.target, self.sources, reference_name="nope")
         with pytest.raises(MissingReference):
-            baseline_select("B2", self.target, self.sources)
+            baseline_ranking("B2", self.target, self.sources)
 
     def test_b3_seeded_and_deterministic(self):
-        picks = {baseline_select("B3", self.target, self.sources, rng_seed=s)
+        picks = {baseline_ranking("B3", self.target, self.sources, rng_seed=s)[0]
                  for s in range(30)}
         assert picks == {"small_near", "big_far", "mid"}
         a = baseline_ranking("B3", self.target, self.sources, rng_seed=7)
         b = baseline_ranking("B3", self.target, self.sources, rng_seed=7)
         assert a == b
         with pytest.raises(MissingSeed):
-            baseline_select("B3", self.target, self.sources)
+            baseline_ranking("B3", self.target, self.sources)
 
     def test_b4_no_transfer(self):
-        assert baseline_select("B4", self.target, self.sources) is None
         assert baseline_ranking("B4", self.target, self.sources) is None
 
     def test_b5_least_divergent(self):
-        assert baseline_select("B5", self.target, self.sources, self.cfg) == "small_near"
+        assert baseline_ranking("B5", self.target, self.sources, self.cfg)[0] == "small_near"
 
     def test_b5_example_distances(self):
         ranking = baseline_ranking("B5", self.target, self.sources, self.cfg)
@@ -282,7 +280,7 @@ class TestRankingInvariances:
         expected_b1 = [names[i] for i in
                        sorted(range(len(sizes)), key=lambda i: (-sizes[i], names[i]))]
         assert by_size == expected_b1
-        by_dist = select(score_table(names, sizes, dists, -1e15))
+        by_dist = score_table(names, sizes, dists, -1e15)[0].source_name
         expected_b5 = names[int(np.argmin(dists))]
         assert by_dist == expected_b5
 

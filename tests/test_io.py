@@ -9,7 +9,9 @@ from p2l.core import DatasetProfile, EmbeddingMatrix, Summarizer, SummaryVector
 from p2l.errors import (
     BadHeader,
     BadMagic,
+    DuplicateSourceName,
     EmptyMatrix,
+    InconsistentScratch,
     InvalidName,
     NameCollision,
     NonFiniteValue,
@@ -20,6 +22,7 @@ from p2l.errors import (
 )
 from p2l.io import (
     ProfileRegistry,
+    group_records_by_target,
     read_embeddings_bin,
     read_embeddings_csv,
     read_improvements_csv,
@@ -198,6 +201,9 @@ class TestRegistry:
             json.dumps({"format": "p2l-registry", "version": 2}))
         with pytest.raises(UnsupportedVersion):
             ProfileRegistry.open(root)
+        (root / "manifest.json").write_text("[]")
+        with pytest.raises(UnsupportedVersion):
+            ProfileRegistry.open(root)
 
     def test_unnormalized_profile_round_trip(self, tmp_path):
         reg = ProfileRegistry.open(tmp_path / "reg")
@@ -237,3 +243,28 @@ class TestImprovementsCsv:
         path.write_text("target,source,perf_transfer,perf_scratch\nt,s,inf,0.5\n")
         with pytest.raises(NonFiniteValue):
             read_improvements_csv(path)
+
+
+class TestGroupRecordsByTarget:
+    def test_groups_in_first_seen_order(self):
+        from p2l.core import ImprovementRecord
+        records = [ImprovementRecord.from_perfs("t2", "s1", 0.5, 0.25),
+                   ImprovementRecord.from_perfs("t1", "s1", 0.75, 0.5),
+                   ImprovementRecord.from_perfs("t2", "s2", 0.25, 0.25)]
+        grouped = group_records_by_target(records)
+        assert list(grouped) == ["t2", "t1"]
+        assert grouped["t2"] == [records[0], records[2]]
+
+    def test_duplicate_pair_rejected(self):
+        from p2l.core import ImprovementRecord
+        records = [ImprovementRecord.from_perfs("t", "s", 0.5, 0.25),
+                   ImprovementRecord.from_perfs("t", "s", 0.75, 0.25)]
+        with pytest.raises(DuplicateSourceName):
+            group_records_by_target(records)
+
+    def test_disagreeing_scratch_rejected(self):
+        from p2l.core import ImprovementRecord
+        records = [ImprovementRecord.from_perfs("t", "a", 0.5, 0.5),
+                   ImprovementRecord.from_perfs("t", "b", 0.5, 0.9)]
+        with pytest.raises(InconsistentScratch):
+            group_records_by_target(records)

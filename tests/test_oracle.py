@@ -243,10 +243,10 @@ class TestStudies:
         for seed in (1, 2, 3):
             world = oracle.generate_world(seed, spec, cfg)
             sources, targets = oracle.build_profiles(world)
-            from p2l.estimator import baseline_select, score_sources, select
+            from p2l.estimator import baseline_ranking, score_sources
             tgt = targets["tgt"]
-            assert select(score_sources(tgt, sources, est)) == "twin"
-            assert baseline_select("B5", tgt, sources, est) == "twin"
+            assert score_sources(tgt, sources, est)[0].source_name == "twin"
+            assert baseline_ranking("B5", tgt, sources, est)[0] == "twin"
 
     def test_merged_study_profile_delegation_and_order(self):
         cfg = oracle.OracleConfig()
