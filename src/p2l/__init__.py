@@ -27,11 +27,10 @@ from .calibrate import (
     spearman_rho,
     tune_k,
 )
-from .divergence import distance
+from .divergence import distance, distances
 from .estimator import (
     baseline_ranking,
     merge_profiles,
-    profile_distance,
     score_sources,
     score_table,
     zscale,
@@ -57,10 +56,10 @@ __all__ = [
     "DEFAULT_K_GRID",
     "baseline_ranking",
     "distance",
+    "distances",
     "gain_table",
     "merge_profiles",
     "picks_to_best",
-    "profile_distance",
     "profile_from_matrix",
     "read_embeddings_bin",
     "read_embeddings_csv",

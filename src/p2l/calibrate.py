@@ -24,7 +24,9 @@ from .core import (
     GridPoint,
     ImprovementRecord,
     ScoredSource,
+    check_epsilon,
 )
+from .divergence import distances
 from .errors import (
     DegenerateConstantInput,
     DuplicateSourceName,
@@ -34,14 +36,8 @@ from .errors import (
     UnknownSource,
     ZeroDenominator,
 )
-from .estimator import (
-    active_baselines,
-    baseline_ranking,
-    profile_distance,
-    score_sources,
-    zscale,
-)
-from .io import fmt
+from .estimator import active_baselines, baseline_ranking, score_sources, zscale
+from .io import fmt, group_records_by_target
 
 # k in [-3, 0] by steps of 0.05; distance works against size, so k <= 0.
 DEFAULT_K_GRID: tuple[float, ...] = tuple(round(-3.0 + 0.05 * i, 2) for i in range(61))
@@ -62,6 +58,7 @@ class EvaluationConfig:
     def __post_init__(self):
         if not self.k_grid:
             raise ValueError("k grid must be nonempty")
+        check_epsilon(self.epsilon)
         kinds = tuple(DivergenceKind(k) for k in self.distance_kinds)
         if len(set(kinds)) != len(kinds) or not kinds:
             raise ValueError("distance_kinds must be a nonempty set of distinct kinds")
@@ -132,11 +129,9 @@ def tune_k(training_tasks: Sequence[TrainingTask],
             raise TooFewSources(
                 f"task {target.name!r} has {len(candidates)} sources, need >= 3")
         z_logs = zscale(np.log([float(c.size) for c in candidates]))
-        z_dists = {}
-        for kind in cfg.distance_kinds:
-            dcfg = EstimatorConfig(distance=kind, k=0.0, epsilon=cfg.epsilon)
-            z_dists[kind] = zscale([profile_distance(target, c, dcfg)
-                                    for c in candidates])
+        summaries = [c.summary for c in candidates]
+        z_dists = {kind: zscale(distances(kind, target.summary, summaries, cfg.epsilon))
+                   for kind in cfg.distance_kinds}
         improvements = np.array([r.improvement for r in records])
         prepared.append((target.name, z_logs, z_dists, improvements))
 
@@ -183,18 +178,17 @@ def gain_table(records: Sequence[ImprovementRecord],
                ours: str = "P2L") -> dict[str, float]:
     """Relative gain of our pick over each method: (perf(ours) - perf(m)) / perf(m).
 
-    All records must belong to one target. A method selecting None means no
-    transfer and is scored at the target's from-scratch performance.
+    The records are one target's, valid for group_records_by_target. A method
+    selecting None means no transfer, scored at the from-scratch performance.
     """
     if not records:
         raise MissingRecord("no ground-truth records for this target")
-    target = records[0].target_name
-    by_source: dict[str, ImprovementRecord] = {}
-    for r in records:
-        if r.target_name != target:
-            raise ValueError("gain_table records must share one target")
-        by_source[r.source_name] = r
-    scratch = records[0].perf_scratch
+    grouped = group_records_by_target(records)
+    if len(grouped) != 1:
+        raise ValueError("gain_table records must share one target")
+    [(target, recs)] = grouped.items()
+    by_source = {r.source_name: r for r in recs}
+    scratch = recs[0].perf_scratch
 
     def perf(selection: str | None) -> float:
         if selection is None:

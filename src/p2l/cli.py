@@ -94,19 +94,20 @@ def cmd_profile(args) -> int:
 
 
 def _load_target(args, registry: ProfileRegistry):
+    """The target profile, and the registry name it is (None for a file)."""
     path = Path(args.target)
     if path.exists():
         matrix = sniff_and_read_embeddings(path)
         name = path.name.split(".")[0] or "target"
-        return profile_from_matrix(name, matrix, Summarizer.mean(), role="target")
-    return registry.load(args.target)
+        return profile_from_matrix(name, matrix, Summarizer.mean(), role="target"), None
+    return registry.load(args.target), args.target
 
 
 def cmd_rank(args) -> int:
     registry = _registry(args)
-    target = _load_target(args, registry)
+    target, own_name = _load_target(args, registry)
     candidates = [p for p in registry.load_all()
-                  if p.role == "source" and p.name != target.name]
+                  if p.role == "source" and p.name != own_name]
     cfg = _estimator_config(args)
     scored = score_sources(target, candidates, cfg,
                            allow_mixed_extractors=args.allow_mixed_extractors)
@@ -248,7 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", required=True,
                    help="CSV: target,source,perf_transfer,perf_scratch")
     p.add_argument("--out", required=True, help="grid CSV output path")
-    p.add_argument("--grid", default=None, help="k grid as min:max:step")
+    p.add_argument("--grid", default=None, help="k grid as min:max:step; a "
+                   "negative min needs the = form: --grid=-2:0:0.25")
     p.add_argument("--kinds", default=None, help="comma-separated distance kinds")
     p.add_argument("--epsilon", type=float, default=1e-6)
     add_registry(p)

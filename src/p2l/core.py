@@ -46,6 +46,12 @@ PROBABILITY_KINDS = frozenset(
 )
 
 
+def check_epsilon(epsilon: float) -> None:
+    """Smoothing weights must be finite and > 0."""
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise NonPositiveEpsilon(f"epsilon must be a finite value > 0, got {epsilon!r}")
+
+
 def _readonly_1d(values) -> np.ndarray:
     arr = np.array(values, dtype=np.float64, copy=True)
     if arr.ndim != 1:
@@ -186,13 +192,10 @@ class EstimatorConfig:
     distance: DivergenceKind = DivergenceKind.KL
     k: float = -1.0
     epsilon: float = 1e-6
-    # Swap the argument order of the (asymmetric) KL divergence.
-    reverse_kl: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "distance", DivergenceKind(self.distance))
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise NonPositiveEpsilon(f"epsilon must be > 0, got {self.epsilon!r}")
+        check_epsilon(self.epsilon)
         if not math.isfinite(self.k):
             raise ValueError("k must be finite")
 

@@ -10,48 +10,65 @@ Five candidates, natural log throughout:
 
 KL/JSD/CHI2 treat summaries as probability vectors and need strictly positive
 input; pass ``epsilon`` to smooth both arguments first, or smooth upstream.
-EUC/CITYBLOCK never smooth.
+EUC/CITYBLOCK never smooth. ``distances`` is the one implementation, over a
+whole candidate list at once; ``distance`` is its one-row case.
 """
 from __future__ import annotations
 
-import math
+from typing import Sequence
 
 import numpy as np
 
 from .core import PROBABILITY_KINDS, DivergenceKind, SummaryVector
 from .errors import DimensionMismatch, NonPositiveComponent
-from .summarize import smooth
+from .summarize import smooth_values
 
 
-def distance(kind: DivergenceKind | str, p: SummaryVector, q: SummaryVector,
-             epsilon: float | None = None) -> float:
-    """D(p, q) >= 0 for the requested kind; p is the target summary by convention."""
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_i . b_i per row (b may be one shared vector), each a 1-d dot product
+    so it equals ``a_i @ b_i`` bit for bit; a gemv would round differently."""
+    return (a[:, None, :] @ b[..., None])[:, 0, 0]
+
+
+def distances(kind: DivergenceKind | str, p: SummaryVector,
+              qs: Sequence[SummaryVector], epsilon: float | None = None) -> np.ndarray:
+    """D(p, q) >= 0 for each q in qs, p being the target by convention; the
+    qs are stacked into one N x d array and p is smoothed once."""
     kind = DivergenceKind(kind)
-    if p.dim != q.dim:
-        raise DimensionMismatch(f"summary dims differ: {p.dim} vs {q.dim}")
+    for q in qs:
+        if q.dim != p.dim:
+            raise DimensionMismatch(f"summary dims differ: {p.dim} vs {q.dim}")
+    pv = p.values
+    qv = np.array([q.values for q in qs], dtype=np.float64).reshape(len(qs), p.dim)
 
     if kind in PROBABILITY_KINDS:
-        if not (p.normalized and q.normalized):
+        if not (p.normalized and all(q.normalized for q in qs)):
             raise NonPositiveComponent(
                 f"{kind.value} is undefined on unnormalized summaries")
         if epsilon is not None:
-            p = smooth(p, epsilon)
-            q = smooth(q, epsilon)
-        pv, qv = p.values, q.values
-        if float(pv.min()) <= 0.0 or float(qv.min()) <= 0.0:
+            pv = smooth_values(pv, epsilon)
+            qv = smooth_values(qv, epsilon)
+        if float(pv.min()) <= 0.0 or float(qv.min(initial=np.inf)) <= 0.0:
             raise NonPositiveComponent(
                 f"{kind.value} needs strictly positive input; smooth first "
                 "or pass epsilon")
         if kind is DivergenceKind.KL:
-            return max(0.0, float(pv @ np.log(pv / qv)))
+            return np.maximum(_rowdot(np.log(pv / qv), pv), 0.0)
         if kind is DivergenceKind.JSD:
             m = 0.5 * (pv + qv)
-            inner = 0.5 * float(pv @ np.log(pv / m)) + 0.5 * float(qv @ np.log(qv / m))
-            return math.sqrt(max(0.0, inner))
+            inner = (0.5 * _rowdot(np.log(pv / m), pv)
+                     + 0.5 * _rowdot(np.log(qv / m), qv))
+            return np.sqrt(np.maximum(inner, 0.0))
         diff = pv - qv
-        return max(0.0, 0.5 * float(np.sum(diff * diff / (pv + qv))))
+        return np.maximum(0.5 * np.sum(diff * diff / (pv + qv), axis=1), 0.0)
 
-    diff = p.values - q.values
+    diff = pv - qv
     if kind is DivergenceKind.EUC:
-        return float(np.sqrt(np.sum(diff * diff)))
-    return float(np.sum(np.abs(diff)))
+        return np.sqrt(np.sum(diff * diff, axis=1))
+    return np.sum(np.abs(diff), axis=1)
+
+
+def distance(kind: DivergenceKind | str, p: SummaryVector, q: SummaryVector,
+             epsilon: float | None = None) -> float:
+    """D(p, q) >= 0 for the requested kind: the one-row case of distances."""
+    return float(distances(kind, p, [q], epsilon)[0])

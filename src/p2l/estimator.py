@@ -17,15 +17,14 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    PROBABILITY_KINDS,
+    SCORE_IDENTITY_TOL,
     DatasetProfile,
-    DivergenceKind,
     EstimatorConfig,
     ScoredSource,
     Summarizer,
     SummaryVector,
 )
-from .divergence import distance
+from .divergence import distances
 from .errors import (
     DimensionMismatch,
     DuplicateSourceName,
@@ -66,8 +65,9 @@ def score_table(names: Sequence[str], sizes: Sequence[float],
                 distances: Sequence[float], k: float) -> list[ScoredSource]:
     """Score precomputed (size, distance) rows and sort best-first.
 
-    Ties break by descending size, then name. Sizes may be any positive reals
-    so callers can exercise scale-invariance directly.
+    Scores equal once rounded to SCORE_IDENTITY_TOL tie, whatever their float
+    noise, and break by descending size, then name. Sizes may be any positive
+    reals so callers can exercise scale-invariance directly.
     """
     names = list(names)
     n = len(names)
@@ -100,19 +100,9 @@ def score_table(names: Sequence[str], sizes: Sequence[float],
             k=float(k),
             score=zl + float(k) * zd,
         ))
-    order = sorted(range(n), key=lambda i: (-scored[i].score, -sizes[i], names[i]))
+    order = sorted(range(n), key=lambda i: (
+        -round(scored[i].score / SCORE_IDENTITY_TOL), -sizes[i], names[i]))
     return [scored[i] for i in order]
-
-
-def profile_distance(target: DatasetProfile, source: DatasetProfile,
-                     cfg: EstimatorConfig) -> float:
-    """D(target, source) under the config (smoothing applied for KL/JSD/CHI2)."""
-    p: SummaryVector = target.summary
-    q: SummaryVector = source.summary
-    if cfg.reverse_kl and cfg.distance is DivergenceKind.KL:
-        p, q = q, p
-    eps = cfg.epsilon if cfg.distance in PROBABILITY_KINDS else None
-    return distance(cfg.distance, p, q, epsilon=eps)
 
 
 def _check_candidates(target: DatasetProfile, sources: Sequence[DatasetProfile],
@@ -146,7 +136,8 @@ def score_sources(target: DatasetProfile, sources: Sequence[DatasetProfile],
     _check_candidates(target, sources, allow_mixed_extractors)
     names = [s.name for s in sources]
     sizes = [float(s.size) for s in sources]
-    dists = [profile_distance(target, s, cfg) for s in sources]
+    dists = distances(cfg.distance, target.summary, [s.summary for s in sources],
+                      cfg.epsilon)
     return score_table(names, sizes, dists, cfg.k)
 
 
@@ -190,7 +181,8 @@ def baseline_ranking(kind: str, target: DatasetProfile,
     if cfg is None:
         raise ValueError("B5 needs an estimator config for the distance")
     _check_candidates(target, sources, allow_mixed_extractors)
-    dists = {s.name: profile_distance(target, s, cfg) for s in sources}
+    dists = dict(zip(names, distances(cfg.distance, target.summary,
+                                      [s.summary for s in sources], cfg.epsilon)))
     return [s.name for s in
             sorted(sources, key=lambda s: (dists[s.name], -s.size, s.name))]
 

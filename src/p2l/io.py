@@ -50,16 +50,17 @@ def fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
+def _atomic_write_text(path: Path, text: str, replace: bool = True) -> None:
+    """Write a temp file and move it to path in one step; without replace it
+    is hard-linked there, raising FileExistsError rather than clobbering."""
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
+        (os.replace if replace else os.link)(tmp, path)
+    finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 # -- embedding matrices ---------------------------------------------------------
@@ -193,18 +194,15 @@ def profile_from_dict(doc) -> DatasetProfile:
 class ProfileRegistry:
     """Directory of '<name>.profile.json' files plus a format manifest.
 
-    Writes are atomic (temp file then rename); listing is sorted by name.
+    Writes are atomic (temp file, then rename or link); listing is sorted.
     """
 
     root: Path
 
     @classmethod
-    def open(cls, root, create: bool = True) -> "ProfileRegistry":
+    def open(cls, root) -> "ProfileRegistry":
         root = Path(root)
-        if create:
-            root.mkdir(parents=True, exist_ok=True)
-        elif not root.is_dir():
-            raise NotFound(f"registry directory {root} does not exist")
+        root.mkdir(parents=True, exist_ok=True)
         manifest = root / MANIFEST_NAME
         if manifest.exists():
             doc = json.loads(manifest.read_text())
@@ -224,9 +222,11 @@ class ProfileRegistry:
 
     def save(self, profile: DatasetProfile, overwrite: bool = False) -> None:
         path = self._path(profile.name)
-        if path.exists() and not overwrite:
-            raise NameCollision(f"profile {profile.name!r} already exists")
-        _atomic_write_text(path, json.dumps(profile_to_dict(profile), indent=2) + "\n")
+        text = json.dumps(profile_to_dict(profile), indent=2) + "\n"
+        try:
+            _atomic_write_text(path, text, replace=overwrite)
+        except FileExistsError:
+            raise NameCollision(f"profile {profile.name!r} already exists") from None
 
     def load(self, name: str) -> DatasetProfile:
         path = self._path(name)

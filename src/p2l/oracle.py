@@ -43,7 +43,7 @@ from .core import (
     Summarizer,
 )
 from .errors import BadSpec, UnknownName
-from .estimator import merge_profiles, profile_distance, score_sources
+from .estimator import merge_profiles, score_sources
 from .io import fmt, group_records_by_target, write_improvements_csv
 from .summarize import profile_from_matrix
 
@@ -258,12 +258,13 @@ def generate_world(seed: int, spec: WorldSpec,
                        extractor=extractor, target_fraction=tf)
 
 
+# Shape of the default world; default_world_spec's docstring says how each acts.
+N_GROUPS, MIN_ITEMS, MAX_ITEMS = 2, 240, 9600
+GROUP_SCALE, DOMAIN_SCALE, CLASS_SCALE, SPREAD = 2.0, 1.0, 1.0, 1.6
+
+
 def default_world_spec(seed: int, n_sources: int = 6, n_targets: int = 8,
-                       feature_dim: int = 16, embed_dim: int = 32,
-                       n_groups: int = 2, min_items: int = 240,
-                       max_items: int = 9600, group_scale: float = 2.0,
-                       domain_scale: float = 1.0, class_scale: float = 1.0,
-                       spread: float = 1.6) -> WorldSpec:
+                       feature_dim: int = 16, embed_dim: int = 32) -> WorldSpec:
     """Random world layout: disjoint source and target domains in shared groups.
 
     Domains in the same group share jittered class anchors, so in-group
@@ -276,35 +277,35 @@ def default_world_spec(seed: int, n_sources: int = 6, n_targets: int = 8,
     """
     rng = _stream(seed, "worldspec")
     groups = []
-    for _ in range(n_groups):
-        center = rng.normal(0.0, group_scale, feature_dim)
+    for _ in range(N_GROUPS):
+        center = rng.normal(0.0, GROUP_SCALE, feature_dim)
         n_classes = int(rng.integers(5, 9))
-        anchors = center + rng.normal(0.0, class_scale, (n_classes, feature_dim))
+        anchors = center + rng.normal(0.0, CLASS_SCALE, (n_classes, feature_dim))
         groups.append(anchors)
 
     n_domains = n_sources + n_targets
     sizes = np.empty(n_domains, dtype=int)
-    source_sizes = np.geomspace(min_items, max_items, n_sources).astype(int)
-    for g in range(n_groups):
-        members = [i for i in range(n_sources) if i % n_groups == g]
-        ranks = [g + j * n_groups for j in range(len(members))]
+    source_sizes = np.geomspace(MIN_ITEMS, MAX_ITEMS, n_sources).astype(int)
+    for g in range(N_GROUPS):
+        members = [i for i in range(n_sources) if i % N_GROUPS == g]
+        ranks = [g + j * N_GROUPS for j in range(len(members))]
         rng.shuffle(ranks)
         for i, rank in zip(members, ranks):
             sizes[i] = source_sizes[rank]
-    target_sizes = np.geomspace(min_items, max_items, n_targets).astype(int)
+    target_sizes = np.geomspace(MIN_ITEMS, MAX_ITEMS, n_targets).astype(int)
     target_sizes = target_sizes[rng.permutation(n_targets)]
     sizes[n_sources:] = target_sizes
 
     domains = []
     for i in range(n_domains):
-        anchors = groups[i % n_groups]
+        anchors = groups[i % N_GROUPS]
         # Per-domain jitter magnitude varies, so group-mates sit at genuinely
         # different distances from a target instead of one indistinct blob.
-        jitter = rng.uniform(0.3, domain_scale)
+        jitter = rng.uniform(0.3, DOMAIN_SCALE)
         centroids = anchors + rng.normal(0.0, jitter, anchors.shape)
         domains.append(DomainSpec(name=f"dom{i:02d}", n_classes=anchors.shape[0],
                                   n_items=int(sizes[i]), centroids=centroids,
-                                  spread=spread))
+                                  spread=SPREAD))
     return WorldSpec(domains=tuple(domains), feature_dim=feature_dim,
                      embed_dim=embed_dim, n_sources=n_sources)
 
@@ -419,22 +420,12 @@ def accuracy(params: ModelParams, x: np.ndarray, y: np.ndarray) -> float:
 # -- transfer runs --------------------------------------------------------------------
 
 
-def train_source_model(world: OracleWorld, source_name: str,
-                       cfg: OracleConfig) -> ModelParams:
-    data = world.domain(source_name)
-    rng = _stream(world.seed, "source", source_name)
-    params = init_params(rng, world.spec.feature_dim, cfg.hidden_dim,
-                         data.spec.n_classes)
-    return sgd_train(params, data.source_train.x, data.source_train.y, rng,
-                     cfg.learn_rate, cfg.effective_source_epochs, cfg.batch)
-
-
 def _train_pooled_model(world: OracleWorld, source_names: Sequence[str],
-                        cfg: OracleConfig, tag: str) -> ModelParams:
-    """One model over the union of several source-train splits.
+                        cfg: OracleConfig, *tags) -> ModelParams:
+    """One model over the union of the named source-train splits.
 
     Labels are offset per domain so the pooled model classifies the combined
-    label space.
+    label space. ``tags`` name the RNG stream: ("source", name) for one source.
     """
     xs, ys, offset = [], [], 0
     for name in source_names:
@@ -444,7 +435,7 @@ def _train_pooled_model(world: OracleWorld, source_names: Sequence[str],
         offset += data.spec.n_classes
     x = np.concatenate(xs)
     y = np.concatenate(ys)
-    rng = _stream(world.seed, "pooled", tag)
+    rng = _stream(world.seed, *tags)
     params = init_params(rng, world.spec.feature_dim, cfg.hidden_dim, offset)
     return sgd_train(params, x, y, rng, cfg.learn_rate,
                      cfg.effective_source_epochs, cfg.batch)
@@ -485,7 +476,7 @@ def train_transfer(world: OracleWorld, source_name: str | None,
     world.domain(target_name)
     if source_name is None:
         return train_scratch(world, target_name, cfg)
-    model = train_source_model(world, source_name, cfg)
+    model = _train_pooled_model(world, [source_name], cfg, "source", source_name)
     return _finetune_from(world, model, source_name, target_name, cfg)
 
 
@@ -496,7 +487,7 @@ def ground_truth(world: OracleWorld, cfg: OracleConfig) -> list[ImprovementRecor
     identical to independent train_transfer calls because every run owns its
     RNG stream.
     """
-    models = {name: train_source_model(world, name, cfg)
+    models = {name: _train_pooled_model(world, [name], cfg, "source", name)
               for name in world.source_names()}
     records = []
     for target in world.target_names():
@@ -647,19 +638,19 @@ def merged_source_study(world: OracleWorld, cfg: OracleConfig,
     ref_profile = next(p for p in source_profiles if p.name == reference)
     merged_profile = merge_profiles(source_profiles, name="merged")
 
-    ref_model = train_source_model(world, reference, cfg)
-    merged_model = _train_pooled_model(world, source_names, cfg, tag="merged")
+    ref_model = _train_pooled_model(world, [reference], cfg, "source", reference)
+    merged_model = _train_pooled_model(world, source_names, cfg, "pooled", "merged")
 
     # The target family spans every domain's target split, the reference's
     # own included, so divergence from the reference covers near to far.
     outcomes = []
     for target in (d.spec.name for d in world.domains):
-        profile = target_profiles[target]
-        div = profile_distance(profile, ref_profile, est)
+        scored = score_sources(target_profiles[target],
+                               [ref_profile, merged_profile], est)
+        div = next(s.distance_value for s in scored if s.source_name == reference)
         perf_ref = _finetune_from(world, ref_model, reference, target, cfg)
         perf_merged = _finetune_from(world, merged_model, "merged", target, cfg)
-        predicted = score_sources(profile, [ref_profile, merged_profile],
-                                  est)[0].source_name
+        predicted = scored[0].source_name
         if perf_ref > perf_merged:
             winner = "reference"
         elif perf_merged > perf_ref:

@@ -10,8 +10,8 @@ import math
 
 import numpy as np
 
-from .core import DatasetProfile, EmbeddingMatrix, Summarizer, SummaryVector
-from .errors import EmptyMatrix, NegativeComponent, NegativeMass, NonPositiveEpsilon
+from .core import DatasetProfile, EmbeddingMatrix, Summarizer, SummaryVector, check_epsilon
+from .errors import EmptyMatrix, NegativeComponent, NegativeMass
 
 
 def summarize(matrix: EmbeddingMatrix, summarizer: Summarizer | None = None,
@@ -51,26 +51,26 @@ def summarize(matrix: EmbeddingMatrix, summarizer: Summarizer | None = None,
     return SummaryVector(values=raw / total, raw_mean=raw, summarizer=s, normalized=True)
 
 
-def smooth(v: SummaryVector, epsilon: float) -> SummaryVector:
-    """Uniform smoothing: every component becomes (v_i + eps) / (1 + d * eps).
+def smooth_values(values: np.ndarray, epsilon: float) -> np.ndarray:
+    """(v_i + eps) / (1 + d * eps) along the last axis, d being its length."""
+    check_epsilon(epsilon)
+    return (values + epsilon) / (1.0 + values.shape[-1] * epsilon)
 
-    Output is strictly positive and stays L1-normalized.
-    """
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise NonPositiveEpsilon(f"epsilon must be a finite value > 0, got {epsilon!r}")
+
+def smooth(v: SummaryVector, epsilon: float) -> SummaryVector:
+    """Uniform smoothing (smooth_values); stays positive and L1-normalized."""
+    smoothed = smooth_values(v.values, epsilon)
     if not v.normalized:
         raise ValueError("smooth requires an L1-normalized summary")
-    smoothed = (v.values + epsilon) / (1.0 + v.dim * epsilon)
     return SummaryVector(values=smoothed, raw_mean=v.raw_mean,
                          summarizer=v.summarizer, normalized=True)
 
 
 def profile_from_matrix(name: str, matrix: EmbeddingMatrix,
                         summarizer: Summarizer | None = None, role: str = "source",
-                        size: int | None = None,
-                        allow_negative: bool = False) -> DatasetProfile:
+                        size: int | None = None) -> DatasetProfile:
     """Build a registry profile from raw embeddings; size defaults to row count."""
-    summary = summarize(matrix, summarizer, allow_negative=allow_negative)
+    summary = summarize(matrix, summarizer)
     return DatasetProfile(
         name=name,
         size=matrix.items if size is None else size,

@@ -21,8 +21,11 @@ from p2l.core import (
 )
 from p2l.errors import (
     DegenerateConstantInput,
+    DuplicateSourceName,
+    InconsistentScratch,
     LengthMismatch,
     MissingRecord,
+    NonPositiveEpsilon,
     TooFewSources,
     UnknownSource,
     ZeroDenominator,
@@ -134,6 +137,12 @@ class TestTuneK:
         assert report.best_k == 0.0
         assert report.best_point().mean_rho == pytest.approx(1.0)
         assert report.per_task_rho["t"] == pytest.approx(1.0)
+
+    def test_bad_epsilon_refused_for_every_kind_list(self):
+        # EUC and CITYBLOCK never smooth, but the grid still cannot take it.
+        for bad in (0.0, -1.0, float("nan")):
+            with pytest.raises(NonPositiveEpsilon):
+                EvaluationConfig(distance_kinds=("EUC", "CITYBLOCK"), epsilon=bad)
 
     def test_distance_task_tie_breaks_to_smallest_magnitude_k(self):
         target, sources, records = distance_task()
@@ -247,6 +256,25 @@ class TestGainTable:
             gain_table(self.records(), {"P2L": "a", "B1": "ghost"})
         with pytest.raises(MissingRecord):
             gain_table(self.records(), {"B1": "a"})
+
+    def test_duplicate_source_rejected(self):
+        records = [ImprovementRecord.from_perfs("t", "a", 0.5, 0.2),
+                   ImprovementRecord.from_perfs("t", "a", 0.9, 0.2),
+                   ImprovementRecord.from_perfs("t", "b", 0.4, 0.2)]
+        with pytest.raises(DuplicateSourceName):
+            gain_table(records, {"P2L": "a", "B4": None})
+
+    def test_inconsistent_scratch_rejected(self):
+        records = [ImprovementRecord.from_perfs("t", "a", 0.5, 0.2),
+                   ImprovementRecord.from_perfs("t", "b", 0.4, 0.3)]
+        with pytest.raises(InconsistentScratch):
+            gain_table(records, {"P2L": "a", "B4": None})
+
+    def test_records_of_two_targets_rejected(self):
+        records = [ImprovementRecord.from_perfs("t", "a", 0.5, 0.2),
+                   ImprovementRecord.from_perfs("u", "b", 0.4, 0.2)]
+        with pytest.raises(ValueError):
+            gain_table(records, {"P2L": "a", "B1": "b"})
 
     def test_zero_denominator(self):
         records = [ImprovementRecord.from_perfs("t", "a", 0.5, 0.0),

@@ -193,6 +193,22 @@ class TestRankCommand:
         assert code == 0
         assert len(parse_csv(out)) == 4
 
+    def test_rank_file_target_named_like_a_source_keeps_that_source(
+            self, capsys, tmp_path, registry_dir):
+        target = seed_registry(tmp_path, registry_dir)
+        twin = tmp_path / "files" / "mid.csv"
+        twin.parent.mkdir()
+        twin.write_bytes(target.read_bytes())
+        outs = []
+        for path in (target, twin):
+            code, out, _ = run(capsys, "rank", "--target", str(path), "--registry",
+                               registry_dir, "--k", "-1")
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert sorted(r[0] for r in parse_csv(outs[1])[1:]) == \
+            ["big_far", "mid", "small_near"]
+
     def test_rank_unknown_profile_exits_4(self, capsys, tmp_path, registry_dir):
         seed_registry(tmp_path, registry_dir)
         code, _, _ = run(capsys, "rank", "--target", "ghost", "--registry",

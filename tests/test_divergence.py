@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from p2l.core import DivergenceKind, Summarizer, SummaryVector
-from p2l.divergence import distance
-from p2l.errors import DimensionMismatch, NonPositiveComponent
+from p2l.divergence import distance, distances
+from p2l.errors import DimensionMismatch, NonPositiveComponent, NonPositiveEpsilon
 from p2l.summarize import smooth
 
 ALL_KINDS = tuple(DivergenceKind)
@@ -134,3 +134,62 @@ class TestProperties:
             inline = distance(kind, p, q, epsilon=eps)
             manual = distance(kind, smooth(p, eps), smooth(q, eps))
             assert inline == pytest.approx(manual, rel=1e-12, abs=1e-15)
+
+
+def per_pair_reference(kind, pv, qv):
+    """The per-pair formulas with 1-d dot products and 1-d sums."""
+    if kind is DivergenceKind.KL:
+        return max(0.0, float(pv @ np.log(pv / qv)))
+    if kind is DivergenceKind.JSD:
+        m = 0.5 * (pv + qv)
+        inner = 0.5 * float(pv @ np.log(pv / m)) + 0.5 * float(qv @ np.log(qv / m))
+        return math.sqrt(max(0.0, inner))
+    diff = pv - qv
+    if kind is DivergenceKind.CHI2:
+        return max(0.0, 0.5 * float(np.sum(diff * diff / (pv + qv))))
+    if kind is DivergenceKind.EUC:
+        return float(np.sqrt(np.sum(diff * diff)))
+    return float(np.sum(np.abs(diff)))
+
+
+class TestBatchedKernel:
+    def shelf(self, n=200, dim=64, seed=3, floor=0.0):
+        """A target and n candidates; with floor 0 about 5% of entries are 0."""
+        rng = np.random.default_rng(seed)
+        rows = rng.uniform(0.0, 1.0, (n + 1, dim)) * (rng.uniform(size=(n + 1, dim)) > 0.05)
+        p, *qs = [summary(r + floor) for r in rows]
+        return p, qs
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_bit_exact_with_epsilon(self, kind):
+        p, qs = self.shelf()
+        eps = 1e-6
+        got = distances(kind, p, qs, epsilon=eps)
+        if kind in (DivergenceKind.EUC, DivergenceKind.CITYBLOCK):
+            ref = [per_pair_reference(kind, p.values, q.values) for q in qs]
+        else:
+            ps = smooth(p, eps).values
+            ref = [per_pair_reference(kind, ps, smooth(q, eps).values) for q in qs]
+        assert got.shape == (len(qs),)
+        assert got.tolist() == ref
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_bit_exact_without_epsilon(self, kind):
+        p, qs = self.shelf(floor=0.01)
+        got = distances(kind, p, qs)
+        assert got.tolist() == [per_pair_reference(kind, p.values, q.values) for q in qs]
+        assert [distance(kind, p, q) for q in qs[:5]] == got[:5].tolist()
+
+    def test_validation(self):
+        p, qs = self.shelf(n=3, dim=4, floor=0.01)
+        with pytest.raises(DimensionMismatch):
+            distances("KL", p, qs + [summary([1.0, 2.0])], epsilon=1e-6)
+        with pytest.raises(NonPositiveComponent):
+            distances("KL", p, qs + [summary([1.0, 0.0, 1.0, 1.0])])
+        for bad in (0.0, -1e-6, float("nan"), float("inf")):
+            with pytest.raises(NonPositiveEpsilon):
+                distances("JSD", p, qs, epsilon=bad)
+        # L1/L2 kinds never smooth, so epsilon is not consulted.
+        assert distances("EUC", p, qs, epsilon=-1.0).tolist() == \
+            distances("EUC", p, qs).tolist()
+        assert distances("CHI2", p, []).shape == (0,)

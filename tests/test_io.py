@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import struct
 
 import numpy as np
@@ -37,6 +38,22 @@ from p2l.summarize import profile_from_matrix
 def random_matrix(seed, n=5, d=3, extractor="vgg-like"):
     rng = np.random.default_rng(seed)
     return EmbeddingMatrix(rng.uniform(0.0, 2.0, (n, d)), extractor)
+
+
+def _save_after_barrier(root, seed, barrier, results):
+    """Worker: save a new profile 'alpha' the moment every worker is ready.
+
+    The profile is wide so that encoding it takes milliseconds: a save that
+    checks for the name before encoding leaves the others that long to race.
+    """
+    registry = ProfileRegistry.open(root)
+    profile = profile_from_matrix("alpha", random_matrix(seed, n=2, d=20_000))
+    barrier.wait()
+    try:
+        registry.save(profile)
+        results.put((seed, "saved"))
+    except NameCollision:
+        results.put((seed, "collision"))
 
 
 class TestEmbeddingsCsv:
@@ -173,6 +190,29 @@ class TestRegistry:
         reg.save(self.profile(seed=9), overwrite=True)
         assert reg.load("alpha").summary.values[0] == \
                self.profile(seed=9).summary.values[0]
+
+    def test_concurrent_new_saves_exactly_one_wins(self, tmp_path):
+        ProfileRegistry.open(tmp_path / "reg")
+        ctx = multiprocessing.get_context("fork")
+        barrier = ctx.Barrier(4)
+        results = ctx.Queue()
+        workers = [ctx.Process(target=_save_after_barrier,
+                               args=(tmp_path / "reg", seed, barrier, results))
+                   for seed in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+        outcomes = dict(results.get(timeout=5) for _ in workers)
+        winners = [seed for seed, outcome in outcomes.items() if outcome == "saved"]
+        assert len(winners) == 1
+        assert sorted(outcomes.values()) == ["collision"] * 3 + ["saved"]
+        stored = ProfileRegistry.open(tmp_path / "reg").load("alpha")
+        assert stored.summary.values.tolist() == profile_from_matrix(
+            "alpha", random_matrix(winners[0], n=2, d=20_000)).summary.values.tolist()
+        # No temp file is left behind by the losers.
+        assert sorted(p.name for p in (tmp_path / "reg").iterdir()) == \
+            ["alpha.profile.json", "manifest.json"]
 
     def test_not_found(self, tmp_path):
         reg = ProfileRegistry.open(tmp_path / "reg")

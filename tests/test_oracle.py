@@ -3,8 +3,9 @@ import pytest
 
 from p2l import oracle
 from p2l.core import DivergenceKind, EstimatorConfig
+from p2l.divergence import distances
 from p2l.errors import BadSpec, UnknownName
-from p2l.estimator import merge_profiles, profile_distance
+from p2l.estimator import merge_profiles
 
 
 def two_cluster_spec(feature_dim=8, n_items=400, gap=8.0, n_classes=5,
@@ -75,8 +76,8 @@ class TestWorldGeneration:
             a_src = sources[0]
             b_src = sources[1]
             a_resample = targets["aaa"]
-            d_ab = profile_distance(a_resample, b_src, est)
-            d_aa = profile_distance(a_resample, a_src, est)
+            d_ab, d_aa = distances(est.distance, a_resample.summary,
+                                   [b_src.summary, a_src.summary], est.epsilon)
             wins += d_ab > 2.0 * d_aa
         assert wins >= 5
 
