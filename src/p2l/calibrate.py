@@ -270,10 +270,9 @@ def selection_row(target_name: str, outcome: MethodOutcome) -> str:
             f"{fmt(outcome.gain_vs_p2l)},{pick}")
 
 
-def write_grid_csv(report: CalibrationReport | Sequence[GridPoint], path) -> None:
+def write_grid_csv(report: CalibrationReport, path) -> None:
     """Emit the calibration grid as CSV: k,distance,mean_rho."""
-    grid = report.grid if isinstance(report, CalibrationReport) else report
     lines = ["k,distance,mean_rho"]
-    for g in grid:
+    for g in report.grid:
         lines.append(f"{g.k!r},{g.distance.value},{g.mean_rho!r}")
     Path(path).write_text("\n".join(lines) + "\n")

@@ -6,6 +6,7 @@ Exit codes: 0 ok, 2 input error, 3 state conflict, 4 referential error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -55,9 +56,11 @@ def _parse_grid(text: str | None) -> tuple[float, ...]:
     if text is None:
         return DEFAULT_K_GRID
     lo, hi, step = (float(x) for x in text.split(":"))
-    if step <= 0 or hi < lo:
+    finite = all(map(math.isfinite, (lo, hi, step)))
+    if not finite or step <= 0 or hi < lo or not math.isfinite((hi - lo) / step):
         raise ValueError(f"bad grid spec {text!r}")
-    n = int(round((hi - lo) / step))
+    # 1e-9 keeps hi when rounding leaves the step count just short of whole.
+    n = math.floor((hi - lo) / step + 1e-9)
     return tuple(round(lo + i * step, 12) for i in range(n + 1))
 
 
@@ -150,6 +153,8 @@ def cmd_calibrate(args) -> int:
                            epsilon=args.epsilon)
     report = tune_k(tasks, sources, cfg)
     write_grid_csv(report, args.out)
+    for name, rho in report.per_task_rho.items():
+        _note(f"task {name}: rho {fmt(rho)}")
     print("k,distance,mean_rho")
     print(f"{fmt(report.best_k)},{report.best_distance.value},"
           f"{fmt(report.best_point().mean_rho)}")
@@ -222,6 +227,14 @@ def build_parser() -> argparse.ArgumentParser:
                        required=default_registry is None,
                        help="profile registry directory (default: $P2L_REGISTRY)")
 
+    def add_estimator(p):
+        p.add_argument("--distance", default="KL")
+        p.add_argument("--k", type=float, required=True)
+        p.add_argument("--epsilon", type=float, default=1e-6)
+        p.add_argument("--reference", default=None, help="reference source for B2")
+        p.add_argument("--seed", type=int, default=None, help="seed for the B3 baseline")
+        p.add_argument("--allow-mixed-extractors", action="store_true")
+
     p = sub.add_parser("profile", help="summarize an embeddings file into the registry")
     p.add_argument("--input", required=True)
     p.add_argument("--name", required=True)
@@ -234,14 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank", help="rank registry sources for a target")
     p.add_argument("--target", required=True, help="embeddings file or profile name")
-    p.add_argument("--distance", default="KL")
-    p.add_argument("--k", type=float, required=True)
-    p.add_argument("--epsilon", type=float, default=1e-6)
     p.add_argument("--top", type=_positive_int, default=None)
     p.add_argument("--baselines", action="store_true")
-    p.add_argument("--reference", default=None, help="reference source for B2")
-    p.add_argument("--seed", type=int, default=None, help="seed for the B3 baseline")
-    p.add_argument("--allow-mixed-extractors", action="store_true")
+    add_estimator(p)
     add_registry(p)
     p.set_defaults(func=cmd_rank)
 
@@ -258,12 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="selection quality against ground truth")
     p.add_argument("--truth", required=True)
-    p.add_argument("--distance", default="KL")
-    p.add_argument("--k", type=float, required=True)
-    p.add_argument("--epsilon", type=float, default=1e-6)
-    p.add_argument("--reference", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--allow-mixed-extractors", action="store_true")
+    add_estimator(p)
     add_registry(p)
     p.set_defaults(func=cmd_evaluate)
 

@@ -229,10 +229,11 @@ class ProfileRegistry:
             raise NameCollision(f"profile {profile.name!r} already exists") from None
 
     def load(self, name: str) -> DatasetProfile:
-        path = self._path(name)
-        if not path.exists():
-            raise NotFound(f"no profile named {name!r} in {self.root}")
-        return profile_from_dict(json.loads(path.read_text()))
+        try:
+            text = self._path(name).read_text()
+        except FileNotFoundError:
+            raise NotFound(f"no profile named {name!r} in {self.root}") from None
+        return profile_from_dict(json.loads(text))
 
     def names(self) -> list[str]:
         suffix = ".profile.json"
@@ -240,12 +241,6 @@ class ProfileRegistry:
 
     def load_all(self) -> list[DatasetProfile]:
         return [self.load(name) for name in self.names()]
-
-    def __contains__(self, name: str) -> bool:
-        try:
-            return self._path(name).exists()
-        except InvalidName:
-            return False
 
 
 # -- ground-truth interchange -------------------------------------------------------

@@ -66,29 +66,29 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 # -- world ------------------------------------------------------------------------
 
 
+TARGET_FRACTION = 0.1  # share of partition 3 that trains each target
+HIDDEN_DIM = 8  # width of the trainer's representation layer
+
+
 @dataclass(frozen=True)
 class OracleConfig:
-    """Split and trainer hyperparameters."""
+    """Trainer hyperparameters."""
 
-    target_fraction: float = 0.1
     finetune_multiplier: float = 0.1
     learn_rate: float = 0.1
     epochs: int = 10
     batch: int = 32
-    hidden_dim: int = 8
     source_epochs: int | None = None  # defaults to epochs
 
     def __post_init__(self):
-        if not (0.0 < self.target_fraction <= 1.0):
-            raise ValueError("target_fraction must lie in (0, 1]")
         if not (0.0 <= self.finetune_multiplier <= 1.0):
             raise ValueError("finetune_multiplier must lie in [0, 1]")
         if self.learn_rate <= 0.0:
             raise ValueError("learn_rate must be > 0")
         if self.epochs < 0 or (self.source_epochs is not None and self.source_epochs < 0):
             raise ValueError("epoch counts must be >= 0")
-        if self.batch < 1 or self.hidden_dim < 1:
-            raise ValueError("batch and hidden_dim must be >= 1")
+        if self.batch < 1:
+            raise ValueError("batch must be >= 1")
 
     @property
     def effective_source_epochs(self) -> int:
@@ -178,7 +178,6 @@ class OracleWorld:
     spec: WorldSpec
     domains: tuple[DomainData, ...]
     extractor: ReferenceExtractor
-    target_fraction: float
 
     @cached_property
     def _by_name(self) -> dict[str, DomainData]:
@@ -205,17 +204,15 @@ def generate_world(seed: int, spec: WorldSpec,
 
     Per domain: items are Gaussian clusters around the class centroids,
     shuffled, then cut into four equal partitions. Partition 1 trains the
-    source model, partition 2 validates it, the first target_fraction of
+    source model, partition 2 validates it, the first TARGET_FRACTION of
     partition 3 is the transfer target's training set, and partition 4 is the
-    target validation set.
+    target validation set. The world depends on seed and spec only.
     """
-    cfg = cfg if cfg is not None else OracleConfig()
     if len(spec.domains) < 2:
         raise BadSpec("world needs at least two domains")
     names = [d.name for d in spec.domains]
     if len(set(names)) != len(names):
         raise BadSpec("domain names must be distinct")
-    tf = cfg.target_fraction
     domains = []
     for dom in spec.domains:
         if dom.n_classes < 2:
@@ -224,10 +221,10 @@ def generate_world(seed: int, spec: WorldSpec,
             raise BadSpec(f"domain {dom.name!r}: centroid dim "
                           f"{dom.centroids.shape[1]} != feature_dim {spec.feature_dim}")
         quarter = dom.n_items // 4
-        target_items = math.floor(tf * quarter)
+        target_items = math.floor(TARGET_FRACTION * quarter)
         if target_items < 1:
             raise BadSpec(f"domain {dom.name!r}: {dom.n_items} items leave an "
-                          "empty target split at this target_fraction")
+                          "empty target split")
         rng = _stream(seed, "domain", dom.name)
         labels = np.arange(dom.n_items) % dom.n_classes
         x = dom.centroids[labels] + dom.spread * rng.standard_normal(
@@ -255,7 +252,7 @@ def generate_world(seed: int, spec: WorldSpec,
     extractor = ReferenceExtractor(weights=_frozen(weights), offset=_frozen(offset),
                                    extractor_id=f"oracle-ref-{seed}")
     return OracleWorld(seed=seed, spec=spec, domains=tuple(domains),
-                       extractor=extractor, target_fraction=tf)
+                       extractor=extractor)
 
 
 # Shape of the default world; default_world_spec's docstring says how each acts.
@@ -436,7 +433,7 @@ def _train_pooled_model(world: OracleWorld, source_names: Sequence[str],
     x = np.concatenate(xs)
     y = np.concatenate(ys)
     rng = _stream(world.seed, *tags)
-    params = init_params(rng, world.spec.feature_dim, cfg.hidden_dim, offset)
+    params = init_params(rng, world.spec.feature_dim, HIDDEN_DIM, offset)
     return sgd_train(params, x, y, rng, cfg.learn_rate,
                      cfg.effective_source_epochs, cfg.batch)
 
@@ -447,8 +444,8 @@ def _finetune_from(world: OracleWorld, source_params: ModelParams,
     data = world.domain(target_name)
     rng = _stream(world.seed, "transfer", source_tag, target_name)
     params = source_params.copy()
-    params.w2 = rng.normal(0.0, 1.0 / math.sqrt(cfg.hidden_dim),
-                           (cfg.hidden_dim, data.spec.n_classes))
+    params.w2 = rng.normal(0.0, 1.0 / math.sqrt(HIDDEN_DIM),
+                           (HIDDEN_DIM, data.spec.n_classes))
     params.b2 = np.zeros(data.spec.n_classes)
     sgd_train(params, data.target_train.x, data.target_train.y, rng,
               cfg.learn_rate, cfg.epochs, cfg.batch,
@@ -459,7 +456,7 @@ def _finetune_from(world: OracleWorld, source_params: ModelParams,
 def train_scratch(world: OracleWorld, target_name: str, cfg: OracleConfig) -> float:
     data = world.domain(target_name)
     rng = _stream(world.seed, "scratch", target_name)
-    params = init_params(rng, world.spec.feature_dim, cfg.hidden_dim,
+    params = init_params(rng, world.spec.feature_dim, HIDDEN_DIM,
                          data.spec.n_classes)
     sgd_train(params, data.target_train.x, data.target_train.y, rng,
               cfg.learn_rate, cfg.epochs, cfg.batch)
@@ -530,28 +527,23 @@ class StudyReport:
     hit_rate: dict[str, float]
     picks: dict[str, dict[str, int]]              # method -> target -> position
     mean_picks: dict[str, float]
-    gains: dict[str, dict[str, float]]            # target -> method -> gain
 
 
 def run_study(world: OracleWorld, cfg: OracleConfig,
               estimator_cfg: EstimatorConfig,
-              records: Sequence[ImprovementRecord] | None = None,
-              reference_name: str | None = None,
-              rng_seed: int | None = None) -> StudyReport:
+              records: Sequence[ImprovementRecord]) -> StudyReport:
     """Score every target against every source and compare selection methods.
 
-    Emits per-target rank correlation between scores and improvements, each
-    method's mean accuracy, top-1 hit rate and picks-to-best, and per-target
-    gain tables relative to our selection. B2 joins only when a reference is
-    named, B3 only when rng_seed is given.
+    The records are ground_truth(world, cfg). Emits per-target rank
+    correlation between scores and improvements, and each method's (P2L, B1,
+    B4, B5) outcome per target, mean accuracy, top-1 hit rate and
+    picks-to-best.
     """
     target_names = world.target_names()
     if len(world.source_names()) < 3:
         raise BadSpec("study needs at least three source domains")
     if len(target_names) < 2:
         raise BadSpec("study needs at least two targets")
-    if records is None:
-        records = ground_truth(world, cfg)
     records = list(records)
     by_target = group_records_by_target(records)
     source_profiles, target_profiles = build_profiles(world)
@@ -563,8 +555,7 @@ def run_study(world: OracleWorld, cfg: OracleConfig,
     for target in target_names:
         recs = by_target[target]
         scored, outcomes[target] = compare_methods(
-            target_profiles[target], recs, pool, estimator_cfg,
-            reference_name=reference_name, rng_seed=rng_seed)
+            target_profiles[target], recs, pool, estimator_cfg)
         escore = {s.source_name: s.score for s in scored}
         per_target_rho[target] = spearman_or_zero(
             [escore[r.source_name] for r in recs],
@@ -585,9 +576,7 @@ def run_study(world: OracleWorld, cfg: OracleConfig,
                        for m in methods},
         hit_rate={m: float(np.mean([p == 1 for p in picks[m].values()])) for m in ranked},
         picks=picks,
-        mean_picks={m: float(np.mean(list(picks[m].values()))) for m in ranked},
-        gains={t: {m: o.gain_vs_p2l for m, o in outcomes[t].items() if m != "P2L"}
-               for t in target_names})
+        mean_picks={m: float(np.mean(list(picks[m].values()))) for m in ranked})
 
 
 @dataclass(frozen=True)
@@ -610,9 +599,7 @@ class MergedStudyReport:
 
 
 def merged_source_study(world: OracleWorld, cfg: OracleConfig,
-                        reference_name: str | None = None,
-                        estimator_cfg: EstimatorConfig | None = None,
-                        ) -> MergedStudyReport:
+                        reference_name: str | None = None) -> MergedStudyReport:
     """Does pooling every source beat the single reference source?
 
     Trains one model on the union of all source domains and one on the
@@ -632,7 +619,7 @@ def merged_source_study(world: OracleWorld, cfg: OracleConfig,
         raise UnknownName(f"reference {reference!r} is not a source domain")
     if len(source_names) < 3:
         raise BadSpec("merged study needs the reference plus at least two others")
-    est = estimator_cfg if estimator_cfg is not None else EstimatorConfig()
+    est = EstimatorConfig()
 
     source_profiles, target_profiles = build_profiles(world)
     ref_profile = next(p for p in source_profiles if p.name == reference)

@@ -14,15 +14,12 @@ from .core import DatasetProfile, EmbeddingMatrix, Summarizer, SummaryVector, ch
 from .errors import EmptyMatrix, NegativeComponent, NegativeMass
 
 
-def summarize(matrix: EmbeddingMatrix, summarizer: Summarizer | None = None,
-              allow_negative: bool = False) -> SummaryVector:
+def summarize(matrix: EmbeddingMatrix,
+              summarizer: Summarizer | None = None) -> SummaryVector:
     """Per-dimension (trimmed) mean of the rows, L1-normalized.
 
     The trimmed mean drops the lowest and highest floor(fraction * n) values
     per dimension independently before averaging.
-
-    With ``allow_negative`` a mean containing negative components is returned
-    unnormalized (values = raw mean); only L1/L2 distances apply to it.
     """
     s = summarizer if summarizer is not None else Summarizer.mean()
     n = matrix.items
@@ -39,11 +36,8 @@ def summarize(matrix: EmbeddingMatrix, summarizer: Summarizer | None = None,
         raw = matrix.values.mean(axis=0)
 
     if float(raw.min()) < 0.0:
-        if not allow_negative:
-            raise NegativeComponent(
-                "mean has a negative component; probability distances are "
-                "undefined (pass allow_negative to keep the raw mean)")
-        return SummaryVector(values=raw, raw_mean=raw, summarizer=s, normalized=False)
+        raise NegativeComponent(
+            "mean has a negative component; probability distances are undefined")
 
     total = float(raw.sum())
     if total <= 0.0:

@@ -11,9 +11,10 @@ import pytest
 
 import p2l
 from p2l import oracle
+from p2l.calibrate import tune_k
 from p2l.cli import main
 from p2l.core import EmbeddingMatrix
-from p2l.io import ProfileRegistry, write_embeddings_bin, write_embeddings_csv, \
+from p2l.io import ProfileRegistry, fmt, write_embeddings_bin, write_embeddings_csv, \
     write_improvements_csv
 from p2l.core import ImprovementRecord
 
@@ -49,7 +50,7 @@ class TestProfileCommand:
         rows = parse_csv(out)
         assert rows[0] == ["dim", "size", "extractor_id"]
         assert rows[1] == ["2", "2", "ext"]
-        assert "alpha" in ProfileRegistry.open(registry_dir)
+        assert "alpha" in ProfileRegistry.open(registry_dir).names()
 
     def test_profile_binary_input_and_explicit_size(self, capsys, tmp_path,
                                                     registry_dir):
@@ -92,6 +93,19 @@ class TestProfileCommand:
                            "--registry", registry_dir)
         assert code == 2
         assert "error" in err
+
+
+def oracle_registry(registry_dir, seed, sources, targets):
+    """Save a default world's source and target profiles; return the world."""
+    world = oracle.default_world(seed, oracle.OracleConfig(), n_sources=sources,
+                                 n_targets=targets)
+    source_profiles, target_profiles = oracle.build_profiles(world)
+    registry = ProfileRegistry.open(registry_dir)
+    for profile in source_profiles:
+        registry.save(profile)
+    for name in world.target_names():
+        registry.save(target_profiles[name])
+    return world
 
 
 def seed_registry(tmp_path, registry_dir):
@@ -300,6 +314,43 @@ class TestCalibrateAndEvaluate:
         assert out == ""
         assert err.startswith("p2l: error:")
 
+    def test_calibrate_grid_stays_within_its_range(self, capsys, tmp_path,
+                                                   registry_dir):
+        truth = self.seed_truth(tmp_path, registry_dir)
+        grid_out = tmp_path / "grid.csv"
+        code, _, _ = run(capsys, "calibrate", "--truth", str(truth), "--registry",
+                         registry_dir, "--out", str(grid_out), "--grid=0:1:0.35",
+                         "--kinds", "KL")
+        assert code == 0
+        ks = [float(row[0]) for row in parse_csv(grid_out.read_text())[1:]]
+        assert ks == [0.0, 0.35, 0.7]
+
+    @pytest.mark.parametrize("grid", ["0:inf:1", "-inf:0:1", "nan:0:0.5", "0:1:nan",
+                                      "-1e308:1e308:1"])
+    def test_calibrate_non_finite_grid_exits_2(self, capsys, tmp_path, registry_dir,
+                                               grid):
+        truth = self.seed_truth(tmp_path, registry_dir)
+        code, out, err = run(capsys, "calibrate", "--truth", str(truth),
+                             "--registry", registry_dir, "--out",
+                             str(tmp_path / "g.csv"), f"--grid={grid}")
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("p2l: error:")
+
+    def test_calibrate_notes_per_task_rho(self, capsys, tmp_path):
+        registry_dir = tmp_path / "registry"
+        world = oracle_registry(registry_dir, 7, 4, 4)
+        records = oracle.ground_truth(world, oracle.OracleConfig())
+        truth = tmp_path / "truth.csv"
+        write_improvements_csv(truth, records)
+        code, _, err = run(capsys, "calibrate", "--truth", str(truth), "--registry",
+                           str(registry_dir), "--out", str(tmp_path / "grid.csv"))
+        assert code == 0
+        report = tune_k(*oracle.calibration_tasks(world, records))
+        assert [line for line in err.splitlines() if line.startswith("task ")] == [
+            f"task {name}: rho {fmt(rho)}" for name, rho in report.per_task_rho.items()]
+        assert len(report.per_task_rho) == 4
+
     def test_evaluate_gain_arithmetic(self, capsys, tmp_path, registry_dir):
         truth = self.seed_truth(tmp_path, registry_dir)
         code, out, _ = run(capsys, "evaluate", "--truth", str(truth),
@@ -366,15 +417,8 @@ class TestSimulateCommand:
         assert code == 0
         _, best_k, best_distance, _ = parse_csv(stdout)[1]
 
-        world = oracle.default_world(seed, oracle.OracleConfig(), n_sources=sources,
-                                     n_targets=targets)
-        source_profiles, target_profiles = oracle.build_profiles(world)
         registry_dir = tmp_path / "registry"
-        registry = ProfileRegistry.open(registry_dir)
-        for profile in source_profiles:
-            registry.save(profile)
-        for name in world.target_names():
-            registry.save(target_profiles[name])
+        oracle_registry(registry_dir, seed, sources, targets)
 
         code, stdout, _ = run(capsys, "evaluate", "--truth",
                               str(outdir / "ground_truth.csv"), "--registry",
@@ -406,4 +450,4 @@ class TestEnvRegistry:
         code = main(["profile", "--input", str(emb), "--name", "envy"])
         capsys.readouterr()
         assert code == 0
-        assert "envy" in ProfileRegistry.open(registry_dir)
+        assert "envy" in ProfileRegistry.open(registry_dir).names()

@@ -2,6 +2,7 @@ import json
 import math
 import multiprocessing
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,6 +220,18 @@ class TestRegistry:
         with pytest.raises(NotFound):
             reg.load("ghost")
 
+    def test_profile_vanishing_before_read_is_not_found(self, tmp_path, monkeypatch):
+        # A profile deleted by another process between listing and reading.
+        reg = ProfileRegistry.open(tmp_path / "reg")
+        reg.save(self.profile())
+
+        def gone(self, *args, **kwargs):
+            raise FileNotFoundError(str(self))
+
+        monkeypatch.setattr(Path, "read_text", gone)
+        with pytest.raises(NotFound):
+            reg.load("alpha")
+
     def test_invalid_name(self, tmp_path):
         reg = ProfileRegistry.open(tmp_path / "reg")
         with pytest.raises(InvalidName):
@@ -230,7 +243,6 @@ class TestRegistry:
             reg.save(self.profile(name))
         assert reg.names() == ["apple", "mango", "zebra"]
         assert [p.name for p in reg.load_all()] == ["apple", "mango", "zebra"]
-        assert "apple" in reg and "ghost" not in reg
 
     def test_manifest_written_and_checked(self, tmp_path):
         root = tmp_path / "reg"

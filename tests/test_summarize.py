@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from p2l.core import EmbeddingMatrix, Summarizer
+from p2l.core import EmbeddingMatrix, Summarizer, SummaryVector
 from p2l.errors import NegativeComponent, NegativeMass, NonPositiveEpsilon
 from p2l.summarize import profile_from_matrix, smooth, summarize
 
@@ -47,11 +47,6 @@ class TestSummarize:
     def test_negative_component_raises(self):
         with pytest.raises(NegativeComponent):
             summarize(matrix([[1.0, -2.0]]))
-
-    def test_negative_component_escape_hatch(self):
-        sv = summarize(matrix([[1.0, -2.0]]), allow_negative=True)
-        assert not sv.normalized
-        assert np.allclose(sv.values, sv.raw_mean)
 
     def test_zero_mass_raises(self):
         with pytest.raises(NegativeMass):
@@ -114,7 +109,9 @@ class TestSmooth:
                 smooth(sv, eps)
 
     def test_requires_normalized(self):
-        sv = summarize(matrix([[1.0, -2.0]]), allow_negative=True)
+        raw = np.array([1.0, -2.0])
+        sv = SummaryVector(values=raw, raw_mean=raw, summarizer=Summarizer.mean(),
+                           normalized=False)
         with pytest.raises(ValueError):
             smooth(sv, 1e-6)
 
