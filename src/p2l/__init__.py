@@ -30,6 +30,7 @@ from .calibrate import (
 from .divergence import distance, distances
 from .estimator import (
     baseline_ranking,
+    check_candidates,
     merge_profiles,
     score_sources,
     score_table,
@@ -55,6 +56,7 @@ __all__ = [
     "SummaryVector",
     "DEFAULT_K_GRID",
     "baseline_ranking",
+    "check_candidates",
     "distance",
     "distances",
     "gain_table",

@@ -36,7 +36,8 @@ from .errors import (
     UnknownSource,
     ZeroDenominator,
 )
-from .estimator import active_baselines, baseline_ranking, score_sources, zscale
+from .estimator import (active_baselines, baseline_ranking, check_candidates,
+                        score_sources, zscale)
 from .io import fmt, group_records_by_target
 
 # k in [-3, 0] by steps of 0.05; distance works against size, so k <= 0.
@@ -128,6 +129,7 @@ def tune_k(training_tasks: Sequence[TrainingTask],
         if len(candidates) < 3:
             raise TooFewSources(
                 f"task {target.name!r} has {len(candidates)} sources, need >= 3")
+        check_candidates(target, candidates)
         z_logs = zscale(np.log([float(c.size) for c in candidates]))
         summaries = [c.summary for c in candidates]
         z_dists = {kind: zscale(distances(kind, target.summary, summaries, cfg.epsilon))
@@ -174,9 +176,8 @@ def picks_to_best(ranking: Sequence[str], best_true: str) -> int:
 
 
 def gain_table(records: Sequence[ImprovementRecord],
-               selections: Mapping[str, str | None],
-               ours: str = "P2L") -> dict[str, float]:
-    """Relative gain of our pick over each method: (perf(ours) - perf(m)) / perf(m).
+               selections: Mapping[str, str | None]) -> dict[str, float]:
+    """Relative gain of P2L's pick over each method: (perf(P2L) - perf(m)) / perf(m).
 
     The records are one target's, valid for group_records_by_target. A method
     selecting None means no transfer, scored at the from-scratch performance.
@@ -198,17 +199,17 @@ def gain_table(records: Sequence[ImprovementRecord],
                 f"selected source {selection!r} has no record for target {target!r}")
         return by_source[selection].perf_transfer
 
-    if ours not in selections:
-        raise MissingRecord(f"no selection recorded for {ours!r}")
-    ours_perf = perf(selections[ours])
+    if "P2L" not in selections:
+        raise MissingRecord("no selection recorded for 'P2L'")
+    p2l_perf = perf(selections["P2L"])
     gains = {}
     for method, selection in selections.items():
-        if method == ours:
+        if method == "P2L":
             continue
         denom = perf(selection)
         if denom == 0.0:
             raise ZeroDenominator(f"method {method!r} has zero performance")
-        gains[method] = (ours_perf - denom) / denom
+        gains[method] = (p2l_perf - denom) / denom
     return gains
 
 

@@ -133,14 +133,13 @@ class EmbeddingMatrix:
 class SummaryVector:
     """One vector summarizing a whole dataset.
 
-    ``values`` is the L1-normalized summary when ``normalized`` is true;
-    otherwise it equals ``raw_mean`` (only L1/L2 distances apply then).
+    ``values`` is the L1-normalized summary, a probability vector; ``raw_mean``
+    is the (trimmed) mean it was normalized from.
     """
 
     values: np.ndarray
     raw_mean: np.ndarray
     summarizer: Summarizer
-    normalized: bool = True
 
     def __post_init__(self):
         values = _readonly_1d(self.values)
@@ -149,11 +148,10 @@ class SummaryVector:
             raise ValueError("values and raw_mean must have the same dimension")
         if not (np.all(np.isfinite(values)) and np.all(np.isfinite(raw))):
             raise NonFiniteValue("summary vector contains NaN or Inf")
-        if self.normalized:
-            if values.min(initial=np.inf) < 0.0:
-                raise ValueError("normalized summary has a negative component")
-            if abs(float(values.sum()) - 1.0) > L1_TOL:
-                raise ValueError("normalized summary does not sum to 1")
+        if values.min(initial=np.inf) < 0.0:
+            raise ValueError("normalized summary has a negative component")
+        if abs(float(values.sum()) - 1.0) > L1_TOL:
+            raise ValueError("normalized summary does not sum to 1")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "raw_mean", raw)
 

@@ -42,9 +42,6 @@ def distances(kind: DivergenceKind | str, p: SummaryVector,
     qv = np.array([q.values for q in qs], dtype=np.float64).reshape(len(qs), p.dim)
 
     if kind in PROBABILITY_KINDS:
-        if not (p.normalized and all(q.normalized for q in qs)):
-            raise NonPositiveComponent(
-                f"{kind.value} is undefined on unnormalized summaries")
         if epsilon is not None:
             pv = smooth_values(pv, epsilon)
             qv = smooth_values(qv, epsilon)

@@ -22,7 +22,6 @@ from .core import (
     EstimatorConfig,
     ScoredSource,
     Summarizer,
-    SummaryVector,
 )
 from .divergence import distances
 from .errors import (
@@ -33,8 +32,8 @@ from .errors import (
     MissingSeed,
     MixedExtractors,
     MixedSummarizers,
-    NegativeMass,
 )
+from .summarize import summary_from_mean
 
 BASELINES = ("B1", "B2", "B3", "B4", "B5")
 
@@ -47,7 +46,8 @@ def active_baselines(reference_name: str | None, rng_seed: int | None) -> list[s
 
 
 def zscale(values) -> np.ndarray:
-    """(x - mean) / population std; all zeros when the input is constant."""
+    """(x - mean) / population std; all zeros when the input is constant,
+    counting a std within 1e-12 of max|x| as rounding noise of a constant."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("zscale needs a nonempty 1-d list")
@@ -56,7 +56,7 @@ def zscale(values) -> np.ndarray:
     if arr.size == 1:
         return np.zeros(1)
     sigma = float(arr.std())
-    if sigma == 0.0:
+    if sigma <= 1e-12 * float(np.abs(arr).max()):
         return np.zeros_like(arr)
     return (arr - arr.mean()) / sigma
 
@@ -105,8 +105,11 @@ def score_table(names: Sequence[str], sizes: Sequence[float],
     return [scored[i] for i in order]
 
 
-def _check_candidates(target: DatasetProfile, sources: Sequence[DatasetProfile],
-                      allow_mixed_extractors: bool) -> None:
+def check_candidates(target: DatasetProfile, sources: Sequence[DatasetProfile],
+                     allow_mixed_extractors: bool = False) -> None:
+    """A (target, candidates) set every ranking accepts: at least one
+    candidate, distinct names, the target's dimension and, unless allowed
+    otherwise, the target's extractor."""
     if not sources:
         raise EmptyCandidates("need at least one candidate source")
     seen = set()
@@ -133,7 +136,7 @@ def score_sources(target: DatasetProfile, sources: Sequence[DatasetProfile],
     z-statistics are computed across exactly this candidate set, separately
     for the log-size and distance lists.
     """
-    _check_candidates(target, sources, allow_mixed_extractors)
+    check_candidates(target, sources, allow_mixed_extractors)
     names = [s.name for s in sources]
     sizes = [float(s.size) for s in sources]
     dists = distances(cfg.distance, target.summary, [s.summary for s in sources],
@@ -156,12 +159,8 @@ def baseline_ranking(kind: str, target: DatasetProfile,
         raise ValueError(f"unknown baseline {kind!r}")
     if kind == "B4":
         return None
-    if not sources:
-        raise EmptyCandidates("need at least one candidate source")
+    check_candidates(target, sources, allow_mixed_extractors)
     names = [s.name for s in sources]
-    if len(set(names)) != len(names):
-        raise DuplicateSourceName("candidate names must be distinct")
-
     if kind == "B1":
         return [s.name for s in sorted(sources, key=lambda s: (-s.size, s.name))]
     if kind == "B2":
@@ -180,7 +179,6 @@ def baseline_ranking(kind: str, target: DatasetProfile,
     # B5: least divergent first; same secondary tie-breaks as score_sources.
     if cfg is None:
         raise ValueError("B5 needs an estimator config for the distance")
-    _check_candidates(target, sources, allow_mixed_extractors)
     dists = dict(zip(names, distances(cfg.distance, target.summary,
                                       [s.summary for s in sources], cfg.epsilon)))
     return [s.name for s in
@@ -214,11 +212,6 @@ def merge_profiles(profiles: Sequence[DatasetProfile], name: str) -> DatasetProf
     weighted = np.zeros(dim)
     for p in profiles:
         weighted += p.size * p.summary.raw_mean
-    raw = weighted / total
-    mass = float(raw.sum())
-    if mass <= 0.0:
-        raise NegativeMass("merged mean has zero total mass")
-    summary = SummaryVector(values=raw / mass, raw_mean=raw,
-                            summarizer=Summarizer.mean(), normalized=True)
+    summary = summary_from_mean(weighted / total, Summarizer.mean())
     return DatasetProfile(name=name, size=total, summary=summary,
                           extractor_id=extractor, role="source")

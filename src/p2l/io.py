@@ -164,7 +164,7 @@ def profile_to_dict(profile: DatasetProfile) -> dict:
         "dim": profile.summary.dim,
         "summarizer": profile.summary.summarizer.label(),
         "extractor_id": profile.extractor_id,
-        "normalized": profile.summary.normalized,
+        "normalized": True,
         "raw_mean": [float(x) for x in profile.summary.raw_mean],
         "summary": [float(x) for x in profile.summary.values],
     }
@@ -178,12 +178,12 @@ def profile_from_dict(doc) -> DatasetProfile:
     missing = [key for key in PROFILE_KEYS if key not in doc]
     if missing:
         raise BadHeader(f"profile document lacks {', '.join(missing)}")
-    summary = SummaryVector(
-        values=np.array(doc["summary"], dtype=np.float64),
-        raw_mean=np.array(doc["raw_mean"], dtype=np.float64),
-        summarizer=Summarizer.parse(doc["summarizer"]),
-        normalized=bool(doc.get("normalized", True)),
-    )
+    if doc.get("normalized", True) is not True:
+        raise UnsupportedVersion(
+            f"profile 'normalized' flag {doc['normalized']!r} unsupported; "
+            "summaries are L1-normalized")
+    summary = SummaryVector(values=doc["summary"], raw_mean=doc["raw_mean"],
+                            summarizer=Summarizer.parse(doc["summarizer"]))
     if summary.dim != doc["dim"]:
         raise RaggedRow(f"declared dim {doc['dim']} but vectors have {summary.dim}")
     return DatasetProfile(name=doc["name"], size=doc["size"], summary=summary,

@@ -165,7 +165,6 @@ class SplitData:
 class DomainData:
     spec: DomainSpec
     source_train: SplitData
-    source_val: SplitData
     target_train: SplitData
     target_val: SplitData
 
@@ -200,13 +199,14 @@ class OracleWorld:
 
 def generate_world(seed: int, spec: WorldSpec,
                    cfg: OracleConfig | None = None) -> OracleWorld:
-    """Sample items for every domain and split them four ways.
+    """Sample items for every domain and split them three ways.
 
     Per domain: items are Gaussian clusters around the class centroids,
     shuffled, then cut into four equal partitions. Partition 1 trains the
-    source model, partition 2 validates it, the first TARGET_FRACTION of
-    partition 3 is the transfer target's training set, and partition 4 is the
-    target validation set. The world depends on seed and spec only.
+    source model, the first TARGET_FRACTION of partition 3 is the transfer
+    target's training set, and partition 4 is the target validation set.
+    Partition 2 is unused but still cut, so each seed keeps its world. The
+    world depends on seed and spec only.
     """
     if len(spec.domains) < 2:
         raise BadSpec("world needs at least two domains")
@@ -240,7 +240,6 @@ def generate_world(seed: int, spec: WorldSpec,
         domains.append(DomainData(
             spec=dom,
             source_train=cut(0, quarter),
-            source_val=cut(quarter, 2 * quarter),
             target_train=cut(2 * quarter, 2 * quarter + target_items),
             target_val=cut(3 * quarter, 4 * quarter),
         ))

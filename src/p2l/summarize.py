@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .core import DatasetProfile, EmbeddingMatrix, Summarizer, SummaryVector, check_epsilon
-from .errors import EmptyMatrix, NegativeComponent, NegativeMass
+from .errors import NegativeComponent, NegativeMass
 
 
 def summarize(matrix: EmbeddingMatrix,
@@ -19,30 +19,25 @@ def summarize(matrix: EmbeddingMatrix,
     """Per-dimension (trimmed) mean of the rows, L1-normalized.
 
     The trimmed mean drops the lowest and highest floor(fraction * n) values
-    per dimension independently before averaging.
+    per dimension independently before averaging; the plain mean trims none.
     """
     s = summarizer if summarizer is not None else Summarizer.mean()
     n = matrix.items
-    if n < 1:
-        raise EmptyMatrix("cannot summarize an empty matrix")
-    if s.kind == "trimmed_mean":
-        trim = math.floor(s.fraction * n)
-        if trim:
-            ordered = np.sort(matrix.values, axis=0)
-            raw = ordered[trim:n - trim].mean(axis=0)
-        else:
-            raw = matrix.values.mean(axis=0)
-    else:
-        raw = matrix.values.mean(axis=0)
+    trim = math.floor(s.fraction * n)
+    rows = np.sort(matrix.values, axis=0)[trim:n - trim] if trim else matrix.values
+    return summary_from_mean(rows.mean(axis=0), s)
 
+
+def summary_from_mean(raw: np.ndarray, summarizer: Summarizer) -> SummaryVector:
+    """The summary of a (trimmed) mean: raw / sum(raw), which needs every
+    component >= 0 and a positive total."""
     if float(raw.min()) < 0.0:
         raise NegativeComponent(
             "mean has a negative component; probability distances are undefined")
-
     total = float(raw.sum())
     if total <= 0.0:
         raise NegativeMass("mean has zero total mass and cannot be L1-normalized")
-    return SummaryVector(values=raw / total, raw_mean=raw, summarizer=s, normalized=True)
+    return SummaryVector(values=raw / total, raw_mean=raw, summarizer=summarizer)
 
 
 def smooth_values(values: np.ndarray, epsilon: float) -> np.ndarray:
@@ -53,11 +48,8 @@ def smooth_values(values: np.ndarray, epsilon: float) -> np.ndarray:
 
 def smooth(v: SummaryVector, epsilon: float) -> SummaryVector:
     """Uniform smoothing (smooth_values); stays positive and L1-normalized."""
-    smoothed = smooth_values(v.values, epsilon)
-    if not v.normalized:
-        raise ValueError("smooth requires an L1-normalized summary")
-    return SummaryVector(values=smoothed, raw_mean=v.raw_mean,
-                         summarizer=v.summarizer, normalized=True)
+    return SummaryVector(values=smooth_values(v.values, epsilon), raw_mean=v.raw_mean,
+                         summarizer=v.summarizer)
 
 
 def profile_from_matrix(name: str, matrix: EmbeddingMatrix,

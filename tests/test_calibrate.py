@@ -25,6 +25,7 @@ from p2l.errors import (
     InconsistentScratch,
     LengthMismatch,
     MissingRecord,
+    MixedExtractors,
     NonPositiveEpsilon,
     TooFewSources,
     UnknownSource,
@@ -44,8 +45,8 @@ def closed_form_rho(a, b):
     return 1.0 - 6.0 * float(d @ d) / (n * (n * n - 1))
 
 
-def profile(name, size, values, role="source"):
-    m = EmbeddingMatrix(np.asarray(values, dtype=float).reshape(1, -1), "ext")
+def profile(name, size, values, role="source", extractor="ext"):
+    m = EmbeddingMatrix(np.asarray(values, dtype=float).reshape(1, -1), extractor)
     return profile_from_matrix(name, m, role=role, size=size)
 
 
@@ -165,6 +166,12 @@ class TestTuneK:
         target, sources, records = monotone_size_task()
         with pytest.raises(TooFewSources):
             tune_k([(target, records[:2])], sources)
+
+    def test_mixed_extractors_refused(self):
+        _, sources, records = monotone_size_task()
+        alien = profile("t", 10, [1.0, 1.0], role="target", extractor="other")
+        with pytest.raises(MixedExtractors):
+            tune_k([(alien, records)], sources)
 
     def test_grid_covers_default(self):
         assert DEFAULT_K_GRID[0] == -3.0

@@ -164,16 +164,20 @@ class TestRankCommand:
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 
-    @pytest.mark.parametrize("doc", ["missing_dim", "list"])
+    @pytest.mark.parametrize("doc", ["missing_dim", "list", "normalized_false"])
     def test_rank_malformed_profile_exits_2(self, capsys, tmp_path, registry_dir,
                                             doc):
         seed_registry(tmp_path, registry_dir)
         path = Path(registry_dir) / "mid.profile.json"
         content = json.loads(path.read_text())
-        del content["dim"]
+        if doc == "normalized_false":
+            content["normalized"] = False
+        else:
+            del content["dim"]
         path.write_text(json.dumps([] if doc == "list" else content))
+        # EUC would rank this summary, so only the loader can refuse the flag
         code, out, err = run(capsys, "rank", "--target", "mid", "--registry",
-                             registry_dir, "--k", "0")
+                             registry_dir, "--k", "0", "--distance", "EUC")
         assert code == 2
         assert out == ""
         assert err.startswith("p2l: error:") and err.count("\n") == 1
@@ -278,6 +282,18 @@ class TestCalibrateAndEvaluate:
         grid_rows = parse_csv(grid_out.read_text())
         assert grid_rows[0] == ["k", "distance", "mean_rho"]
         assert len(grid_rows) == 1 + 61 * 5
+
+    def test_calibrate_mixed_extractors_exits_2(self, capsys, tmp_path, registry_dir):
+        truth = self.seed_truth(tmp_path, registry_dir)
+        path = Path(registry_dir) / "tprof.profile.json"
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, "extractor_id": "other"}))
+        grid_out = tmp_path / "grid.csv"
+        code, out, err = run(capsys, "calibrate", "--truth", str(truth),
+                             "--registry", registry_dir, "--out", str(grid_out))
+        assert code == 2
+        assert out == "" and not grid_out.exists()
+        assert err.startswith("p2l: error:") and err.count("\n") == 1
 
     def test_calibrate_unknown_source_exits_4(self, capsys, tmp_path,
                                               registry_dir):

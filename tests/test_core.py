@@ -58,11 +58,6 @@ class TestSummaryVector:
             SummaryVector(values=np.array([1.2, -0.2]), raw_mean=np.array([1.2, -0.2]),
                           summarizer=Summarizer.mean())
 
-    def test_unnormalized_allows_negatives(self):
-        sv = SummaryVector(values=np.array([1.0, -1.0]), raw_mean=np.array([1.0, -1.0]),
-                           summarizer=Summarizer.mean(), normalized=False)
-        assert sv.dim == 2
-
 
 class TestSummarizer:
     def test_parse_round_trip(self):

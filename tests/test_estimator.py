@@ -37,6 +37,18 @@ def profile(name, size, values, extractor="ext", role="source"):
     return profile_from_matrix(name, m, role=role, size=size)
 
 
+def twin_ranking(seed, n, d, kind):
+    """Rank one matrix profiled twice, rows permuted the second time, for a
+    target whose mean is tilted away from theirs; returns the scored list."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, (n, d))
+    t = rng.uniform(0.0, 1.0, (n, d)) + np.linspace(0.0, 1.0, d)
+    target = profile_from_matrix("t", EmbeddingMatrix(t, "ext"), role="target")
+    twins = [profile_from_matrix("a", EmbeddingMatrix(x, "ext")),
+             profile_from_matrix("b", EmbeddingMatrix(x[rng.permutation(n)], "ext"))]
+    return score_sources(target, twins, EstimatorConfig(distance=kind, k=-1.0))
+
+
 class TestZscale:
     def test_three_point_analytic(self):
         out = zscale([1.0, 2.0, 3.0])
@@ -49,6 +61,9 @@ class TestZscale:
 
     def test_two_point(self):
         np.testing.assert_allclose(zscale([0.0, 10.0]), [-1.0, 1.0], rtol=1e-12)
+
+    def test_rounding_noise_is_constant(self):
+        np.testing.assert_array_equal(zscale([1.0, 1.0 + 2.2e-16]), np.zeros(2))
 
     @given(st.integers(2, 40), st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=100, deadline=None)
@@ -185,6 +200,18 @@ class TestBaselines:
     def test_b4_no_transfer(self):
         assert baseline_ranking("B4", self.target, self.sources) is None
 
+    @pytest.mark.parametrize("kind", ["B1", "B2", "B3", "B5"])
+    def test_candidates_checked_like_score_sources(self, kind):
+        opts = dict(cfg=self.cfg, reference_name="mid", rng_seed=0)
+        alien = self.sources + [profile("alien", 10, [1.0, 2.0], extractor="other")]
+        with pytest.raises(MixedExtractors):
+            baseline_ranking(kind, self.target, alien, **opts)
+        assert len(baseline_ranking(kind, self.target, alien,
+                                    allow_mixed_extractors=True, **opts)) == 4
+        wide = self.sources + [profile("wide", 10, [1.0, 1.0, 1.0])]
+        with pytest.raises(DimensionMismatch):
+            baseline_ranking(kind, self.target, wide, **opts)
+
     def test_b5_least_divergent(self):
         assert baseline_ranking("B5", self.target, self.sources, self.cfg)[0] == "small_near"
 
@@ -288,6 +315,22 @@ class TestRankingInvariances:
         by_dist = score_table(names, sizes, dists, -1e15)[0].source_name
         expected_b5 = names[int(np.argmin(dists))]
         assert by_dist == expected_b5
+
+    def test_row_permuted_twins_tie(self):
+        # The twins' means differ in the last ulp; their distances must not
+        # become z-scores of +-1 that override the size-then-name rule.
+        for seed in range(20):
+            for kind in DivergenceKind:
+                scored = twin_ranking(seed, 1000, 64, kind)
+                assert [s.source_name for s in scored] == ["a", "b"]
+                assert [s.z_distance for s in scored] == [0.0, 0.0]
+
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 400), st.integers(1, 64),
+           st.sampled_from(list(DivergenceKind)))
+    @settings(max_examples=100, deadline=None)
+    def test_row_permutation_never_reorders(self, seed, n, d, kind):
+        scored = twin_ranking(seed, n, d, kind)
+        assert [s.source_name for s in scored] == ["a", "b"]
 
     @given(st.integers(1, 10), st.integers(0, 2 ** 31 - 1), st.floats(-3.0, 0.0))
     @settings(max_examples=60, deadline=None)

@@ -257,15 +257,19 @@ class TestRegistry:
         with pytest.raises(UnsupportedVersion):
             ProfileRegistry.open(root)
 
-    def test_unnormalized_profile_round_trip(self, tmp_path):
+    def test_normalized_flag_must_be_true(self, tmp_path):
         reg = ProfileRegistry.open(tmp_path / "reg")
-        raw = np.array([1.0, -0.5])
-        sv = SummaryVector(values=raw, raw_mean=raw, summarizer=Summarizer.mean(),
-                           normalized=False)
-        reg.save(DatasetProfile("neg", 3, sv, "ext"))
-        q = reg.load("neg")
-        assert not q.summary.normalized
-        np.testing.assert_array_equal(q.summary.values, raw)
+        reg.save(self.profile())
+        path = tmp_path / "reg" / "alpha.profile.json"
+        doc = json.loads(path.read_text())
+        assert doc["normalized"] is True
+        del doc["normalized"]
+        path.write_text(json.dumps(doc))
+        assert reg.load("alpha").summary.dim == 3
+        for flag in (False, None, 0, 1, "true"):
+            path.write_text(json.dumps({**doc, "normalized": flag}))
+            with pytest.raises(UnsupportedVersion):
+                reg.load("alpha")
 
 
 class TestImprovementsCsv:

@@ -42,7 +42,6 @@ class TestWorldGeneration:
         for dom in world.domains:
             quarter = 403 // 4
             assert dom.source_train.items == quarter
-            assert dom.source_val.items == quarter
             assert dom.target_train.items == int(np.floor(0.1 * quarter))
             assert dom.target_val.items == quarter
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from p2l.core import EmbeddingMatrix, Summarizer, SummaryVector
+from p2l.core import EmbeddingMatrix, Summarizer
 from p2l.errors import NegativeComponent, NegativeMass, NonPositiveEpsilon
 from p2l.summarize import profile_from_matrix, smooth, summarize
 
@@ -107,13 +107,6 @@ class TestSmooth:
         for eps in (0.0, -1.0, float("inf")):
             with pytest.raises(NonPositiveEpsilon):
                 smooth(sv, eps)
-
-    def test_requires_normalized(self):
-        raw = np.array([1.0, -2.0])
-        sv = SummaryVector(values=raw, raw_mean=raw, summarizer=Summarizer.mean(),
-                           normalized=False)
-        with pytest.raises(ValueError):
-            smooth(sv, 1e-6)
 
     @given(st.integers(1, 8), st.integers(0, 2 ** 31 - 1),
            st.floats(1e-9, 1.0))
