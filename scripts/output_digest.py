@@ -1,0 +1,131 @@
+#!/usr/bin/env python3
+"""Print a sha256 digest of every output p2l writes for a fixed set of inputs.
+
+Builds its fixtures in a temporary directory with this checkout's own
+src/, runs the CLI and the experiment scripts of this checkout on them, and
+prints one `sha256  name` line per output: each command's stdout, its stderr
+(with the temporary directory's path replaced by `<tmp>`) and every file it
+writes. Two checkouts that print the same lines write byte-identical
+outputs. Takes no options; see README for comparing a change with its parent.
+"""
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from p2l import oracle  # noqa: E402
+from p2l.core import EmbeddingMatrix  # noqa: E402
+from p2l.io import ProfileRegistry, write_embeddings_bin, write_embeddings_csv  # noqa: E402
+from p2l.summarize import profile_from_matrix  # noqa: E402
+
+KINDS = ("KL", "JSD", "CHI2", "EUC", "CITYBLOCK")
+
+
+def show(name: str, data: bytes) -> None:
+    print(f"{hashlib.sha256(data).hexdigest()}  {name}")
+
+
+def show_files(name: str, paths) -> None:
+    for path in sorted(paths):
+        show(f"{name}/{path.name}", path.read_bytes())
+
+
+def run(tmp: Path, name: str, *argv: str) -> None:
+    """Run `python argv...` in tmp and show its stdout and stderr; it must exit 0."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, *argv], cwd=tmp, env=env,
+                          capture_output=True)
+    if proc.returncode != 0:
+        sys.exit(f"{name} exited {proc.returncode}:\n{proc.stderr.decode()}")
+    show(f"{name} stdout", proc.stdout)
+    show(f"{name} stderr", proc.stderr.replace(str(tmp).encode(), b"<tmp>"))
+
+
+def p2l(tmp: Path, name: str, *argv: str) -> None:
+    run(tmp, name, "-m", "p2l.cli", *argv)
+
+
+def simulate(tmp: Path) -> None:
+    for seed, extra in (("1", ()), ("2", ()), ("3", ()),
+                        ("7", ("--sources", "12", "--targets", "16", "--epochs", "30"))):
+        p2l(tmp, f"simulate-{seed}", "simulate", "--seed", seed, "--out", f"sim{seed}",
+            *extra)
+        show_files(f"sim{seed}", (tmp / f"sim{seed}").iterdir())
+
+
+def oracle_registry(tmp: Path) -> None:
+    """The seed-7 simulate world's profiles; its ground truth is sim7's."""
+    world = oracle.default_world(7, n_sources=12, n_targets=16)
+    sources, targets = oracle.build_profiles(world)
+    registry = ProfileRegistry.open(tmp / "oracle")
+    for profile in sources + [targets[name] for name in world.target_names()]:
+        registry.save(profile)
+
+
+def shelf_registry(tmp: Path) -> None:
+    """200 random source profiles at d=64 plus a binary target file."""
+    rng = np.random.default_rng(11)
+    registry = ProfileRegistry.open(tmp / "shelf")
+    for i in range(200):
+        rows = rng.gamma(2.0, 1.0, (int(rng.integers(5, 60)), 64))
+        registry.save(profile_from_matrix(f"s{i:03d}", EmbeddingMatrix(rows, "ext")))
+    write_embeddings_bin(tmp / "target.bin",
+                         EmbeddingMatrix(rng.gamma(2.0, 1.0, (40, 64)), "ext"))
+
+
+def registry_commands(tmp: Path) -> None:
+    truth = "sim7/ground_truth.csv"
+    for name, extra in (("default", ()), ("grid", ("--grid=-2:0:0.25", "--kinds", "KL,EUC"))):
+        p2l(tmp, f"calibrate-{name}", "calibrate", "--registry", "oracle",
+            "--truth", truth, "--out", f"grid-{name}.csv", *extra)
+        show(f"grid-{name}.csv", (tmp / f"grid-{name}.csv").read_bytes())
+    for kind, k in (("KL", "-1.0"), ("EUC", "-0.85")):
+        p2l(tmp, f"evaluate-{kind}", "evaluate", "--registry", "oracle", "--truth", truth,
+            "--distance", kind, "--k", k, "--reference", "dom01", "--seed", "3")
+    for kind in KINDS:
+        p2l(tmp, f"rank-oracle-{kind}", "rank", "--registry", "oracle",
+            "--target", "dom13", "--distance", kind, "--k", "-1.0", "--baselines",
+            "--seed", "3", "--reference", "dom01")
+        p2l(tmp, f"rank-shelf-{kind}", "rank", "--registry", "shelf",
+            "--target", "target.bin", "--distance", kind, "--k", "-0.5", "--baselines",
+            "--seed", "3", "--reference", "s007")
+
+
+def profile_files(tmp: Path) -> None:
+    rng = np.random.default_rng(5)
+    write_embeddings_csv(tmp / "emb.csv",
+                         EmbeddingMatrix(rng.gamma(2.0, 1.0, (50, 16)), "ext"))
+    for name, summarizer in (("pmean", "mean"), ("ptrim", "trimmed:0.1")):
+        p2l(tmp, f"profile-{name}", "profile", "--registry", "profiles",
+            "--input", "emb.csv", "--name", name, "--summarizer", summarizer)
+    show_files("profiles", (tmp / "profiles").glob("*.profile.json"))
+
+
+def studies(tmp: Path) -> None:
+    scripts = ROOT / "scripts"
+    run(tmp, "run_oracle_study", str(scripts / "run_oracle_study.py"),
+        "--seeds", "1", "2", "3", "4", "5")
+    run(tmp, "run_merged_study", str(scripts / "run_merged_study.py"), "--out", "merged")
+    show_files("merged", tmp.glob("merged.seed*.csv"))
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as name:
+        tmp = Path(name)
+        simulate(tmp)
+        oracle_registry(tmp)
+        shelf_registry(tmp)
+        registry_commands(tmp)
+        profile_files(tmp)
+        studies(tmp)
+
+
+if __name__ == "__main__":
+    main()

@@ -3,11 +3,9 @@
 
 For each seed: generate the default world, measure ground-truth transfer
 improvements, calibrate (k, distance) on the world's tasks, score every
-method, and print a per-seed summary. With --out, each seed's report tables
-land in <out>/seed<N>/.
+method, and print a per-seed summary.
 """
 import argparse
-from pathlib import Path
 
 import numpy as np
 
@@ -28,8 +26,6 @@ def run_seed(seed, args):
     size_only = oracle.run_study(
         world, cfg, EstimatorConfig(distance=report.best_distance, k=0.0),
         records=records)
-    if args.out:
-        oracle.write_study_files(study, Path(args.out) / f"seed{seed}")
     return report, study, size_only
 
 
@@ -40,7 +36,6 @@ def main():
     parser.add_argument("--targets", type=int, default=8)
     parser.add_argument("--epochs", type=int, default=10)
     parser.add_argument("--learn-rate", type=float, default=0.1)
-    parser.add_argument("--out", default=None)
     args = parser.parse_args()
 
     rows = []

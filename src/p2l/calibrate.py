@@ -57,14 +57,15 @@ class EvaluationConfig:
     epsilon: float = 1e-6
 
     def __post_init__(self):
-        if not self.k_grid:
-            raise ValueError("k grid must be nonempty")
+        k_grid = tuple(float(k) for k in self.k_grid)
+        if not k_grid or not np.all(np.isfinite(k_grid)):
+            raise ValueError("k grid must be a nonempty list of finite values")
         check_epsilon(self.epsilon)
         kinds = tuple(DivergenceKind(k) for k in self.distance_kinds)
         if len(set(kinds)) != len(kinds) or not kinds:
             raise ValueError("distance_kinds must be a nonempty set of distinct kinds")
         object.__setattr__(self, "distance_kinds", kinds)
-        object.__setattr__(self, "k_grid", tuple(float(k) for k in self.k_grid))
+        object.__setattr__(self, "k_grid", k_grid)
 
 
 def average_ranks(values) -> np.ndarray:
@@ -108,7 +109,8 @@ def tune_k(training_tasks: Sequence[TrainingTask],
 
     Each task pairs a target profile with ground-truth improvement records;
     that task's candidate set is exactly the sources its records name.
-    Grid ties break toward smaller |k|, then kind declaration order.
+    The report's best_point() breaks grid ties toward smaller |k|, then kind
+    declaration order.
     """
     cfg = cfg if cfg is not None else EvaluationConfig()
     if not training_tasks:
@@ -137,22 +139,10 @@ def tune_k(training_tasks: Sequence[TrainingTask],
         improvements = np.array([r.improvement for r in records])
         prepared.append((target.name, z_logs, z_dists, improvements))
 
-    grid = []
-    for k in cfg.k_grid:
-        for kind in cfg.distance_kinds:
-            rhos = [spearman_or_zero(z_logs + k * z_dists[kind], improvements)
-                    for _, z_logs, z_dists, improvements in prepared]
-            grid.append(GridPoint(k=k, distance=kind, mean_rho=float(np.mean(rhos))))
-
-    max_rho = max(g.mean_rho for g in grid)
-    best = min((g for g in grid if g.mean_rho == max_rho),
-               key=lambda g: (abs(g.k), g.distance.tie_rank))
-    per_task = {
-        name: spearman_or_zero(z_logs + best.k * z_dists[best.distance], improvements)
-        for name, z_logs, z_dists, improvements in prepared
-    }
-    return CalibrationReport(best_k=best.k, best_distance=best.distance,
-                             grid=tuple(grid), per_task_rho=per_task)
+    return CalibrationReport(tuple(
+        GridPoint(k, kind, {name: spearman_or_zero(z_logs + k * z_dists[kind], improvements)
+                            for name, z_logs, z_dists, improvements in prepared})
+        for k in cfg.k_grid for kind in cfg.distance_kinds))
 
 
 def _candidates(task: str, records: Sequence[ImprovementRecord],

@@ -6,15 +6,17 @@ safe to share between threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
 from .errors import EmptyMatrix, NonFiniteValue, NonPositiveEpsilon
 
-# |score - (z_log_size + k * z_distance)| must stay below this.
+# Scores equal once rounded to a multiple of this tie when ranked.
 SCORE_IDENTITY_TOL = 1e-12
 # Normalized summaries must sum to 1 within this.
 L1_TOL = 1e-9
@@ -32,13 +34,6 @@ class DivergenceKind(str, Enum):
     CHI2 = "CHI2"
     EUC = "EUC"
     CITYBLOCK = "CITYBLOCK"
-
-    @property
-    def tie_rank(self) -> int:
-        return _KIND_ORDER[self]
-
-
-_KIND_ORDER = {kind: i for i, kind in enumerate(DivergenceKind)}
 
 # Kinds that interpret summaries as probability vectors and need smoothing.
 PROBABILITY_KINDS = frozenset(
@@ -200,31 +195,24 @@ class EstimatorConfig:
 
 @dataclass(frozen=True)
 class ScoredSource:
-    """One candidate's score decomposition; re-derivable from its own fields."""
+    """One candidate's score decomposition; the score is derived from it."""
 
     source_name: str
     distance_value: float
-    log_size: float
     z_log_size: float
     z_distance: float
     k: float
-    score: float
 
     def __post_init__(self):
-        parts = (
-            self.distance_value,
-            self.log_size,
-            self.z_log_size,
-            self.z_distance,
-            self.k,
-            self.score,
-        )
+        parts = (self.distance_value, self.z_log_size, self.z_distance, self.k, self.score)
         if not all(math.isfinite(x) for x in parts):
             raise NonFiniteValue("scored source contains NaN or Inf")
         if self.distance_value < 0.0:
             raise ValueError("distance must be >= 0")
-        if abs(self.score - (self.z_log_size + self.k * self.z_distance)) > SCORE_IDENTITY_TOL:
-            raise ValueError("score does not match z_log_size + k * z_distance")
+
+    @property
+    def score(self) -> float:
+        return self.z_log_size + self.k * self.z_distance
 
 
 @dataclass(frozen=True)
@@ -235,57 +223,69 @@ class ImprovementRecord:
     source_name: str
     perf_transfer: float
     perf_scratch: float
-    improvement: float
 
     def __post_init__(self):
-        for label, value in (("perf_transfer", self.perf_transfer),
-                             ("perf_scratch", self.perf_scratch)):
+        for label in ("perf_transfer", "perf_scratch"):
+            value = float(getattr(self, label))
             if not (math.isfinite(value) and 0.0 <= value <= 1.0):
                 raise ValueError(f"{label} must lie in [0, 1], got {value!r}")
-        if self.improvement != self.perf_transfer - self.perf_scratch:
-            raise ValueError("improvement must equal perf_transfer - perf_scratch")
+            object.__setattr__(self, label, value)
 
-    @classmethod
-    def from_perfs(cls, target_name: str, source_name: str,
-                   perf_transfer: float, perf_scratch: float) -> "ImprovementRecord":
-        return cls(target_name, source_name, float(perf_transfer),
-                   float(perf_scratch), float(perf_transfer) - float(perf_scratch))
+    @property
+    def improvement(self) -> float:
+        return self.perf_transfer - self.perf_scratch
 
 
 @dataclass(frozen=True)
 class GridPoint:
-    """One calibration grid cell: mean rank correlation at (k, distance)."""
+    """One calibration grid cell: each task's rank correlation at (k, distance)."""
 
     k: float
     distance: DivergenceKind
-    mean_rho: float
+    task_rho: Mapping[str, float]  # in task order
+
+    def __post_init__(self):
+        object.__setattr__(self, "task_rho", MappingProxyType(dict(self.task_rho)))
+        for task, rho in self.task_rho.items():
+            if not (-1.0 - 1e-12 <= rho <= 1.0 + 1e-12):
+                raise ValueError(f"rho for task {task!r} outside [-1, 1]")
+
+    @property
+    def mean_rho(self) -> float:
+        return float(np.mean(list(self.task_rho.values())))
 
 
 @dataclass(frozen=True)
 class CalibrationReport:
-    """Outcome of the k / distance grid search."""
+    """Outcome of the k / distance grid search; the best point is derived."""
 
-    best_k: float
-    best_distance: DivergenceKind
     grid: tuple[GridPoint, ...]
-    per_task_rho: Mapping[str, float]
 
     def __post_init__(self):
         if not self.grid:
             raise ValueError("calibration grid must be nonempty")
-        best = self.best_point()
-        max_rho = max(g.mean_rho for g in self.grid)
-        if best.mean_rho != max_rho:
-            raise ValueError("best grid entry does not attain the maximum mean rho")
-        for task, rho in self.per_task_rho.items():
-            if not (-1.0 - 1e-12 <= rho <= 1.0 + 1e-12):
-                raise ValueError(f"rho for task {task!r} outside [-1, 1]")
+
+    @cached_property
+    def _best(self) -> GridPoint:
+        kinds = list(DivergenceKind)
+        return max(self.grid, key=lambda g: (g.mean_rho, -abs(g.k),
+                                             -kinds.index(g.distance)))
 
     def best_point(self) -> GridPoint:
-        for g in self.grid:
-            if g.k == self.best_k and g.distance is self.best_distance:
-                return g
-        raise ValueError("best (k, distance) not present in grid")
+        """Highest mean rho; ties go to smaller |k|, then kind declaration order."""
+        return self._best
+
+    @property
+    def best_k(self) -> float:
+        return self._best.k
+
+    @property
+    def best_distance(self) -> DivergenceKind:
+        return self._best.distance
+
+    @property
+    def per_task_rho(self) -> Mapping[str, float]:
+        return self._best.task_rho
 
     def curve(self, distance: DivergenceKind) -> tuple[tuple[float, float], ...]:
         """(k, mean_rho) pairs for one distance kind, ascending in k."""

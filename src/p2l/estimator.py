@@ -11,6 +11,7 @@ baselines B1..B5 and size-weighted profile merging.
 """
 from __future__ import annotations
 
+import math
 import random
 from typing import Sequence
 
@@ -66,8 +67,9 @@ def score_table(names: Sequence[str], sizes: Sequence[float],
     """Score precomputed (size, distance) rows and sort best-first.
 
     Scores equal once rounded to SCORE_IDENTITY_TOL tie, whatever their float
-    noise, and break by descending size, then name. Sizes may be any positive
-    reals so callers can exercise scale-invariance directly.
+    noise, and break by descending size, then name; a k whose scores overflow
+    that rounding is refused. Sizes may be any positive reals so callers can
+    exercise scale-invariance directly.
     """
     names = list(names)
     n = len(names)
@@ -84,24 +86,17 @@ def score_table(names: Sequence[str], sizes: Sequence[float],
     if not (np.all(np.isfinite(dists)) and np.all(dists >= 0.0)):
         raise ValueError("distances must be >= 0 and finite")
 
-    logs = np.log(sizes)
-    z_logs = zscale(logs)
+    z_logs = zscale(np.log(sizes))
     z_dists = zscale(dists)
-    scored = []
-    for i, name in enumerate(names):
-        zl = float(z_logs[i])
-        zd = float(z_dists[i])
-        scored.append(ScoredSource(
-            source_name=name,
-            distance_value=float(dists[i]),
-            log_size=float(logs[i]),
-            z_log_size=zl,
-            z_distance=zd,
-            k=float(k),
-            score=zl + float(k) * zd,
-        ))
-    order = sorted(range(n), key=lambda i: (
-        -round(scored[i].score / SCORE_IDENTITY_TOL), -sizes[i], names[i]))
+    scored = [ScoredSource(source_name=name, distance_value=float(dists[i]),
+                           z_log_size=float(z_logs[i]), z_distance=float(z_dists[i]),
+                           k=float(k))
+              for i, name in enumerate(names)]
+    ticks = [s.score / SCORE_IDENTITY_TOL for s in scored]
+    if not all(map(math.isfinite, ticks)):
+        raise ValueError(f"|k| = {abs(k)!r} gives scores too large to rank; "
+                         "use a smaller |k|")
+    order = sorted(range(n), key=lambda i: (-round(ticks[i]), -sizes[i], names[i]))
     return [scored[i] for i in order]
 
 
@@ -196,7 +191,11 @@ def merge_profiles(profiles: Sequence[DatasetProfile], name: str) -> DatasetProf
         raise ValueError("merging needs at least two profiles")
     dim = profiles[0].summary.dim
     extractor = profiles[0].extractor_id
+    seen = set()
     for p in profiles:
+        if p.name in seen:
+            raise DuplicateSourceName(f"profile {p.name!r} is named twice")
+        seen.add(p.name)
         if p.summary.dim != dim:
             raise DimensionMismatch(f"profile {p.name!r} has dim {p.summary.dim}, expected {dim}")
         if p.summary.summarizer != Summarizer.mean():

@@ -267,8 +267,7 @@ def read_improvements_csv(path) -> list[ImprovementRecord]:
                 raise NonFiniteValue("unparseable performance value", line_no) from None
             if not (math.isfinite(transfer) and math.isfinite(scratch)):
                 raise NonFiniteValue("non-finite performance value", line_no)
-            records.append(ImprovementRecord.from_perfs(parts[0], parts[1],
-                                                        transfer, scratch))
+            records.append(ImprovementRecord(parts[0], parts[1], transfer, scratch))
     return records
 
 

@@ -490,8 +490,7 @@ def ground_truth(world: OracleWorld, cfg: OracleConfig) -> list[ImprovementRecor
         scratch = train_scratch(world, target, cfg)
         for source in world.source_names():
             perf = _finetune_from(world, models[source], source, target, cfg)
-            records.append(ImprovementRecord.from_perfs(target, source,
-                                                        perf, scratch))
+            records.append(ImprovementRecord(target, source, perf, scratch))
     return records
 
 
@@ -585,7 +584,13 @@ class MergedOutcome:
     perf_reference: float
     perf_merged: float
     predicted: str  # which source the estimator itself would pick
-    winner: str     # "reference" | "merged" | "tie"
+
+    @property
+    def winner(self) -> str:
+        """Whose fine-tuned accuracy is higher: "reference", "merged" or "tie"."""
+        if self.perf_reference == self.perf_merged:
+            return "tie"
+        return "reference" if self.perf_reference > self.perf_merged else "merged"
 
 
 @dataclass
@@ -636,17 +641,10 @@ def merged_source_study(world: OracleWorld, cfg: OracleConfig,
         div = next(s.distance_value for s in scored if s.source_name == reference)
         perf_ref = _finetune_from(world, ref_model, reference, target, cfg)
         perf_merged = _finetune_from(world, merged_model, "merged", target, cfg)
-        predicted = scored[0].source_name
-        if perf_ref > perf_merged:
-            winner = "reference"
-        elif perf_merged > perf_ref:
-            winner = "merged"
-        else:
-            winner = "tie"
         outcomes.append(MergedOutcome(
             target_name=target, divergence_from_reference=div,
             perf_reference=perf_ref, perf_merged=perf_merged,
-            predicted=predicted, winner=winner))
+            predicted=scored[0].source_name))
     outcomes.sort(key=lambda o: (o.divergence_from_reference, o.target_name))
     return MergedStudyReport(seed=world.seed, reference_name=reference,
                              reference_profile=ref_profile,

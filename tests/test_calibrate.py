@@ -116,7 +116,7 @@ def monotone_size_task():
     target = profile("t", 10, [1.0, 1.0], role="target")
     sources = [profile("a", 10, [1.3, 0.9]), profile("b", 100, [0.8, 1.5]),
                profile("c", 1000, [1.1, 1.2]), profile("d", 10000, [2.0, 0.5])]
-    records = [ImprovementRecord.from_perfs("t", n, p, 0.2)
+    records = [ImprovementRecord("t", n, p, 0.2)
                for n, p in (("a", 0.3), ("b", 0.4), ("c", 0.5), ("d", 0.6))]
     return target, sources, records
 
@@ -126,7 +126,7 @@ def distance_task():
     target = profile("t", 10, [1.0, 1.0], role="target")
     sources = [profile("near", 50, [1.05, 0.95]), profile("mid", 50, [1.4, 0.6]),
                profile("far", 50, [1.9, 0.1])]
-    records = [ImprovementRecord.from_perfs("t", n, p, 0.2)
+    records = [ImprovementRecord("t", n, p, 0.2)
                for n, p in (("near", 0.6), ("mid", 0.5), ("far", 0.4))]
     return target, sources, records
 
@@ -158,7 +158,7 @@ class TestTuneK:
 
     def test_unknown_source(self):
         target, sources, records = monotone_size_task()
-        records = records + [ImprovementRecord.from_perfs("t", "ghost", 0.5, 0.2)]
+        records = records + [ImprovementRecord("t", "ghost", 0.5, 0.2)]
         with pytest.raises(UnknownSource):
             tune_k([(target, records)], sources)
 
@@ -173,6 +173,12 @@ class TestTuneK:
         with pytest.raises(MixedExtractors):
             tune_k([(alien, records)], sources)
 
+    @pytest.mark.parametrize("bad", [float("-inf"), float("inf"), float("nan")])
+    def test_non_finite_k_grid_refused(self, bad):
+        target, sources, records = monotone_size_task()
+        with pytest.raises(ValueError):
+            tune_k([(target, records)], sources, EvaluationConfig(k_grid=(bad, -1.0)))
+
     def test_grid_covers_default(self):
         assert DEFAULT_K_GRID[0] == -3.0
         assert DEFAULT_K_GRID[-1] == 0.0
@@ -186,7 +192,7 @@ class TestTuneK:
         target2, sources, records2 = distance_task()
         target2b = profile("t2", 10, [1.0, 1.0], role="target")
         records2b = [ImprovementRecord("t2", r.source_name, r.perf_transfer,
-                                       r.perf_scratch, r.improvement)
+                                       r.perf_scratch)
                      for r in records2]
         pool = t1[1] + sources
         tasks_fwd = [(t1[0], t1[2]), (target2b, records2b)]
@@ -197,9 +203,8 @@ class TestTuneK:
 
     def test_improvement_rescaling_invariance(self):
         target, sources, records = monotone_size_task()
-        scaled = [ImprovementRecord.from_perfs("t", r.source_name,
-                                               r.perf_transfer * 0.5,
-                                               r.perf_scratch * 0.5)
+        scaled = [ImprovementRecord("t", r.source_name, r.perf_transfer * 0.5,
+                                    r.perf_scratch * 0.5)
                   for r in records]
         a = tune_k([(target, records)], sources)
         b = tune_k([(target, scaled)], sources)
@@ -242,7 +247,7 @@ class TestPicksToBest:
 
 class TestGainTable:
     def records(self):
-        return [ImprovementRecord.from_perfs("t", n, p, 0.25)
+        return [ImprovementRecord("t", n, p, 0.25)
                 for n, p in (("a", 0.5), ("b", 0.4), ("c", 0.3))]
 
     def test_same_pick_zero_gain(self):
@@ -265,27 +270,27 @@ class TestGainTable:
             gain_table(self.records(), {"B1": "a"})
 
     def test_duplicate_source_rejected(self):
-        records = [ImprovementRecord.from_perfs("t", "a", 0.5, 0.2),
-                   ImprovementRecord.from_perfs("t", "a", 0.9, 0.2),
-                   ImprovementRecord.from_perfs("t", "b", 0.4, 0.2)]
+        records = [ImprovementRecord("t", "a", 0.5, 0.2),
+                   ImprovementRecord("t", "a", 0.9, 0.2),
+                   ImprovementRecord("t", "b", 0.4, 0.2)]
         with pytest.raises(DuplicateSourceName):
             gain_table(records, {"P2L": "a", "B4": None})
 
     def test_inconsistent_scratch_rejected(self):
-        records = [ImprovementRecord.from_perfs("t", "a", 0.5, 0.2),
-                   ImprovementRecord.from_perfs("t", "b", 0.4, 0.3)]
+        records = [ImprovementRecord("t", "a", 0.5, 0.2),
+                   ImprovementRecord("t", "b", 0.4, 0.3)]
         with pytest.raises(InconsistentScratch):
             gain_table(records, {"P2L": "a", "B4": None})
 
     def test_records_of_two_targets_rejected(self):
-        records = [ImprovementRecord.from_perfs("t", "a", 0.5, 0.2),
-                   ImprovementRecord.from_perfs("u", "b", 0.4, 0.2)]
+        records = [ImprovementRecord("t", "a", 0.5, 0.2),
+                   ImprovementRecord("u", "b", 0.4, 0.2)]
         with pytest.raises(ValueError):
             gain_table(records, {"P2L": "a", "B1": "b"})
 
     def test_zero_denominator(self):
-        records = [ImprovementRecord.from_perfs("t", "a", 0.5, 0.0),
-                   ImprovementRecord.from_perfs("t", "b", 0.0, 0.0),
-                   ImprovementRecord.from_perfs("t", "c", 0.1, 0.0)]
+        records = [ImprovementRecord("t", "a", 0.5, 0.0),
+                   ImprovementRecord("t", "b", 0.0, 0.0),
+                   ImprovementRecord("t", "c", 0.1, 0.0)]
         with pytest.raises(ZeroDenominator):
             gain_table(records, {"P2L": "a", "B1": "b"})

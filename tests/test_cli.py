@@ -254,6 +254,16 @@ class TestRankCommand:
                            registry_dir, "--k", "0", "--allow-mixed-extractors")
         assert code == 0
 
+    @pytest.mark.parametrize("k", ["1e300", "-1e300"])
+    def test_rank_k_whose_scores_overflow_exits_2(self, capsys, tmp_path,
+                                                  registry_dir, k):
+        target = seed_registry(tmp_path, registry_dir)
+        code, out, err = run(capsys, "rank", "--target", str(target), "--registry",
+                             registry_dir, f"--k={k}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("p2l: error:") and err.count("\n") == 1
+
 
 class TestCalibrateAndEvaluate:
     def seed_truth(self, tmp_path, registry_dir):
@@ -261,9 +271,9 @@ class TestCalibrateAndEvaluate:
         assert main(["profile", "--input", str(target), "--name", "tprof",
                      "--role", "target", "--registry", registry_dir]) == 0
         # improvements strictly increasing in size: size alone ranks perfectly
-        records = [ImprovementRecord.from_perfs("tprof", "small_near", 0.3, 0.2),
-                   ImprovementRecord.from_perfs("tprof", "mid", 0.4, 0.2),
-                   ImprovementRecord.from_perfs("tprof", "big_far", 0.6, 0.2)]
+        records = [ImprovementRecord("tprof", "small_near", 0.3, 0.2),
+                   ImprovementRecord("tprof", "mid", 0.4, 0.2),
+                   ImprovementRecord("tprof", "big_far", 0.6, 0.2)]
         truth = tmp_path / "truth.csv"
         write_improvements_csv(truth, records)
         return truth
@@ -403,6 +413,15 @@ class TestMergeCommand:
         code, _, _ = run(capsys, "merge", "--registry", registry_dir,
                          "--name", "p2", "--members", "small_near,ghost")
         assert code == 4
+
+    def test_merge_repeated_member_exits_2(self, capsys, tmp_path, registry_dir):
+        seed_registry(tmp_path, registry_dir)
+        code, out, err = run(capsys, "merge", "--registry", registry_dir,
+                             "--name", "twice", "--members", "mid,mid")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("p2l: error:") and err.count("\n") == 1
+        assert "twice" not in ProfileRegistry.open(registry_dir).names()
 
 
 class TestSimulateCommand:

@@ -101,53 +101,77 @@ class TestEstimatorConfig:
 
 
 class TestScoredSource:
-    def test_score_identity_enforced(self):
-        ScoredSource("a", 0.3, 1.0, 0.5, -0.5, -1.0, 1.0)
-        with pytest.raises(ValueError):
-            ScoredSource("a", 0.3, 1.0, 0.5, -0.5, -1.0, 0.9)
-
     def test_identity_rederivable_from_fields(self):
-        s = ScoredSource("a", 0.3, 1.0, 0.7, -0.2, -1.5, 0.7 + (-1.5) * (-0.2))
+        s = ScoredSource("a", 0.3, 0.7, -0.2, -1.5)
         assert abs(s.score - (s.z_log_size + s.k * s.z_distance)) < 1e-12
 
     def test_negative_distance_rejected(self):
         with pytest.raises(ValueError):
-            ScoredSource("a", -0.1, 1.0, 0.0, 0.0, -1.0, 0.0)
+            ScoredSource("a", -0.1, 0.0, 0.0, -1.0)
 
 
 class TestImprovementRecord:
     def test_arithmetic_closed(self):
-        r = ImprovementRecord.from_perfs("t", "s", 0.75, 0.5)
+        r = ImprovementRecord("t", "s", 0.75, 0.5)
         assert r.improvement == r.perf_transfer - r.perf_scratch == 0.25
 
     def test_negative_transfer_allowed(self):
-        r = ImprovementRecord.from_perfs("t", "s", 0.3, 0.5)
+        r = ImprovementRecord("t", "s", 0.3, 0.5)
         assert r.improvement < 0
 
     def test_bounds_checked(self):
         with pytest.raises(ValueError):
-            ImprovementRecord.from_perfs("t", "s", 1.2, 0.5)
+            ImprovementRecord("t", "s", 1.2, 0.5)
         with pytest.raises(ValueError):
-            ImprovementRecord("t", "s", 0.6, 0.5, 0.2)
+            ImprovementRecord("t", "s", 0.6, -0.1)
+
+    def test_perfs_stored_as_float(self):
+        r = ImprovementRecord("t", "s", 1, 0)
+        assert type(r.perf_transfer) is type(r.perf_scratch) is float
+        assert r == ImprovementRecord("t", "s", 1.0, 0.0)
+
+
+def point(k, kind, rho):
+    return GridPoint(k, kind, {"t": rho})
 
 
 class TestCalibrationReport:
     def test_best_must_attain_maximum(self):
-        grid = (GridPoint(-1.0, DivergenceKind.KL, 0.9),
-                GridPoint(0.0, DivergenceKind.KL, 0.5))
-        CalibrationReport(-1.0, DivergenceKind.KL, grid, {"t": 0.9})
+        grid = (point(0.0, DivergenceKind.KL, 0.5),
+                GridPoint(-1.0, DivergenceKind.KL, {"t": 0.8, "u": 1.0}))
+        report = CalibrationReport(grid)
+        assert report.best_point() is grid[1]
+        assert report.best_point().mean_rho == max(g.mean_rho for g in grid) == 0.9
+        assert (report.best_k, report.best_distance) == (-1.0, DivergenceKind.KL)
+        assert report.per_task_rho == {"t": 0.8, "u": 1.0}
+
+    def test_best_point_tie_rule(self):
+        # highest mean rho, then smaller |k|, then kind declaration order
+        grid = (point(0.0, DivergenceKind.KL, 0.7),
+                point(-1.0, DivergenceKind.KL, 0.9),
+                point(-0.5, DivergenceKind.EUC, 0.9),
+                point(0.5, DivergenceKind.JSD, 0.9),
+                point(-0.5, DivergenceKind.CITYBLOCK, 0.9))
+        best = CalibrationReport(grid).best_point()
+        assert (best.k, best.distance) == (0.5, DivergenceKind.JSD)
+        assert CalibrationReport(grid[::-1]).best_point() is best
+
+    def test_task_rho_checked(self):
         with pytest.raises(ValueError):
-            CalibrationReport(0.0, DivergenceKind.KL, grid, {"t": 0.5})
+            point(0.0, DivergenceKind.KL, 1.5)
+        with pytest.raises(TypeError):
+            point(0.0, DivergenceKind.KL, 0.5).task_rho["t"] = 1.0
+        with pytest.raises(ValueError):
+            CalibrationReport(())
 
     def test_curve_sorted_by_k(self):
-        grid = (GridPoint(0.0, DivergenceKind.KL, 0.1),
-                GridPoint(-1.0, DivergenceKind.KL, 0.9),
-                GridPoint(-1.0, DivergenceKind.EUC, 0.2))
-        report = CalibrationReport(-1.0, DivergenceKind.KL, grid, {})
+        grid = (point(0.0, DivergenceKind.KL, 0.1),
+                point(-1.0, DivergenceKind.KL, 0.9),
+                point(-1.0, DivergenceKind.EUC, 0.2))
+        report = CalibrationReport(grid)
         assert report.curve(DivergenceKind.KL) == ((-1.0, 0.9), (0.0, 0.1))
 
     def test_kind_tie_rank_order(self):
-        order = [k.tie_rank for k in
-                 (DivergenceKind.KL, DivergenceKind.JSD, DivergenceKind.CHI2,
-                  DivergenceKind.EUC, DivergenceKind.CITYBLOCK)]
-        assert order == [0, 1, 2, 3, 4]
+        assert list(DivergenceKind) == [
+            DivergenceKind.KL, DivergenceKind.JSD, DivergenceKind.CHI2,
+            DivergenceKind.EUC, DivergenceKind.CITYBLOCK]

@@ -230,6 +230,13 @@ class TestMergeProfiles:
         assert merged.size == 2
         np.testing.assert_allclose(merged.summary.values, a1.summary.values)
 
+    def test_repeated_member_refused(self):
+        rows = np.array([[1.0, 3.0]])
+        a = profile_from_matrix("a", EmbeddingMatrix(rows, "ext"))
+        b = profile_from_matrix("b", EmbeddingMatrix(rows, "ext"))
+        with pytest.raises(DuplicateSourceName):
+            merge_profiles([a, b, a], "aba")
+
     def test_two_singleton_matrices(self):
         a = profile_from_matrix("a", EmbeddingMatrix(np.array([[1.0, 0.0]]), "ext"))
         b = profile_from_matrix("b", EmbeddingMatrix(np.array([[0.0, 1.0]]), "ext"))

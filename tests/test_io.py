@@ -275,8 +275,8 @@ class TestRegistry:
 class TestImprovementsCsv:
     def test_round_trip(self, tmp_path):
         from p2l.core import ImprovementRecord
-        records = [ImprovementRecord.from_perfs("t1", "s1", 0.75, 0.5),
-                   ImprovementRecord.from_perfs("t1", "s2", 0.25, 0.5)]
+        records = [ImprovementRecord("t1", "s1", 0.75, 0.5),
+                   ImprovementRecord("t1", "s2", 0.25, 0.5)]
         path = tmp_path / "truth.csv"
         write_improvements_csv(path, records)
         back = read_improvements_csv(path)
@@ -304,23 +304,23 @@ class TestImprovementsCsv:
 class TestGroupRecordsByTarget:
     def test_groups_in_first_seen_order(self):
         from p2l.core import ImprovementRecord
-        records = [ImprovementRecord.from_perfs("t2", "s1", 0.5, 0.25),
-                   ImprovementRecord.from_perfs("t1", "s1", 0.75, 0.5),
-                   ImprovementRecord.from_perfs("t2", "s2", 0.25, 0.25)]
+        records = [ImprovementRecord("t2", "s1", 0.5, 0.25),
+                   ImprovementRecord("t1", "s1", 0.75, 0.5),
+                   ImprovementRecord("t2", "s2", 0.25, 0.25)]
         grouped = group_records_by_target(records)
         assert list(grouped) == ["t2", "t1"]
         assert grouped["t2"] == [records[0], records[2]]
 
     def test_duplicate_pair_rejected(self):
         from p2l.core import ImprovementRecord
-        records = [ImprovementRecord.from_perfs("t", "s", 0.5, 0.25),
-                   ImprovementRecord.from_perfs("t", "s", 0.75, 0.25)]
+        records = [ImprovementRecord("t", "s", 0.5, 0.25),
+                   ImprovementRecord("t", "s", 0.75, 0.25)]
         with pytest.raises(DuplicateSourceName):
             group_records_by_target(records)
 
     def test_disagreeing_scratch_rejected(self):
         from p2l.core import ImprovementRecord
-        records = [ImprovementRecord.from_perfs("t", "a", 0.5, 0.5),
-                   ImprovementRecord.from_perfs("t", "b", 0.5, 0.9)]
+        records = [ImprovementRecord("t", "a", 0.5, 0.5),
+                   ImprovementRecord("t", "b", 0.5, 0.9)]
         with pytest.raises(InconsistentScratch):
             group_records_by_target(records)

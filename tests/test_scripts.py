@@ -1,0 +1,40 @@
+"""Smoke tests of the experiment scripts: each runs and prints its summary."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import p2l
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(name, *args):
+    src = str(Path(p2l.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, str(SCRIPTS / name), *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_run_merged_study(tmp_path):
+    result = run_script("run_merged_study.py", "--seeds", "1", "--sources", "4",
+                        "--targets", "4", "--out", str(tmp_path / "m"))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("seed 1: reference=")
+    lines = (tmp_path / "m.seed1.csv").read_text().splitlines()
+    assert lines[0] == ("target,divergence_from_reference,perf_reference,"
+                        "perf_merged,predicted,winner")
+    rows = [line.split(",") for line in lines[1:]]
+    assert sorted(r[0] for r in rows) == [f"dom{i:02d}" for i in range(8)]
+    for _, _, ref, merged, _, winner in rows:
+        expected = ("tie" if float(ref) == float(merged)
+                    else "reference" if float(ref) > float(merged) else "merged")
+        assert winner == expected
+
+
+def test_run_oracle_study():
+    result = run_script("run_oracle_study.py", "--seeds", "1", "--sources", "4",
+                        "--targets", "4", "--epochs", "2")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1].startswith("mean over 1 seeds: rho=")
