@@ -69,15 +69,11 @@ class EvaluationConfig:
 
 
 def average_ranks(values) -> np.ndarray:
-    """1-based ranks of a 1-d array; tied values share the mean of their ranks."""
-    x = np.asarray(values, dtype=np.float64)
-    order = np.argsort(x, kind="stable")
-    ordered = x[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    ends = np.r_[starts[1:], x.size]
-    ranks = np.empty(x.size)
-    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
-    return ranks
+    """1-based ranks of a 1-d array; tied values share the mean of their ranks.
+
+    One row of _row_ranks, the batched form tune_k uses; both are exact.
+    """
+    return _row_ranks(np.asarray(values, dtype=np.float64)[None, :])[0]
 
 
 def spearman_rho(a, b) -> float:
@@ -90,8 +86,43 @@ def spearman_rho(a, b) -> float:
         raise LengthMismatch("need at least two observations")
     if np.all(a == a[0]) or np.all(b == b[0]):
         raise DegenerateConstantInput("rank correlation of a constant list is undefined")
-    rho = float(np.corrcoef(average_ranks(a), average_ranks(b))[0, 1])
+    rho = float(_rank_correlations(a[None, :], average_ranks(b))[0])
     return min(1.0, max(-1.0, rho))
+
+
+def _row_ranks(x: np.ndarray) -> np.ndarray:
+    """average_ranks of each row of a 2-d array, all rows in one pass."""
+    rows, n = x.shape
+    order = np.argsort(x, axis=1, kind="stable")
+    ordered = np.take_along_axis(x, order, axis=1)
+    first = np.ones((rows, n + 1), dtype=bool)  # first[:, j]: j opens a tie group
+    first[:, 1:n] = ordered[:, 1:] != ordered[:, :-1]
+    pos = np.arange(n + 1)
+    starts = np.maximum.accumulate(np.where(first[:, :n], pos[:n], 0), axis=1)
+    ends = np.minimum.accumulate(np.where(first[:, 1:], pos[1:], n)[:, ::-1],
+                                 axis=1)[:, ::-1]
+    ranks = np.empty((rows, n))
+    np.put_along_axis(ranks, order, (starts + ends + 1) / 2.0, axis=1)
+    return ranks
+
+
+def _rank_correlations(scores: np.ndarray, outcome_ranks: np.ndarray) -> np.ndarray:
+    """Per row of scores, np.corrcoef(average_ranks(row), outcome_ranks)[0, 1].
+
+    Ranks are half-integers with mean (n + 1) / 2, so the centred ranks and
+    every sum of their products are exact in any summation order. The steps
+    that round repeat np.cov and np.corrcoef: the true_divide(1, n - 1)
+    factor, the division by sqrt(c00), then by sqrt(c11), and the clip. So
+    every row is bit-equal to its own np.corrcoef call. No row may be constant.
+    """
+    n = scores.shape[1]
+    pairs = np.empty((scores.shape[0], 2, n))
+    pairs[:, 0] = _row_ranks(scores)
+    pairs[:, 1] = outcome_ranks
+    pairs -= pairs.mean(axis=-1, keepdims=True)
+    c = pairs @ pairs.swapaxes(-1, -2)
+    c *= np.true_divide(1, n - 1)
+    return np.clip(c[:, 0, 1] / np.sqrt(c[:, 0, 0]) / np.sqrt(c[:, 1, 1]), -1, 1)
 
 
 def spearman_or_zero(a, b) -> float:
@@ -110,7 +141,8 @@ def tune_k(training_tasks: Sequence[TrainingTask],
     Each task pairs a target profile with ground-truth improvement records;
     that task's candidate set is exactly the sources its records name.
     The report's best_point() breaks grid ties toward smaller |k|, then kind
-    declaration order.
+    declaration order. A task's whole grid is one score matrix, ranked and
+    correlated in one _rank_correlations pass, bit-equal to per-cell np.corrcoef.
     """
     cfg = cfg if cfg is not None else EvaluationConfig()
     if not training_tasks:
@@ -121,12 +153,11 @@ def tune_k(training_tasks: Sequence[TrainingTask],
             raise DuplicateSourceName(f"duplicate source name {p.name!r}")
         pool[p.name] = p
 
-    prepared = []
-    task_names = set()
+    ks = np.array(cfg.k_grid)
+    task_rhos = {}
     for target, records in training_tasks:
-        if target.name in task_names:
+        if target.name in task_rhos:
             raise ValueError(f"duplicate training task {target.name!r}")
-        task_names.add(target.name)
         candidates = _candidates(target.name, records, pool)
         if len(candidates) < 3:
             raise TooFewSources(
@@ -134,15 +165,21 @@ def tune_k(training_tasks: Sequence[TrainingTask],
         check_candidates(target, candidates)
         z_logs = zscale(np.log([float(c.size) for c in candidates]))
         summaries = [c.summary for c in candidates]
-        z_dists = {kind: zscale(distances(kind, target.summary, summaries, cfg.epsilon))
-                   for kind in cfg.distance_kinds}
+        z_dists = np.array([zscale(distances(kind, target.summary, summaries, cfg.epsilon))
+                            for kind in cfg.distance_kinds])
+        # One row per grid cell, in grid order: k-major, kind-minor.
+        scores = (z_logs + ks[:, None, None] * z_dists).reshape(-1, len(candidates))
+        rho = np.zeros(len(scores))
         improvements = np.array([r.improvement for r in records])
-        prepared.append((target.name, z_logs, z_dists, improvements))
+        if not np.all(improvements == improvements[0]):
+            varied = ~np.all(scores == scores[:, :1], axis=1)
+            rho[varied] = _rank_correlations(scores[varied], average_ranks(improvements))
+        task_rhos[target.name] = [min(1.0, max(-1.0, r)) for r in rho.tolist()]
 
+    cells = [(k, kind) for k in cfg.k_grid for kind in cfg.distance_kinds]
     return CalibrationReport(tuple(
-        GridPoint(k, kind, {name: spearman_or_zero(z_logs + k * z_dists[kind], improvements)
-                            for name, z_logs, z_dists, improvements in prepared})
-        for k in cfg.k_grid for kind in cfg.distance_kinds))
+        GridPoint(k, kind, {name: rhos[i] for name, rhos in task_rhos.items()})
+        for i, (k, kind) in enumerate(cells)))
 
 
 def _candidates(task: str, records: Sequence[ImprovementRecord],

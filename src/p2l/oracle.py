@@ -369,22 +369,28 @@ def init_params(rng: np.random.Generator, in_dim: int, hidden_dim: int,
 def loss_and_grads(params: ModelParams, x: np.ndarray, y: np.ndarray,
                    ) -> tuple[float, ModelParams]:
     """Mean softmax cross-entropy and its analytic gradients."""
+    shifted, denom, grads = _softmax_grads(params, x, y)
+    log_probs = shifted - np.log(denom)
+    return -float(log_probs[np.arange(x.shape[0]), y].mean()), grads
+
+
+def _softmax_grads(params: ModelParams, x: np.ndarray, y: np.ndarray,
+                   ) -> tuple[np.ndarray, np.ndarray, ModelParams]:
+    """Max-shifted logits, softmax denominators and loss gradients; sgd_train
+    needs only the gradients, loss_and_grads adds the loss from the rest."""
     m = x.shape[0]
     h = x @ params.w1 + params.b1
     logits = h @ params.w2 + params.b2
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     denom = exp.sum(axis=1, keepdims=True)
-    log_probs = shifted - np.log(denom)
-    loss = -float(log_probs[np.arange(m), y].mean())
-
     g = exp / denom
     g[np.arange(m), y] -= 1.0
     g /= m
     dh = g @ params.w2.T
     grads = ModelParams(w1=x.T @ dh, b1=dh.sum(axis=0),
                         w2=h.T @ g, b2=g.sum(axis=0))
-    return loss, grads
+    return shifted, denom, grads
 
 
 def sgd_train(params: ModelParams, x: np.ndarray, y: np.ndarray,
@@ -400,7 +406,7 @@ def sgd_train(params: ModelParams, x: np.ndarray, y: np.ndarray,
         order = rng.permutation(n)
         for start in range(0, n, batch):
             idx = order[start:start + batch]
-            _, g = loss_and_grads(params, x[idx], y[idx])
+            _, _, g = _softmax_grads(params, x[idx], y[idx])
             params.w1 -= learn_rate * rep_scale * g.w1
             params.b1 -= learn_rate * rep_scale * g.b1
             params.w2 -= learn_rate * g.w2

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from p2l.core import (
     EmbeddingMatrix,
     ImprovementRecord,
 )
+from p2l.divergence import distances
 from p2l.errors import (
     DegenerateConstantInput,
     DuplicateSourceName,
@@ -31,6 +34,7 @@ from p2l.errors import (
     UnknownSource,
     ZeroDenominator,
 )
+from p2l.estimator import zscale
 from p2l.summarize import profile_from_matrix
 
 
@@ -90,6 +94,15 @@ class TestSpearman:
 
         check()
 
+    @given(st.lists(st.integers(-3, 3).map(float) | st.floats(-1e6, 1e6),
+                    min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_average_ranks_match_counting_definition(self, values):
+        # rank = values below + mean position among the equal ones
+        expected = [sum(v < x for v in values) + (sum(v == x for v in values) + 1) / 2
+                    for x in values]
+        assert average_ranks(values).tolist() == expected
+
     @given(st.integers(3, 30), st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=100, deadline=None)
     def test_matches_closed_form_without_ties(self, n, seed):
@@ -129,6 +142,45 @@ def distance_task():
     records = [ImprovementRecord("t", n, p, 0.2)
                for n, p in (("near", 0.6), ("mid", 0.5), ("far", 0.4))]
     return target, sources, records
+
+
+def reference_cell_rho(scores, improvements):
+    """One grid cell by definition: np.corrcoef of average ranks, 0 if a side is flat."""
+    if np.all(scores == scores[0]) or np.all(improvements == improvements[0]):
+        return 0.0
+    rho = float(np.corrcoef(average_ranks(scores), average_ranks(improvements))[0, 1])
+    return min(1.0, max(-1.0, rho))
+
+
+@st.composite
+def calibration_problems(draw):
+    """Training tasks over 3-40 sources with tied sizes, distances and outcomes.
+
+    Sizes, source vectors and outcomes come from short pools, so ties are
+    common; a one-entry pool makes that quantity constant (one size turns
+    every k = 0 score row constant, one outcome zeroes a whole task). The
+    k grid always holds 0 and a negative k.
+    """
+    n = draw(st.integers(3, 40))
+    size_pool = draw(st.lists(st.integers(1, 10 ** 6), min_size=1, max_size=4))
+    vector = st.lists(st.floats(0.1, 5.0), min_size=3, max_size=3)
+    vector_pool = draw(st.lists(vector, min_size=1, max_size=5))
+    sources = [profile(f"s{i:02d}", draw(st.sampled_from(size_pool)),
+                       draw(st.sampled_from(vector_pool))) for i in range(n)]
+    tasks = []
+    for t in range(draw(st.integers(1, 3))):
+        target = profile(f"t{t}", 10, draw(vector), role="target")
+        perf_pool = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+        order = draw(st.permutations(range(n)))
+        tasks.append((target, [ImprovementRecord(target.name, f"s{i:02d}",
+                                                 draw(st.sampled_from(perf_pool)), 0.3)
+                               for i in order]))
+    ks = draw(st.lists(st.floats(-3.0, 3.0), max_size=6))
+    kinds = draw(st.lists(st.sampled_from(list(DivergenceKind)), min_size=1,
+                          unique=True))
+    cfg = EvaluationConfig(k_grid=tuple(dict.fromkeys([*ks, 0.0, -1.0])),
+                           distance_kinds=tuple(kinds))
+    return tasks, sources, cfg
 
 
 class TestTuneK:
@@ -220,6 +272,35 @@ class TestTuneK:
         lines = path.read_text().splitlines()
         assert lines[0] == "k,distance,mean_rho"
         assert len(lines) == 3
+
+    def test_constant_improvements_score_zero_everywhere(self):
+        target, sources, records = monotone_size_task()
+        flat = [ImprovementRecord("t", r.source_name, 0.5, 0.2) for r in records]
+        report = tune_k([(target, flat)], sources)
+        assert {g.task_rho["t"] for g in report.grid} == {0.0}
+
+    @given(calibration_problems())
+    @settings(max_examples=150, deadline=None)
+    def test_every_cell_equals_per_cell_reference(self, problem):
+        tasks, sources, cfg = problem
+        report = tune_k(tasks, sources, cfg)
+        assert [(g.k, g.distance) for g in report.grid] == [
+            (k, kind) for k in cfg.k_grid for kind in cfg.distance_kinds]
+        pool = {p.name: p for p in sources}
+        for target, records in tasks:
+            candidates = [pool[r.source_name] for r in records]
+            z_logs = zscale(np.log([float(c.size) for c in candidates]))
+            improvements = np.array([r.improvement for r in records])
+            z_dists = {kind: zscale(distances(kind, target.summary,
+                                              [c.summary for c in candidates],
+                                              cfg.epsilon))
+                       for kind in cfg.distance_kinds}
+            for g in report.grid:
+                got = g.task_rho[target.name]
+                want = reference_cell_rho(z_logs + g.k * z_dists[g.distance],
+                                          improvements)
+                # == alone would let -0.0 stand for 0.0, which the grid CSV shows
+                assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want))
 
 
 class TestPicksToBest:

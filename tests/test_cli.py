@@ -148,6 +148,16 @@ class TestRankCommand:
         names = [r[0] for r in parse_csv(out)[1:]]
         assert names == ["big_far", "mid", "small_near"]
 
+    def test_rank_negative_exponent_k_in_equals_form(self, capsys, tmp_path,
+                                                     registry_dir):
+        # argparse takes a bare "-1e-3" for an option, so the value needs "="
+        target = seed_registry(tmp_path, registry_dir)
+        args = ("rank", "--target", str(target), "--registry", registry_dir)
+        code, out, _ = run(capsys, *args, "--k=-1e-3")
+        assert code == 0
+        assert len(parse_csv(out)) == 4
+        assert run(capsys, *args, "--k", "-0.001") == (0, out, "")
+
     def test_rank_top_limits_rows(self, capsys, tmp_path, registry_dir):
         target = seed_registry(tmp_path, registry_dir)
         code, out, _ = run(capsys, "rank", "--target", str(target), "--registry",

@@ -38,3 +38,12 @@ def test_run_oracle_study():
                         "--targets", "4", "--epochs", "2")
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1].startswith("mean over 1 seeds: rho=")
+
+
+def test_oracle_study_headline():
+    # The headline result of ROADMAP.md, reproduced on the default world.
+    result = run_script("run_oracle_study.py", "--seeds", "1", "2", "3", "4", "5")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == (
+        "mean over 5 seeds: rho=+0.640 (size-only +0.221)  hit ours/B1/B5 = "
+        "0.50/0.20/0.38  picks ours/B1 = 1.73/2.70")
