@@ -6,7 +6,10 @@ src/, runs the CLI and the experiment scripts of this checkout on them, and
 prints one `sha256  name` line per output: each command's stdout, its stderr
 (with the temporary directory's path replaced by `<tmp>`) and every file it
 writes. Two checkouts that print the same lines write byte-identical
-outputs. Takes no options; see README for comparing a change with its parent.
+outputs. Every rank, calibrate and evaluate command runs twice, first without
+the registry's summary cache and then with the cache the first run left; the
+script exits non-zero if the two runs print differently. Takes no options;
+see README for comparing a change with its parent.
 """
 import hashlib
 import os
@@ -26,6 +29,9 @@ from p2l.io import ProfileRegistry, write_embeddings_bin, write_embeddings_csv  
 from p2l.summarize import profile_from_matrix  # noqa: E402
 
 KINDS = ("KL", "JSD", "CHI2", "EUC", "CITYBLOCK")
+# p2l.io.CACHE_NAME, spelled out so that this script also runs unchanged on a
+# checkout from before the cache, as the README's comparison does.
+CACHE_NAME = ".p2l-summaries.npz"
 
 
 def show(name: str, data: bytes) -> None:
@@ -37,19 +43,37 @@ def show_files(name: str, paths) -> None:
         show(f"{name}/{path.name}", path.read_bytes())
 
 
-def run(tmp: Path, name: str, *argv: str) -> None:
-    """Run `python argv...` in tmp and show its stdout and stderr; it must exit 0."""
+def execute(tmp: Path, name: str, *argv: str) -> tuple[bytes, bytes]:
+    """Run `python argv...` in tmp; it must exit 0. Return its stdout and its
+    stderr with tmp replaced by `<tmp>`."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, *argv], cwd=tmp, env=env,
                           capture_output=True)
     if proc.returncode != 0:
         sys.exit(f"{name} exited {proc.returncode}:\n{proc.stderr.decode()}")
-    show(f"{name} stdout", proc.stdout)
-    show(f"{name} stderr", proc.stderr.replace(str(tmp).encode(), b"<tmp>"))
+    return proc.stdout, proc.stderr.replace(str(tmp).encode(), b"<tmp>")
+
+
+def run(tmp: Path, name: str, *argv: str) -> None:
+    """Run `python argv...` in tmp and show its stdout and stderr."""
+    stdout, stderr = execute(tmp, name, *argv)
+    show(f"{name} stdout", stdout)
+    show(f"{name} stderr", stderr)
 
 
 def p2l(tmp: Path, name: str, *argv: str) -> None:
     run(tmp, name, "-m", "p2l.cli", *argv)
+
+
+def p2l_cold_warm(tmp: Path, name: str, *argv: str) -> None:
+    """Run a command without its registry's summary cache and show it, then
+    run it again on the cache the first run left; exit if the two differ."""
+    (tmp / argv[argv.index("--registry") + 1] / CACHE_NAME).unlink(missing_ok=True)
+    cold = execute(tmp, name, "-m", "p2l.cli", *argv)
+    show(f"{name} stdout", cold[0])
+    show(f"{name} stderr", cold[1])
+    if execute(tmp, name, "-m", "p2l.cli", *argv) != cold:
+        sys.exit(f"{name} printed differently with a warm summary cache")
 
 
 def simulate(tmp: Path) -> None:
@@ -83,19 +107,20 @@ def shelf_registry(tmp: Path) -> None:
 def registry_commands(tmp: Path) -> None:
     truth = "sim7/ground_truth.csv"
     for name, extra in (("default", ()), ("grid", ("--grid=-2:0:0.25", "--kinds", "KL,EUC"))):
-        p2l(tmp, f"calibrate-{name}", "calibrate", "--registry", "oracle",
-            "--truth", truth, "--out", f"grid-{name}.csv", *extra)
+        p2l_cold_warm(tmp, f"calibrate-{name}", "calibrate", "--registry", "oracle",
+                      "--truth", truth, "--out", f"grid-{name}.csv", *extra)
         show(f"grid-{name}.csv", (tmp / f"grid-{name}.csv").read_bytes())
     for kind, k in (("KL", "-1.0"), ("EUC", "-0.85")):
-        p2l(tmp, f"evaluate-{kind}", "evaluate", "--registry", "oracle", "--truth", truth,
-            "--distance", kind, "--k", k, "--reference", "dom01", "--seed", "3")
+        p2l_cold_warm(tmp, f"evaluate-{kind}", "evaluate", "--registry", "oracle",
+                      "--truth", truth, "--distance", kind, "--k", k,
+                      "--reference", "dom01", "--seed", "3")
     for kind in KINDS:
-        p2l(tmp, f"rank-oracle-{kind}", "rank", "--registry", "oracle",
-            "--target", "dom13", "--distance", kind, "--k", "-1.0", "--baselines",
-            "--seed", "3", "--reference", "dom01")
-        p2l(tmp, f"rank-shelf-{kind}", "rank", "--registry", "shelf",
-            "--target", "target.bin", "--distance", kind, "--k", "-0.5", "--baselines",
-            "--seed", "3", "--reference", "s007")
+        p2l_cold_warm(tmp, f"rank-oracle-{kind}", "rank", "--registry", "oracle",
+                      "--target", "dom13", "--distance", kind, "--k", "-1.0",
+                      "--baselines", "--seed", "3", "--reference", "dom01")
+        p2l_cold_warm(tmp, f"rank-shelf-{kind}", "rank", "--registry", "shelf",
+                      "--target", "target.bin", "--distance", kind, "--k", "-0.5",
+                      "--baselines", "--seed", "3", "--reference", "s007")
 
 
 def profile_files(tmp: Path) -> None:

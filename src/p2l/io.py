@@ -6,15 +6,17 @@ profiles are correctness-dominant and use decimal JSON text that round-trips
 """
 from __future__ import annotations
 
+import hashlib
 import json
+import locale
 import math
 import os
 import re
 import struct
-import tempfile
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import BinaryIO, Callable, Iterable
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from .errors import (
     NameCollision,
     NonFiniteValue,
     NotFound,
+    P2LError,
     RaggedRow,
     TruncatedFile,
     UnsupportedVersion,
@@ -40,6 +43,8 @@ BIN_VERSION = 1
 _BIN_HEAD = struct.Struct("<4sIIQB")  # magic, version, dim, count, id length
 _NAME_RE = re.compile(r"^[A-Za-z0-9_-]+$")
 MANIFEST_NAME = "manifest.json"
+CACHE_NAME = ".p2l-summaries.npz"
+CACHE_VERSION = 1
 IMPROVEMENTS_HEADER = "target,source,perf_transfer,perf_scratch"
 PROFILE_KEYS = ("name", "role", "size", "dim", "summarizer", "extractor_id",
                 "raw_mean", "summary")
@@ -50,17 +55,24 @@ def fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _atomic_write_text(path: Path, text: str, replace: bool = True) -> None:
-    """Write a temp file and move it to path in one step; without replace it
-    is hard-linked there, raising FileExistsError rather than clobbering."""
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name, suffix=".tmp")
+def _atomic_write(path: Path, write: Callable[[BinaryIO], object],
+                  replace: bool = True) -> None:
+    """Have write() fill a temp file, then move it to path in one step; without
+    replace it is hard-linked there, raising FileExistsError rather than
+    clobbering. The file's mode is 0o666 less the umask, as open() gives."""
+    tmp = path.with_name(f"{path.name}{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            write(fh)
         (os.replace if replace else os.link)(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def _atomic_write_text(path: Path, text: str, replace: bool = True) -> None:
+    _atomic_write(path, lambda fh: fh.write(text.encode()), replace)
 
 
 # -- embedding matrices ---------------------------------------------------------
@@ -165,9 +177,23 @@ def profile_to_dict(profile: DatasetProfile) -> dict:
         "summarizer": profile.summary.summarizer.label(),
         "extractor_id": profile.extractor_id,
         "normalized": True,
-        "raw_mean": [float(x) for x in profile.summary.raw_mean],
-        "summary": [float(x) for x in profile.summary.values],
+        "raw_mean": profile.summary.raw_mean.tolist(),
+        "summary": profile.summary.values.tolist(),
     }
+
+
+def profile_to_json(profile: DatasetProfile) -> str:
+    """The profile file's text: json.dumps(profile_to_dict(profile), indent=2)
+    plus a newline, byte for byte, without the pure-Python encoder that
+    indent selects."""
+    fields = []
+    for key, value in profile_to_dict(profile).items():
+        if isinstance(value, list):
+            text = "[\n    " + ",\n    ".join(map(float.__repr__, value)) + "\n  ]"
+        else:
+            text = json.dumps(value)
+        fields.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(fields) + "\n}\n"
 
 
 def profile_from_dict(doc) -> DatasetProfile:
@@ -190,11 +216,60 @@ def profile_from_dict(doc) -> DatasetProfile:
                           extractor_id=doc["extractor_id"], role=doc["role"])
 
 
+# Whatever a damaged, foreign or half-written cache file can make np.load,
+# json or the profile constructors raise.
+_CACHE_READ_ERRORS = (OSError, EOFError, AttributeError, KeyError, TypeError,
+                      ValueError, MemoryError, zipfile.BadZipFile, P2LError)
+
+
+def _read_summary_cache(path: Path) -> dict[str, DatasetProfile]:
+    """Profiles of a summary cache by the sha256 of the file they came from;
+    empty when the cache is missing or cannot be trusted whole."""
+    try:
+        with path.open("rb") as fh, np.load(fh, allow_pickle=False) as npz:
+            version, meta, offsets, values, raw = (
+                npz[key] for key in ("version", "meta", "offsets", "summary", "raw_mean"))
+        if version.tolist() != CACHE_VERSION:
+            return {}
+        entries = json.loads(meta.tobytes())
+        if not (offsets.dtype == np.int64 and values.dtype == raw.dtype == np.float64
+                and offsets.shape == (len(entries) + 1,) and offsets[0] == 0
+                and values.shape == raw.shape == (offsets[-1],)):
+            return {}
+        cached = {}
+        for (key, name, size, role, label, extractor_id), lo, hi in zip(
+                entries, offsets[:-1].tolist(), offsets[1:].tolist()):
+            summary = SummaryVector(values=values[lo:hi], raw_mean=raw[lo:hi],
+                                    summarizer=Summarizer.parse(label))
+            cached[key] = DatasetProfile(name=name, size=size, summary=summary,
+                                         extractor_id=extractor_id, role=role)
+        return cached
+    except _CACHE_READ_ERRORS:
+        return {}
+
+
+def _write_summary_cache(fh: BinaryIO, profiles: dict[str, DatasetProfile]) -> None:
+    """The stacked form _read_summary_cache reads: one meta entry per profile,
+    its vectors concatenated, profile i's at offsets[i]:offsets[i + 1]."""
+    entries = [[key, p.name, p.size, p.role, p.summary.summarizer.label(), p.extractor_id]
+               for key, p in profiles.items()]
+    summaries = [p.summary for p in profiles.values()]
+    np.savez(fh, version=np.array(CACHE_VERSION),
+             meta=np.frombuffer(json.dumps(entries).encode(), dtype=np.uint8),
+             offsets=np.cumsum([0] + [s.dim for s in summaries], dtype=np.int64),
+             summary=np.concatenate([np.empty(0)] + [s.values for s in summaries]),
+             raw_mean=np.concatenate([np.empty(0)] + [s.raw_mean for s in summaries]))
+
+
 @dataclass
 class ProfileRegistry:
     """Directory of '<name>.profile.json' files plus a format manifest.
 
     Writes are atomic (temp file, then rename or link); listing is sorted.
+    load_all keeps a derived summary cache beside the profiles (CACHE_NAME):
+    a stacked copy of every profile it loaded, keyed by the sha256 of the
+    profile file's bytes, so that a profile whose bytes it has seen is not
+    parsed again. The JSON files stay the only source of truth.
     """
 
     root: Path
@@ -222,9 +297,8 @@ class ProfileRegistry:
 
     def save(self, profile: DatasetProfile, overwrite: bool = False) -> None:
         path = self._path(profile.name)
-        text = json.dumps(profile_to_dict(profile), indent=2) + "\n"
         try:
-            _atomic_write_text(path, text, replace=overwrite)
+            _atomic_write_text(path, profile_to_json(profile), replace=overwrite)
         except FileExistsError:
             raise NameCollision(f"profile {profile.name!r} already exists") from None
 
@@ -240,7 +314,35 @@ class ProfileRegistry:
         return sorted(p.name[:-len(suffix)] for p in self.root.glob(f"*{suffix}"))
 
     def load_all(self) -> list[DatasetProfile]:
-        return [self.load(name) for name in self.names()]
+        """Every profile, in names() order, each parsed from its file unless
+        the summary cache holds an entry for exactly the file's bytes.
+
+        The cache is rewritten when an entry was missed or dropped. A cache
+        that cannot be read or written changes nothing but the time taken.
+        """
+        cache = self.root / CACHE_NAME
+        cached = _read_summary_cache(cache)
+        loaded: dict[str, DatasetProfile] = {}
+        profiles = []
+        for name in self.names():
+            try:
+                data = self._path(name).read_bytes()
+            except FileNotFoundError:
+                raise NotFound(f"no profile named {name!r} in {self.root}") from None
+            key = hashlib.sha256(data).hexdigest()
+            profile = cached.get(key)
+            if profile is None:
+                # Decoded as load()'s read_text decodes.
+                text = data.decode(locale.getpreferredencoding(False))
+                profile = profile_from_dict(json.loads(text))
+            loaded[key] = profile
+            profiles.append(profile)
+        if loaded.keys() != cached.keys():
+            try:
+                _atomic_write(cache, lambda fh: _write_summary_cache(fh, loaded))
+            except OSError:
+                pass  # a read-only registry loads from JSON every time
+        return profiles
 
 
 # -- ground-truth interchange -------------------------------------------------------

@@ -1,4 +1,5 @@
 import csv
+import errno
 import io as stdlib_io
 import json
 import os
@@ -14,8 +15,8 @@ from p2l import oracle
 from p2l.calibrate import tune_k
 from p2l.cli import main
 from p2l.core import EmbeddingMatrix
-from p2l.io import ProfileRegistry, fmt, write_embeddings_bin, write_embeddings_csv, \
-    write_improvements_csv
+from p2l.io import CACHE_NAME, ProfileRegistry, fmt, write_embeddings_bin, \
+    write_embeddings_csv, write_improvements_csv
 from p2l.core import ImprovementRecord
 
 
@@ -274,6 +275,97 @@ class TestRankCommand:
         assert out == ""
         assert err.startswith("p2l: error:") and err.count("\n") == 1
 
+
+class TestSummaryCache:
+    """rank reads the registry through its summary cache; no output may show it."""
+
+    def rank(self, capsys, registry_dir, target, *extra):
+        return run(capsys, "rank", "--target", str(target), "--registry", registry_dir,
+                   "--k", "-1", *extra)
+
+    def cold_rank(self, capsys, registry_dir, target, *extra):
+        (Path(registry_dir) / CACHE_NAME).unlink(missing_ok=True)
+        return self.rank(capsys, registry_dir, target, *extra)
+
+    def test_cold_and_warm_rank_print_the_same(self, capsys, tmp_path, registry_dir):
+        target = seed_registry(tmp_path, registry_dir)
+        assert not (Path(registry_dir) / CACHE_NAME).exists()
+        extra = ("--baselines", "--reference", "mid", "--seed", "3")
+        cold = self.rank(capsys, registry_dir, target, *extra)
+        assert (Path(registry_dir) / CACHE_NAME).exists()
+        assert self.rank(capsys, registry_dir, target, *extra) == cold
+        assert cold[0] == 0 and cold[1].count("\n") == 8
+
+    def test_same_length_force_rewrite_is_ranked(self, capsys, tmp_path, registry_dir):
+        # Every value is a short exact binary fraction, and the rewrite only
+        # permutes them, so the profile file keeps its byte length.
+        for name, row in (("a", [1.0, 3.0, 2.0, 2.0]), ("b", [2.0, 2.0, 1.0, 3.0])):
+            write_embeddings(tmp_path / f"{name}.csv", [row])
+            assert main(["profile", "--input", str(tmp_path / f"{name}.csv"),
+                         "--name", name, "--registry", registry_dir]) == 0
+        target = tmp_path / "t.csv"
+        write_embeddings(target, [[1.0, 3.0, 2.0, 2.0]])
+        before = self.rank(capsys, registry_dir, target)
+        path = Path(registry_dir) / "a.profile.json"
+        stamp = path.stat()
+        write_embeddings(tmp_path / "a.csv", [[3.0, 1.0, 2.0, 2.0]])
+        assert main(["profile", "--input", str(tmp_path / "a.csv"), "--name", "a",
+                     "--registry", registry_dir, "--force"]) == 0
+        os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
+        assert path.stat().st_size == stamp.st_size
+        after = self.rank(capsys, registry_dir, target)
+        assert after != before
+        assert after == self.cold_rank(capsys, registry_dir, target)
+
+    def test_deleted_profile_leaves_the_ranking(self, capsys, tmp_path, registry_dir):
+        target = seed_registry(tmp_path, registry_dir)
+        assert "big_far" in self.rank(capsys, registry_dir, target)[1]
+        (Path(registry_dir) / "big_far.profile.json").unlink()
+        code, out, _ = self.rank(capsys, registry_dir, target)
+        assert code == 0 and "big_far" not in out
+        assert (code, out) == self.cold_rank(capsys, registry_dir, target)[:2]
+
+    def test_profile_corrupted_after_caching_exits_2(self, capsys, tmp_path,
+                                                     registry_dir):
+        target = seed_registry(tmp_path, registry_dir)
+        assert self.rank(capsys, registry_dir, target)[0] == 0
+        path = Path(registry_dir) / "mid.profile.json"
+        path.write_text(path.read_text()[:-10])
+        code, out, err = self.rank(capsys, registry_dir, target)
+        assert (code, out) == (2, "")
+        assert err.startswith("p2l: error:") and err.count("\n") == 1
+
+    def test_read_only_registry_ranks(self, capsys, tmp_path, registry_dir,
+                                      monkeypatch):
+        target = seed_registry(tmp_path, registry_dir)
+        expected = self.cold_rank(capsys, registry_dir, target)
+        (Path(registry_dir) / CACHE_NAME).unlink()
+        real_open = os.open
+
+        def read_only(path, *args, **kwargs):
+            # The mode bits alone do not stop a superuser from writing.
+            if str(path).startswith(registry_dir):
+                raise PermissionError(errno.EROFS, "read-only file system", path)
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", read_only)
+        os.chmod(registry_dir, 0o555)
+        try:
+            assert self.rank(capsys, registry_dir, target) == expected
+            assert self.rank(capsys, registry_dir, target) == expected
+        finally:
+            os.chmod(registry_dir, 0o755)
+        assert not (Path(registry_dir) / CACHE_NAME).exists()
+
+    def test_mixed_dimensions_keep_their_error(self, capsys, tmp_path, registry_dir):
+        for name, dim in (("a", 4), ("b", 3)):
+            write_embeddings(tmp_path / f"{name}.csv", np.ones((2, dim)))
+            assert main(["profile", "--input", str(tmp_path / f"{name}.csv"),
+                         "--name", name, "--registry", registry_dir]) == 0
+        cold = self.rank(capsys, registry_dir, tmp_path / "a.csv")
+        assert cold == (2, "", "p2l: error: source 'b' has dim 3, target has 4\n")
+        assert (Path(registry_dir) / CACHE_NAME).exists()
+        assert self.rank(capsys, registry_dir, tmp_path / "a.csv") == cold
 
 class TestCalibrateAndEvaluate:
     def seed_truth(self, tmp_path, registry_dir):

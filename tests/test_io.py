@@ -1,11 +1,17 @@
+import hashlib
 import json
 import math
 import multiprocessing
+import os
+import stat
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from p2l.core import DatasetProfile, EmbeddingMatrix, Summarizer, SummaryVector
 from p2l.errors import (
@@ -23,8 +29,12 @@ from p2l.errors import (
     UnsupportedVersion,
 )
 from p2l.io import (
+    CACHE_NAME,
     ProfileRegistry,
     group_records_by_target,
+    profile_from_dict,
+    profile_to_dict,
+    profile_to_json,
     read_embeddings_bin,
     read_embeddings_csv,
     read_improvements_csv,
@@ -56,6 +66,64 @@ def _save_after_barrier(root, seed, barrier, results):
     except NameCollision:
         results.put((seed, "collision"))
 
+
+
+def _alternate_saves(root, versions, rounds):
+    """Worker: overwrite profile 'alpha' with each version in turn."""
+    registry = ProfileRegistry(Path(root))
+    for i in range(rounds):
+        registry.save(versions[i % len(versions)], overwrite=True)
+
+
+def _load_repeatedly(root, rounds):
+    """Worker: load the whole registry, reading and rewriting its cache."""
+    registry = ProfileRegistry(Path(root))
+    for _ in range(rounds):
+        registry.load_all()
+
+
+def make_profile(name, values, raw_mean, summarizer=Summarizer.mean(), size=10,
+                 extractor="ext", role="source"):
+    values = np.asarray(values, dtype=float)
+    summary = SummaryVector(values=values / values.sum(), raw_mean=raw_mean,
+                            summarizer=summarizer)
+    return DatasetProfile(name, size, summary, extractor, role)
+
+
+@st.composite
+def profiles(draw, name=st.from_regex(r"[A-Za-z0-9_-]{1,12}", fullmatch=True)):
+    """Random valid profiles: either role and summarizer, d from 1 to 512,
+    any extractor id, raw means over the whole float range."""
+    d = draw(st.integers(1, 512))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw_mean = rng.standard_normal(d) * 10.0 ** rng.integers(-300, 300, d)
+    raw_mean[0] = draw(st.sampled_from([0.0, -0.0, 5e-324, -1.7976931348623157e308,
+                                        1.0 / 3.0, float(raw_mean[0])]))
+    summarizer = draw(st.one_of(
+        st.just(Summarizer.mean()),
+        st.floats(0.0, 0.5, exclude_max=True).map(Summarizer.trimmed)))
+    return make_profile(draw(name), rng.dirichlet(np.full(d, 0.5)), raw_mean,
+                        summarizer=summarizer, size=draw(st.integers(1, 2**63)),
+                        extractor=draw(st.text(min_size=1, max_size=20)),
+                        role=draw(st.sampled_from(["source", "target"])))
+
+
+def assert_same_profiles(got, want):
+    """Field for field, and every vector bit for bit."""
+    assert len(got) == len(want)
+    for p, q in zip(got, want):
+        assert (p.name, p.size, p.role, p.extractor_id, p.summary.summarizer) == \
+               (q.name, q.size, q.role, q.extractor_id, q.summary.summarizer)
+        assert type(p.size) is type(q.size)
+        for a, b in ((p.summary.values, q.summary.values),
+                     (p.summary.raw_mean, q.summary.raw_mean)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def json_only(root):
+    """What load_all must return: every profile parsed from its JSON file."""
+    registry = ProfileRegistry(Path(root))
+    return [registry.load(name) for name in registry.names()]
 
 class TestEmbeddingsCsv:
     def test_round_trip(self, tmp_path):
@@ -270,6 +338,219 @@ class TestRegistry:
             path.write_text(json.dumps({**doc, "normalized": flag}))
             with pytest.raises(UnsupportedVersion):
                 reg.load("alpha")
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_files_get_the_mode_the_umask_allows(self, tmp_path, umask, mode):
+        old = os.umask(umask)
+        try:
+            reg = ProfileRegistry.open(tmp_path / "reg")
+            reg.save(self.profile())
+            reg.load_all()
+        finally:
+            os.umask(old)
+        for name in ("manifest.json", "alpha.profile.json", CACHE_NAME):
+            assert stat.S_IMODE((tmp_path / "reg" / name).stat().st_mode) == mode
+
+    def test_save_writes_profile_to_json(self, tmp_path):
+        reg = ProfileRegistry.open(tmp_path / "reg")
+        p = self.profile()
+        reg.save(p)
+        assert (tmp_path / "reg" / "alpha.profile.json").read_text() == \
+            profile_to_json(p)
+
+
+class TestProfileJson:
+    @settings(max_examples=150, deadline=None)
+    @given(profile=profiles(name=st.text(min_size=1, max_size=12)))
+    def test_same_bytes_as_json_dumps_with_indent(self, profile):
+        assert profile_to_json(profile) == \
+            json.dumps(profile_to_dict(profile), indent=2) + "\n"
+
+
+class TestSummaryCache:
+    def registry(self, tmp_path, n=3):
+        reg = ProfileRegistry.open(tmp_path / "reg")
+        for i in range(n):
+            reg.save(profile_from_matrix(f"p{i}", random_matrix(i, d=3 + i), size=5 + i))
+        return reg
+
+    def no_parsing(self, monkeypatch):
+        def refuse(doc):
+            raise AssertionError("parsed a profile the cache holds")
+        monkeypatch.setattr("p2l.io.profile_from_dict", refuse)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(profiles(), min_size=1, max_size=6,
+                    unique_by=lambda p: p.name))
+    def test_warm_load_equals_load_without_cache(self, saved):
+        with tempfile.TemporaryDirectory() as name:
+            reg = ProfileRegistry.open(name)
+            for profile in saved:
+                reg.save(profile)
+            reg.load_all()
+            assert (reg.root / CACHE_NAME).exists()
+            warm = reg.load_all()
+            (reg.root / CACHE_NAME).unlink()
+            assert_same_profiles(warm, reg.load_all())
+            assert_same_profiles(warm, json_only(reg.root))
+
+    def test_warm_load_parses_nothing_and_rewrites_nothing(self, tmp_path,
+                                                           monkeypatch):
+        reg = self.registry(tmp_path)
+        cold = reg.load_all()
+        before = (reg.root / CACHE_NAME).stat()
+        self.no_parsing(monkeypatch)
+        assert_same_profiles(reg.load_all(), cold)
+        after = (reg.root / CACHE_NAME).stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+    def test_only_the_missed_profile_is_parsed(self, tmp_path, monkeypatch):
+        reg = self.registry(tmp_path)
+        reg.load_all()
+        reg.save(profile_from_matrix("new", random_matrix(9)))
+        expected = json_only(reg.root)
+        parsed = []
+        monkeypatch.setattr(
+            "p2l.io.profile_from_dict",
+            lambda doc: parsed.append(doc["name"]) or profile_from_dict(doc))
+        assert_same_profiles(reg.load_all(), expected)
+        assert parsed == ["new"]
+        self.no_parsing(monkeypatch)
+        assert_same_profiles(reg.load_all(), expected)
+
+    def test_same_length_rewrite_in_the_same_tick_is_seen(self, tmp_path):
+        reg = ProfileRegistry.open(tmp_path / "reg")
+        before = make_profile("alpha", [1.0, 3.0], [1.0, 3.0])
+        after = make_profile("alpha", [3.0, 1.0], [3.0, 1.0])
+        reg.save(before)
+        path = reg.root / "alpha.profile.json"
+        stamp = path.stat()
+        reg.load_all()
+        reg.save(after, overwrite=True)
+        os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
+        assert path.stat().st_size == stamp.st_size
+        assert_same_profiles(reg.load_all(), [after])
+
+    def test_deleted_profile_is_dropped(self, tmp_path, monkeypatch):
+        reg = self.registry(tmp_path)
+        reg.load_all()
+        (reg.root / "p1.profile.json").unlink()
+        assert [p.name for p in reg.load_all()] == ["p0", "p2"]
+        self.no_parsing(monkeypatch)
+        assert [p.name for p in reg.load_all()] == ["p0", "p2"]
+
+    @pytest.mark.parametrize("damage", [
+        "truncated", "empty", "random", "bit_flip", "version", "missing_array",
+        "short_offsets", "offsets_past_end", "offsets_not_increasing",
+        "vector_lengths_differ", "float32_vectors", "entry_not_a_summary"])
+    def test_damaged_cache_falls_back_to_json(self, tmp_path, monkeypatch, damage):
+        reg = self.registry(tmp_path)
+        reg.load_all()
+        cache = reg.root / CACHE_NAME
+        data = cache.read_bytes()
+        with np.load(cache) as npz:
+            arrays = dict(npz)
+        offsets, values = arrays["offsets"], arrays["summary"]
+        if damage == "truncated":
+            cache.write_bytes(data[:len(data) // 2])
+        elif damage == "empty":
+            cache.write_bytes(b"")
+        elif damage == "random":
+            cache.write_bytes(np.random.default_rng(0).bytes(len(data)))
+        elif damage == "bit_flip":
+            flipped = bytearray(data)
+            flipped[data.index(values[:2].tobytes())] ^= 0x01
+            cache.write_bytes(bytes(flipped))
+        else:
+            if damage == "version":
+                arrays["version"] = np.array(2)
+            elif damage == "missing_array":
+                del arrays["raw_mean"]
+            elif damage == "short_offsets":
+                arrays["offsets"] = offsets[:-1]
+            elif damage == "offsets_past_end":
+                arrays["offsets"] = offsets + np.array([0, 0, 0, 1])
+            elif damage == "offsets_not_increasing":
+                arrays["offsets"] = np.array([0, 4, 3, offsets[-1]])
+            elif damage == "vector_lengths_differ":
+                arrays["raw_mean"] = arrays["raw_mean"][:-1]
+            elif damage == "float32_vectors":
+                arrays["summary"] = values.astype(np.float32)
+            elif damage == "entry_not_a_summary":
+                arrays["summary"] = values * 2.0
+            with cache.open("wb") as fh:
+                np.savez(fh, **arrays)
+        expected = json_only(reg.root)
+        assert_same_profiles(reg.load_all(), expected)
+        # The damaged cache was replaced by a good one.
+        self.no_parsing(monkeypatch)
+        assert_same_profiles(reg.load_all(), expected)
+
+    def test_profile_corrupted_after_caching_is_refused(self, tmp_path):
+        reg = self.registry(tmp_path)
+        reg.load_all()
+        path = reg.root / "p1.profile.json"
+        path.write_text(path.read_text().replace('"dim"', '"dims"'))
+        with pytest.raises(BadHeader):
+            reg.load_all()
+
+    def test_unwritable_cache_loads_from_json(self, tmp_path, monkeypatch):
+        reg = self.registry(tmp_path)
+
+        def read_only(*args, **kwargs):
+            raise PermissionError("read-only file system")
+
+        monkeypatch.setattr("p2l.io.os.open", read_only)
+        assert_same_profiles(reg.load_all(), json_only(reg.root))
+        assert not (reg.root / CACHE_NAME).exists()
+
+    def test_mixed_dimensions_round_trip(self, tmp_path, monkeypatch):
+        reg = self.registry(tmp_path, n=4)
+        assert sorted({p.summary.dim for p in reg.load_all()}) == [3, 4, 5, 6]
+        expected = json_only(reg.root)
+        self.no_parsing(monkeypatch)
+        assert_same_profiles(reg.load_all(), expected)
+
+    def test_save_between_hash_and_parse_leaves_no_stale_entry(self, tmp_path,
+                                                                monkeypatch):
+        reg = ProfileRegistry.open(tmp_path / "reg")
+        first = make_profile("alpha", [1.0, 3.0], [1.0, 3.0])
+        second = make_profile("alpha", [3.0, 1.0], [3.0, 1.0])
+        reg.save(first)
+        sha256 = hashlib.sha256
+
+        def hash_then_save(data):
+            # Another process replaces the file right after load_all hashed it.
+            monkeypatch.setattr(hashlib, "sha256", sha256)
+            reg.save(second, overwrite=True)
+            return sha256(data)
+
+        monkeypatch.setattr(hashlib, "sha256", hash_then_save)
+        assert_same_profiles(reg.load_all(), [first])
+        assert_same_profiles(reg.load_all(), [second])
+        reg.save(first, overwrite=True)
+        assert_same_profiles(reg.load_all(), [first])
+
+    def test_saves_racing_loads_leave_no_stale_entry(self, tmp_path):
+        reg = self.registry(tmp_path)
+        d = 500
+        versions = [make_profile("alpha", np.arange(1.0, d + 1), np.arange(1.0, d + 1)),
+                    make_profile("alpha", np.arange(d, 0.0, -1), np.arange(d, 0.0, -1))]
+        reg.save(versions[0])
+        ctx = multiprocessing.get_context("fork")
+        workers = [ctx.Process(target=_alternate_saves, args=(reg.root, versions, 400))]
+        workers += [ctx.Process(target=_load_repeatedly, args=(reg.root, 40))
+                    for _ in range(3)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+        assert [w.exitcode for w in workers] == [0, 0, 0, 0]
+        assert_same_profiles(reg.load_all(), json_only(reg.root))
+        # Whatever the racing loads cached, each version's bytes map to it.
+        for version in versions + versions:
+            reg.save(version, overwrite=True)
+            assert_same_profiles(reg.load_all()[:1], [version])
 
 
 class TestImprovementsCsv:

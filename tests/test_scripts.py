@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import p2l
+from p2l.io import CACHE_NAME
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -47,3 +48,9 @@ def test_oracle_study_headline():
     assert result.stdout.splitlines()[-1] == (
         "mean over 5 seeds: rho=+0.640 (size-only +0.221)  hit ours/B1/B5 = "
         "0.50/0.20/0.38  picks ours/B1 = 1.73/2.70")
+
+
+def test_output_digest_deletes_the_cache_p2l_keeps():
+    # The script spells the name out so that it also runs on older checkouts.
+    text = (SCRIPTS / "output_digest.py").read_text()
+    assert f'\nCACHE_NAME = "{CACHE_NAME}"\n' in text
