@@ -5,7 +5,7 @@ Builds its fixtures in a temporary directory with this checkout's own
 src/, runs the CLI and the experiment scripts of this checkout on them, and
 prints one `sha256  name` line per output: each command's stdout, its stderr
 (with the temporary directory's path replaced by `<tmp>`) and every file it
-writes. Two checkouts that print the same lines write byte-identical
+writes (for merge, the merged profile). Two checkouts that print the same lines write byte-identical
 outputs. Every rank, calibrate and evaluate command runs twice, first without
 the registry's summary cache and then with the cache the first run left; the
 script exits non-zero if the two runs print differently. Takes no options;
@@ -114,6 +114,11 @@ def registry_commands(tmp: Path) -> None:
         p2l_cold_warm(tmp, f"evaluate-{kind}", "evaluate", "--registry", "oracle",
                       "--truth", truth, "--distance", kind, "--k", k,
                       "--reference", "dom01", "--seed", "3")
+    # Without --reference and --seed the B2 and B3 baselines do not run.
+    p2l_cold_warm(tmp, "evaluate-bare", "evaluate", "--registry", "oracle",
+                  "--truth", truth, "--k", "-1.0")
+    p2l_cold_warm(tmp, "rank-oracle-bare", "rank", "--registry", "oracle",
+                  "--target", "dom13", "--k", "-1.0", "--baselines")
     for kind in KINDS:
         p2l_cold_warm(tmp, f"rank-oracle-{kind}", "rank", "--registry", "oracle",
                       "--target", "dom13", "--distance", kind, "--k", "-1.0",
@@ -121,6 +126,10 @@ def registry_commands(tmp: Path) -> None:
         p2l_cold_warm(tmp, f"rank-shelf-{kind}", "rank", "--registry", "shelf",
                       "--target", "target.bin", "--distance", kind, "--k", "-0.5",
                       "--baselines", "--seed", "3", "--reference", "s007")
+    # Last, as it adds a profile to the shelf.
+    p2l(tmp, "merge", "merge", "--registry", "shelf", "--name", "s-merged",
+        "--members", "s000,s001,s002")
+    show_files("shelf", [tmp / "shelf" / "s-merged.profile.json"])
 
 
 def profile_files(tmp: Path) -> None:

@@ -22,7 +22,6 @@ from .core import (
 from .calibrate import (
     DEFAULT_K_GRID,
     EvaluationConfig,
-    gain_table,
     picks_to_best,
     spearman_rho,
     tune_k,
@@ -30,6 +29,7 @@ from .calibrate import (
 from .divergence import distance, distances
 from .estimator import (
     baseline_ranking,
+    baseline_rankings,
     check_candidates,
     merge_profiles,
     score_sources,
@@ -56,10 +56,10 @@ __all__ = [
     "SummaryVector",
     "DEFAULT_K_GRID",
     "baseline_ranking",
+    "baseline_rankings",
     "check_candidates",
     "distance",
     "distances",
-    "gain_table",
     "merge_profiles",
     "picks_to_best",
     "profile_from_matrix",

@@ -17,6 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import (
+    DEFAULT_EPSILON,
     CalibrationReport,
     DatasetProfile,
     DivergenceKind,
@@ -31,14 +32,12 @@ from .errors import (
     DegenerateConstantInput,
     DuplicateSourceName,
     LengthMismatch,
-    MissingRecord,
     TooFewSources,
     UnknownSource,
     ZeroDenominator,
 )
-from .estimator import (active_baselines, baseline_ranking, check_candidates,
-                        score_sources, zscale)
-from .io import fmt, group_records_by_target
+from .estimator import baseline_rankings, check_candidates, score_sources, zscale
+from .io import fmt
 
 # k in [-3, 0] by steps of 0.05; distance works against size, so k <= 0.
 DEFAULT_K_GRID: tuple[float, ...] = tuple(round(-3.0 + 0.05 * i, 2) for i in range(61))
@@ -54,7 +53,7 @@ class EvaluationConfig:
 
     k_grid: tuple[float, ...] = DEFAULT_K_GRID
     distance_kinds: tuple[DivergenceKind, ...] = tuple(DivergenceKind)
-    epsilon: float = 1e-6
+    epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
         k_grid = tuple(float(k) for k in self.k_grid)
@@ -86,8 +85,7 @@ def spearman_rho(a, b) -> float:
         raise LengthMismatch("need at least two observations")
     if np.all(a == a[0]) or np.all(b == b[0]):
         raise DegenerateConstantInput("rank correlation of a constant list is undefined")
-    rho = float(_rank_correlations(a[None, :], average_ranks(b))[0])
-    return min(1.0, max(-1.0, rho))
+    return float(_rank_correlations(a[None, :], average_ranks(b))[0])
 
 
 def _row_ranks(x: np.ndarray) -> np.ndarray:
@@ -125,12 +123,20 @@ def _rank_correlations(scores: np.ndarray, outcome_ranks: np.ndarray) -> np.ndar
     return np.clip(c[:, 0, 1] / np.sqrt(c[:, 0, 0]) / np.sqrt(c[:, 1, 1]), -1, 1)
 
 
-def spearman_or_zero(a, b) -> float:
-    """spearman_rho, but a constant side counts as zero rank information."""
-    try:
-        return spearman_rho(a, b)
-    except DegenerateConstantInput:
-        return 0.0
+def spearman_or_zero(scores, improvements) -> np.ndarray:
+    """spearman_rho of each score row against the improvements, bit for bit,
+    except that a constant row or constant improvements count as rho 0: no
+    rank information."""
+    scores = np.asarray(scores, dtype=np.float64)
+    improvements = np.asarray(improvements, dtype=np.float64)
+    if scores.ndim != 2 or improvements.shape != scores.shape[1:]:
+        raise LengthMismatch(f"score rows must align with the improvements, got "
+                             f"{scores.shape} vs {improvements.shape}")
+    rho = np.zeros(len(scores))
+    if not np.all(improvements == improvements[0]):
+        varied = ~np.all(scores == scores[:, :1], axis=1)
+        rho[varied] = _rank_correlations(scores[varied], average_ranks(improvements))
+    return rho
 
 
 def tune_k(training_tasks: Sequence[TrainingTask],
@@ -169,12 +175,8 @@ def tune_k(training_tasks: Sequence[TrainingTask],
                             for kind in cfg.distance_kinds])
         # One row per grid cell, in grid order: k-major, kind-minor.
         scores = (z_logs + ks[:, None, None] * z_dists).reshape(-1, len(candidates))
-        rho = np.zeros(len(scores))
-        improvements = np.array([r.improvement for r in records])
-        if not np.all(improvements == improvements[0]):
-            varied = ~np.all(scores == scores[:, :1], axis=1)
-            rho[varied] = _rank_correlations(scores[varied], average_ranks(improvements))
-        task_rhos[target.name] = [min(1.0, max(-1.0, r)) for r in rho.tolist()]
+        task_rhos[target.name] = spearman_or_zero(
+            scores, [r.improvement for r in records]).tolist()
 
     cells = [(k, kind) for k in cfg.k_grid for kind in cfg.distance_kinds]
     return CalibrationReport(tuple(
@@ -202,44 +204,6 @@ def picks_to_best(ranking: Sequence[str], best_true: str) -> int:
     return ranking.index(best_true) + 1
 
 
-def gain_table(records: Sequence[ImprovementRecord],
-               selections: Mapping[str, str | None]) -> dict[str, float]:
-    """Relative gain of P2L's pick over each method: (perf(P2L) - perf(m)) / perf(m).
-
-    The records are one target's, valid for group_records_by_target. A method
-    selecting None means no transfer, scored at the from-scratch performance.
-    """
-    if not records:
-        raise MissingRecord("no ground-truth records for this target")
-    grouped = group_records_by_target(records)
-    if len(grouped) != 1:
-        raise ValueError("gain_table records must share one target")
-    [(target, recs)] = grouped.items()
-    by_source = {r.source_name: r for r in recs}
-    scratch = recs[0].perf_scratch
-
-    def perf(selection: str | None) -> float:
-        if selection is None:
-            return scratch
-        if selection not in by_source:
-            raise MissingRecord(
-                f"selected source {selection!r} has no record for target {target!r}")
-        return by_source[selection].perf_transfer
-
-    if "P2L" not in selections:
-        raise MissingRecord("no selection recorded for 'P2L'")
-    p2l_perf = perf(selections["P2L"])
-    gains = {}
-    for method, selection in selections.items():
-        if method == "P2L":
-            continue
-        denom = perf(selection)
-        if denom == 0.0:
-            raise ZeroDenominator(f"method {method!r} has zero performance")
-        gains[method] = (p2l_perf - denom) / denom
-    return gains
-
-
 def best_source(records: Sequence[ImprovementRecord]) -> str:
     """The truly best source: largest improvement, ties to the smaller name."""
     return min(records, key=lambda r: (-r.improvement, r.source_name)).source_name
@@ -252,7 +216,7 @@ class MethodOutcome:
     method: str
     selection: str | None      # None: no transfer (B4)
     perf: float                # perf_transfer of the pick, perf_scratch for None
-    gain_vs_p2l: float         # gain_table's (perf(P2L) - perf) / perf; 0 for P2L
+    gain_vs_p2l: float         # (perf(P2L) - perf) / perf; 0 for P2L
     picks_to_best: int | None  # None for B4, which ranks nothing
 
 
@@ -263,31 +227,32 @@ def compare_methods(target: DatasetProfile, records: Sequence[ImprovementRecord]
                     ) -> tuple[list[ScoredSource], dict[str, MethodOutcome]]:
     """Run every selection method on one target and score it against its records.
 
-    The candidates are the pool sources the records name, in record order.
-    Methods run in the order P2L, B1, B2 (only with a reference), B3 (only
-    with a seed), B4, B5. Returns P2L's scored candidates and each method's
-    outcome keyed by method.
+    The records are the target's, as group_records_by_target gives them; the
+    candidates are the pool sources they name, in record order. Methods run
+    in the order P2L, then baseline_rankings'. A method's perf is its pick's
+    perf_transfer, perf_scratch for no transfer (B4). Returns P2L's scored
+    candidates and each method's outcome keyed by method.
     """
     candidates = _candidates(target.name, records, pool)
     scored = score_sources(target, candidates, cfg,
                            allow_mixed_extractors=allow_mixed_extractors)
-    rankings: dict[str, list[str] | None] = {"P2L": [s.source_name for s in scored]}
-    for kind in active_baselines(reference_name, rng_seed):
-        rankings[kind] = baseline_ranking(
-            kind, target, candidates, cfg, reference_name=reference_name,
-            rng_seed=rng_seed, allow_mixed_extractors=allow_mixed_extractors)
-    selections = {m: None if rk is None else rk[0] for m, rk in rankings.items()}
-    gains = gain_table(records, selections)
-    perf = {r.source_name: r.perf_transfer for r in records}
+    rankings = {"P2L": [s.source_name for s in scored],
+                **baseline_rankings(target, candidates, cfg, reference_name, rng_seed,
+                                    allow_mixed_extractors)}
+    transfer = {r.source_name: r.perf_transfer for r in records}
     best = best_source(records)
-    return scored, {
-        m: MethodOutcome(
-            method=m, selection=chosen,
-            perf=records[0].perf_scratch if chosen is None else perf[chosen],
-            gain_vs_p2l=gains.get(m, 0.0),
-            picks_to_best=(None if rankings[m] is None
-                           else picks_to_best(rankings[m], best)))
-        for m, chosen in selections.items()}
+    p2l_perf = transfer[scored[0].source_name]
+    outcomes = {}
+    for method, ranking in rankings.items():
+        chosen = None if ranking is None else ranking[0]
+        perf = records[0].perf_scratch if chosen is None else transfer[chosen]
+        if method != "P2L" and perf == 0.0:
+            raise ZeroDenominator(f"method {method!r} has zero performance")
+        outcomes[method] = MethodOutcome(
+            method=method, selection=chosen, perf=perf,
+            gain_vs_p2l=0.0 if method == "P2L" else (p2l_perf - perf) / perf,
+            picks_to_best=None if ranking is None else picks_to_best(ranking, best))
+    return scored, outcomes
 
 
 def selection_row(target_name: str, outcome: MethodOutcome) -> str:

@@ -11,7 +11,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import estimator, oracle
+from . import oracle
 from .calibrate import (
     DEFAULT_K_GRID,
     SELECTIONS_HEADER,
@@ -21,9 +21,9 @@ from .calibrate import (
     tune_k,
     write_grid_csv,
 )
-from .core import DivergenceKind, EstimatorConfig, Summarizer
+from .core import DEFAULT_EPSILON, DivergenceKind, EstimatorConfig, Summarizer
 from .errors import InputError, ReferentialError, StateError
-from .estimator import merge_profiles, score_sources
+from .estimator import BASELINES, baseline_rankings, merge_profiles, score_sources
 from .io import (
     ProfileRegistry,
     fmt,
@@ -116,14 +116,11 @@ def cmd_rank(args) -> int:
                            allow_mixed_extractors=args.allow_mixed_extractors)
     picks = {}
     if args.baselines:
-        active = estimator.active_baselines(args.reference, args.seed)
-        for kind in ("B1", "B2", "B3", "B5"):
-            # Looked up through the module so a wrapper installed on
-            # p2l.estimator.baseline_ranking sees this call.
-            picks[kind] = "" if kind not in active else estimator.baseline_ranking(
-                kind, target, candidates, cfg,
-                reference_name=args.reference, rng_seed=args.seed,
-                allow_mixed_extractors=args.allow_mixed_extractors)[0]
+        rankings = baseline_rankings(target, candidates, cfg, args.reference, args.seed,
+                                     args.allow_mixed_extractors)
+        # B2 without --reference and B3 without --seed do not run: an empty pick.
+        picks = {kind: rankings[kind][0] if kind in rankings else ""
+                 for kind in BASELINES if kind != "B4"}
     sizes = {p.name: p.size for p in candidates}
     rows = scored if args.top is None else scored[:args.top]
     print("name,size,distance,z_log_size,z_distance,score")
@@ -230,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_estimator(p):
         p.add_argument("--distance", default="KL")
         p.add_argument("--k", type=float, required=True)
-        p.add_argument("--epsilon", type=float, default=1e-6)
+        p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
         p.add_argument("--reference", default=None, help="reference source for B2")
         p.add_argument("--seed", type=int, default=None, help="seed for the B3 baseline")
         p.add_argument("--allow-mixed-extractors", action="store_true")
@@ -260,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default=None, help="k grid as min:max:step; a "
                    "negative min needs the = form: --grid=-2:0:0.25")
     p.add_argument("--kinds", default=None, help="comma-separated distance kinds")
-    p.add_argument("--epsilon", type=float, default=1e-6)
+    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     add_registry(p)
     p.set_defaults(func=cmd_calibrate)
 

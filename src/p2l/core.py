@@ -20,6 +20,8 @@ from .errors import EmptyMatrix, NonFiniteValue, NonPositiveEpsilon
 SCORE_IDENTITY_TOL = 1e-12
 # Normalized summaries must sum to 1 within this.
 L1_TOL = 1e-9
+# Smoothing weight of the probability distances unless one is given.
+DEFAULT_EPSILON = 1e-6
 
 
 class DivergenceKind(str, Enum):
@@ -86,6 +88,8 @@ class Summarizer:
     @classmethod
     def parse(cls, text: str) -> "Summarizer":
         """Accepts 'mean', 'trimmed:<f>' (CLI form) or 'trimmed_mean:<f>'."""
+        if not isinstance(text, str):
+            raise ValueError(f"summarizer must be a string, got {text!r}")
         if text == "mean":
             return cls.mean()
         for prefix in ("trimmed_mean:", "trimmed:"):
@@ -166,16 +170,16 @@ class DatasetProfile:
     role: str = "source"
 
     def __post_init__(self):
-        if not self.name:
-            raise ValueError("profile name must be nonempty")
-        size = int(self.size)
-        if size != self.size or size < 1:
-            raise ValueError("size must be a positive integer item count")
-        object.__setattr__(self, "size", size)
+        for field, value in (("name", self.name), ("extractor_id", self.extractor_id)):
+            if not (isinstance(value, str) and value):
+                raise ValueError(f"{field} must be a nonempty string, got {value!r}")
+        if (isinstance(self.size, bool) or not isinstance(self.size, (int, np.integer))
+                or self.size < 1):
+            raise ValueError(f"size must be a positive integer item count, "
+                             f"got {self.size!r}")
+        object.__setattr__(self, "size", int(self.size))
         if self.role not in ("source", "target"):
             raise ValueError(f"role must be 'source' or 'target', got {self.role!r}")
-        if not self.extractor_id:
-            raise ValueError("extractor_id must be nonempty")
 
 
 @dataclass(frozen=True)
@@ -184,7 +188,7 @@ class EstimatorConfig:
 
     distance: DivergenceKind = DivergenceKind.KL
     k: float = -1.0
-    epsilon: float = 1e-6
+    epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
         object.__setattr__(self, "distance", DivergenceKind(self.distance))

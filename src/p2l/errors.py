@@ -104,10 +104,6 @@ class TooFewSources(InputError):
     """A calibration task has fewer than three candidate sources."""
 
 
-class MissingRecord(InputError):
-    """A selected source has no ground-truth record."""
-
-
 class InconsistentScratch(InputError):
     """One target's ground-truth records disagree on its from-scratch performance."""
 

@@ -39,13 +39,6 @@ from .summarize import summary_from_mean
 BASELINES = ("B1", "B2", "B3", "B4", "B5")
 
 
-def active_baselines(reference_name: str | None, rng_seed: int | None) -> list[str]:
-    """The baselines that can run: B2 needs a reference, B3 needs a seed."""
-    return [kind for kind in BASELINES
-            if not (kind == "B2" and reference_name is None
-                    or kind == "B3" and rng_seed is None)]
-
-
 def zscale(values) -> np.ndarray:
     """(x - mean) / population std; all zeros when the input is constant,
     counting a std within 1e-12 of max|x| as rounding noise of a constant."""
@@ -178,6 +171,19 @@ def baseline_ranking(kind: str, target: DatasetProfile,
                                       [s.summary for s in sources], cfg.epsilon)))
     return [s.name for s in
             sorted(sources, key=lambda s: (dists[s.name], -s.size, s.name))]
+
+
+def baseline_rankings(target: DatasetProfile, sources: Sequence[DatasetProfile],
+                      cfg: EstimatorConfig, reference_name: str | None = None,
+                      rng_seed: int | None = None, allow_mixed_extractors: bool = False,
+                      ) -> dict[str, list[str] | None]:
+    """baseline_ranking of every baseline that can run, in BASELINES order:
+    B2 runs only with a reference, B3 only with a seed; B4 maps to None."""
+    return {kind: baseline_ranking(kind, target, sources, cfg, reference_name,
+                                   rng_seed, allow_mixed_extractors)
+            for kind in BASELINES
+            if not (kind == "B2" and reference_name is None
+                    or kind == "B3" and rng_seed is None)}
 
 
 def merge_profiles(profiles: Sequence[DatasetProfile], name: str) -> DatasetProfile:

@@ -307,7 +307,14 @@ class ProfileRegistry:
             text = self._path(name).read_text()
         except FileNotFoundError:
             raise NotFound(f"no profile named {name!r} in {self.root}") from None
-        return profile_from_dict(json.loads(text))
+        return self._named(name, profile_from_dict(json.loads(text)))
+
+    def _named(self, name: str, profile: DatasetProfile) -> DatasetProfile:
+        """The profile read from name's file, which must be the profile name."""
+        if profile.name != name:
+            raise BadHeader(f"{self._path(name)} holds profile {profile.name!r}; "
+                            f"a profile file is named after its profile")
+        return profile
 
     def names(self) -> list[str]:
         suffix = ".profile.json"
@@ -315,7 +322,8 @@ class ProfileRegistry:
 
     def load_all(self) -> list[DatasetProfile]:
         """Every profile, in names() order, each parsed from its file unless
-        the summary cache holds an entry for exactly the file's bytes.
+        the summary cache holds an entry for exactly the file's bytes. As
+        with load(), a file must hold the profile it is named after.
 
         The cache is rewritten when an entry was missed or dropped. A cache
         that cannot be read or written changes nothing but the time taken.
@@ -336,7 +344,7 @@ class ProfileRegistry:
                 text = data.decode(locale.getpreferredencoding(False))
                 profile = profile_from_dict(json.loads(text))
             loaded[key] = profile
-            profiles.append(profile)
+            profiles.append(self._named(name, profile))
         if loaded.keys() != cached.keys():
             try:
                 _atomic_write(cache, lambda fh: _write_summary_cache(fh, loaded))

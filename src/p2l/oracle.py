@@ -561,9 +561,8 @@ def run_study(world: OracleWorld, cfg: OracleConfig,
         scored, outcomes[target] = compare_methods(
             target_profiles[target], recs, pool, estimator_cfg)
         escore = {s.source_name: s.score for s in scored}
-        per_target_rho[target] = spearman_or_zero(
-            [escore[r.source_name] for r in recs],
-            [r.improvement for r in recs])
+        per_target_rho[target] = float(spearman_or_zero(
+            [[escore[r.source_name] for r in recs]], [r.improvement for r in recs])[0])
         best_true[target] = best_source(recs)
 
     methods = list(outcomes[target_names[0]])

@@ -9,7 +9,7 @@ from p2l.calibrate import (
     DEFAULT_K_GRID,
     EvaluationConfig,
     average_ranks,
-    gain_table,
+    compare_methods,
     picks_to_best,
     spearman_or_zero,
     spearman_rho,
@@ -19,15 +19,13 @@ from p2l.calibrate import (
 from p2l.core import (
     DivergenceKind,
     EmbeddingMatrix,
+    EstimatorConfig,
     ImprovementRecord,
 )
 from p2l.divergence import distances
 from p2l.errors import (
     DegenerateConstantInput,
-    DuplicateSourceName,
-    InconsistentScratch,
     LengthMismatch,
-    MissingRecord,
     MixedExtractors,
     NonPositiveEpsilon,
     TooFewSources,
@@ -74,7 +72,18 @@ class TestSpearman:
             spearman_rho([1], [2])
         with pytest.raises(DegenerateConstantInput):
             spearman_rho([1, 1, 1], [1, 2, 3])
-        assert spearman_or_zero([1, 1, 1], [1, 2, 3]) == 0.0
+
+    def test_or_zero_is_rho_per_row_and_zero_when_a_side_is_constant(self):
+        rows = [[1, 2, 4], [1, 1, 1], [3, 1, 2], [5, 5, 9]]
+        got = spearman_or_zero(rows, [1, 2, 3])
+        assert got.tolist() == [spearman_rho([1, 2, 4], [1, 2, 3]), 0.0,
+                                spearman_rho([3, 1, 2], [1, 2, 3]),
+                                spearman_rho([5, 5, 9], [1, 2, 3])]
+        assert spearman_or_zero(rows, [7, 7, 7]).tolist() == [0.0] * 4
+        with pytest.raises(LengthMismatch):
+            spearman_or_zero(rows, [1, 2])
+        with pytest.raises(LengthMismatch):
+            spearman_or_zero([1, 2, 3], [1, 2, 3])
 
     def test_ties_use_average_ranks(self):
         # ranks of a: (1.5, 1.5, 3); classical formula does not apply
@@ -326,52 +335,65 @@ class TestPicksToBest:
             assert picks_to_best(ranking, name) > 1
 
 
-class TestGainTable:
-    def records(self):
-        return [ImprovementRecord("t", n, p, 0.25)
-                for n, p in (("a", 0.5), ("b", 0.4), ("c", 0.3))]
+class MethodTask:
+    """P2L picks mid at k = -1, B1 picks big, B5 picks near, B4 transfers nothing."""
 
-    def test_same_pick_zero_gain(self):
-        gains = gain_table(self.records(), {"P2L": "a", "B1": "a"})
-        assert gains["B1"] == 0.0
+    def setup_method(self):
+        self.target = profile("t", 10, [1.0, 1.0], role="target")
+        self.pool = {p.name: p for p in (profile("big", 1_000_000, [4.0, 0.2]),
+                                         profile("near", 100, [1.05, 1.0]),
+                                         profile("mid", 10_000, [1.3, 0.9]))}
 
-    def test_no_transfer_doubles(self):
-        gains = gain_table(self.records(), {"P2L": "a", "B4": None})
-        assert gains["B4"] == pytest.approx(1.0)
+    def outcomes(self, perfs, scratch=0.25, k=-1.0, **opts):
+        records = [ImprovementRecord("t", name, perf, scratch)
+                   for name, perf in perfs.items()]
+        cfg = EstimatorConfig(distance="CITYBLOCK", k=k)
+        return compare_methods(self.target, records, self.pool, cfg, **opts)[1]
+
+
+class TestCompareMethods(MethodTask):
+    def test_picks_and_perfs(self):
+        out = self.outcomes({"big": 0.4, "near": 0.3, "mid": 0.5})
+        assert {m: o.selection for m, o in out.items()} == {
+            "P2L": "mid", "B1": "big", "B4": None, "B5": "near"}
+        assert {m: o.perf for m, o in out.items()} == {
+            "P2L": 0.5, "B1": 0.4, "B4": 0.25, "B5": 0.3}
+
+    def test_methods_in_baseline_order(self):
+        perfs = {"big": 0.4, "near": 0.3, "mid": 0.5}
+        assert list(self.outcomes(perfs)) == ["P2L", "B1", "B4", "B5"]
+        out = self.outcomes(perfs, reference_name="near", rng_seed=0)
+        assert list(out) == ["P2L", "B1", "B2", "B3", "B4", "B5"]
+        assert out["B2"].gain_vs_p2l == (0.5 - 0.3) / 0.3
+
+
+class TestGainTable(MethodTask):
+    """The gain_vs_p2l column of compare_methods: (perf(P2L) - perf(m)) / perf(m)."""
 
     def test_formula(self):
-        gains = gain_table(self.records(), {"P2L": "a", "B1": "b", "B5": "c"})
-        assert gains["B1"] == pytest.approx((0.5 - 0.4) / 0.4)
-        assert gains["B5"] == pytest.approx((0.5 - 0.3) / 0.3)
+        out = self.outcomes({"big": 0.4, "near": 0.3, "mid": 0.5})
+        assert out["P2L"].gain_vs_p2l == 0.0
+        assert out["B1"].gain_vs_p2l == (0.5 - 0.4) / 0.4
+        assert out["B5"].gain_vs_p2l == (0.5 - 0.3) / 0.3
 
-    def test_missing_record(self):
-        with pytest.raises(MissingRecord):
-            gain_table(self.records(), {"P2L": "a", "B1": "ghost"})
-        with pytest.raises(MissingRecord):
-            gain_table(self.records(), {"B1": "a"})
+    def test_no_transfer_doubles(self):
+        # B4 scores perf_scratch: 0.25 against P2L's 0.5 is a gain of 1.0.
+        out = self.outcomes({"big": 0.4, "near": 0.3, "mid": 0.5})
+        assert out["B4"].perf == 0.25
+        assert out["B4"].gain_vs_p2l == 1.0
 
-    def test_duplicate_source_rejected(self):
-        records = [ImprovementRecord("t", "a", 0.5, 0.2),
-                   ImprovementRecord("t", "a", 0.9, 0.2),
-                   ImprovementRecord("t", "b", 0.4, 0.2)]
-        with pytest.raises(DuplicateSourceName):
-            gain_table(records, {"P2L": "a", "B4": None})
-
-    def test_inconsistent_scratch_rejected(self):
-        records = [ImprovementRecord("t", "a", 0.5, 0.2),
-                   ImprovementRecord("t", "b", 0.4, 0.3)]
-        with pytest.raises(InconsistentScratch):
-            gain_table(records, {"P2L": "a", "B4": None})
-
-    def test_records_of_two_targets_rejected(self):
-        records = [ImprovementRecord("t", "a", 0.5, 0.2),
-                   ImprovementRecord("u", "b", 0.4, 0.2)]
-        with pytest.raises(ValueError):
-            gain_table(records, {"P2L": "a", "B1": "b"})
+    def test_same_pick_zero_gain(self):
+        out = self.outcomes({"big": 0.4, "near": 0.3, "mid": 0.5}, k=0.0)
+        assert out["P2L"].selection == out["B1"].selection == "big"
+        assert out["B1"].gain_vs_p2l == 0.0
 
     def test_zero_denominator(self):
-        records = [ImprovementRecord("t", "a", 0.5, 0.0),
-                   ImprovementRecord("t", "b", 0.0, 0.0),
-                   ImprovementRecord("t", "c", 0.1, 0.0)]
-        with pytest.raises(ZeroDenominator):
-            gain_table(records, {"P2L": "a", "B1": "b"})
+        with pytest.raises(ZeroDenominator, match="'B1'"):
+            self.outcomes({"big": 0.0, "near": 0.3, "mid": 0.5})
+        with pytest.raises(ZeroDenominator, match="'B4'"):
+            self.outcomes({"big": 0.4, "near": 0.3, "mid": 0.5}, scratch=0.0)
+
+    def test_zero_p2l_perf_is_no_denominator(self):
+        out = self.outcomes({"big": 0.4, "near": 0.3, "mid": 0.0})
+        assert out["P2L"].gain_vs_p2l == 0.0
+        assert [out[m].gain_vs_p2l for m in ("B1", "B4", "B5")] == [-1.0] * 3

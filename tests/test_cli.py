@@ -1,11 +1,13 @@
 import csv
 import errno
+import hashlib
 import io as stdlib_io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,8 +17,8 @@ from p2l import oracle
 from p2l.calibrate import tune_k
 from p2l.cli import main
 from p2l.core import EmbeddingMatrix
-from p2l.io import CACHE_NAME, ProfileRegistry, fmt, write_embeddings_bin, \
-    write_embeddings_csv, write_improvements_csv
+from p2l.io import CACHE_NAME, ProfileRegistry, _write_summary_cache, fmt, \
+    write_embeddings_bin, write_embeddings_csv, write_improvements_csv
 from p2l.core import ImprovementRecord
 
 
@@ -366,6 +368,63 @@ class TestSummaryCache:
         assert cold == (2, "", "p2l: error: source 'b' has dim 3, target has 4\n")
         assert (Path(registry_dir) / CACHE_NAME).exists()
         assert self.rank(capsys, registry_dir, tmp_path / "a.csv") == cold
+
+
+def cache_as_read(registry_dir, name):
+    """Write the summary cache with an entry for name's profile file holding its
+    fields as they are in the file, unchecked: what a loader that does not
+    check their types would have cached."""
+    path = Path(registry_dir) / name
+    doc = json.loads(path.read_text())
+    summary = SimpleNamespace(dim=len(doc["summary"]), values=np.array(doc["summary"]),
+                              raw_mean=np.array(doc["raw_mean"]),
+                              summarizer=SimpleNamespace(label=lambda: doc["summarizer"]))
+    entry = SimpleNamespace(summary=summary, **{
+        key: doc[key] for key in ("name", "size", "role", "extractor_id")})
+    key = hashlib.sha256(path.read_bytes()).hexdigest()
+    with open(Path(registry_dir) / CACHE_NAME, "wb") as fh:
+        _write_summary_cache(fh, {key: entry})
+
+
+class TestProfileFileChecks:
+    """A profile file's fields have their types, and its name is its profile's."""
+
+    RANK = ("rank", "--k", "-1", "--baselines", "--seed", "3", "--reference", "mid")
+
+    @pytest.mark.parametrize("cache", ["cold", "warm"])
+    @pytest.mark.parametrize("field,value", [
+        ("name", 7), ("summarizer", 7), ("size", True), ("extractor_id", ["ext"]),
+        ("role", 7),
+    ])
+    def test_mistyped_field_exits_2(self, capsys, tmp_path, registry_dir, cache,
+                                    field, value):
+        target = seed_registry(tmp_path, registry_dir)
+        path = Path(registry_dir) / "big_far.profile.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), field: value}))
+        if cache == "warm":
+            cache_as_read(registry_dir, "big_far.profile.json")
+        code, out, err = run(capsys, *self.RANK, "--target", str(target),
+                             "--registry", registry_dir)
+        assert (code, out) == (2, "")
+        assert err.startswith("p2l: error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("cache", ["cold", "warm"])
+    @pytest.mark.parametrize("target", ["file", "renamed"])
+    def test_renamed_profile_file_exits_2(self, capsys, tmp_path, registry_dir,
+                                          cache, target):
+        target_file = seed_registry(tmp_path, registry_dir)
+        args = ("--registry", registry_dir, "--target",
+                str(target_file) if target == "file" else "zzz")
+        if cache == "warm":
+            assert run(capsys, *self.RANK, "--registry", registry_dir, "--target",
+                       str(target_file))[0] == 0
+        assert (Path(registry_dir) / CACHE_NAME).exists() == (cache == "warm")
+        root = Path(registry_dir)
+        (root / "small_near.profile.json").rename(root / "zzz.profile.json")
+        code, out, err = run(capsys, *self.RANK, *args)
+        assert (code, out) == (2, "")
+        assert "zzz.profile.json holds profile 'small_near'" in err
+
 
 class TestCalibrateAndEvaluate:
     def seed_truth(self, tmp_path, registry_dir):

@@ -67,6 +67,11 @@ class TestSummarizer:
     def test_parse_cli_form(self):
         assert Summarizer.parse("trimmed:0.2") == Summarizer.trimmed(0.2)
 
+    @pytest.mark.parametrize("text", [7, None, ["mean"], b"mean"])
+    def test_parse_refuses_non_strings(self, text):
+        with pytest.raises(ValueError, match="summarizer must be a string"):
+            Summarizer.parse(text)
+
     def test_fraction_bounds(self):
         with pytest.raises(ValueError):
             Summarizer.trimmed(0.5)
@@ -86,6 +91,20 @@ class TestProfile:
         sv = make_summary([0.5, 0.5])
         with pytest.raises(ValueError):
             DatasetProfile("a", 1, sv, "ext", role="proxy")
+
+    @pytest.mark.parametrize("field,value", [
+        ("name", 7), ("name", ["a"]), ("extractor_id", 7), ("extractor_id", ["ext"]),
+        ("role", 7), ("size", True), ("size", 2.0), ("size", "2"),
+    ])
+    def test_field_types_checked(self, field, value):
+        fields = dict(name="a", size=2, summary=make_summary([0.5, 0.5]),
+                      extractor_id="ext", role="source")
+        with pytest.raises(ValueError, match=field):
+            DatasetProfile(**{**fields, field: value})
+
+    def test_numpy_integer_size_becomes_int(self):
+        profile = DatasetProfile("a", np.int64(3), make_summary([0.5, 0.5]), "ext")
+        assert type(profile.size) is int and profile.size == 3
 
 
 class TestEstimatorConfig:

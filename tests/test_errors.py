@@ -18,7 +18,7 @@ EXIT_CODES = {
     "BadHeader": 2, "BadMagic": 2, "BadSpec": 2, "DegenerateConstantInput": 2,
     "DimensionMismatch": 2, "DuplicateSourceName": 2, "EmptyCandidates": 2,
     "EmptyMatrix": 2, "InconsistentScratch": 2, "InvalidName": 2,
-    "LengthMismatch": 2, "MissingRecord": 2, "MissingSeed": 2,
+    "LengthMismatch": 2, "MissingSeed": 2,
     "MixedExtractors": 2, "MixedSummarizers": 2, "NegativeComponent": 2,
     "NegativeMass": 2, "NonFiniteValue": 2, "NonPositiveComponent": 2,
     "NonPositiveEpsilon": 2, "RaggedRow": 2, "TooFewSources": 2,

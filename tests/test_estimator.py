@@ -22,7 +22,9 @@ from p2l.errors import (
     MixedSummarizers,
 )
 from p2l.estimator import (
+    BASELINES,
     baseline_ranking,
+    baseline_rankings,
     merge_profiles,
     score_sources,
     score_table,
@@ -219,6 +221,29 @@ class TestBaselines:
         ranking = baseline_ranking("B5", self.target, self.sources, self.cfg)
         assert ranking[0] == "small_near"
         assert ranking[-1] == "big_far"
+
+    @pytest.mark.parametrize("reference,seed,kinds", [
+        (None, None, ["B1", "B4", "B5"]),
+        ("mid", None, ["B1", "B2", "B4", "B5"]),
+        (None, 7, ["B1", "B3", "B4", "B5"]),
+        ("mid", 7, list(BASELINES)),
+    ])
+    def test_rankings_of_the_baselines_that_can_run(self, reference, seed, kinds):
+        got = baseline_rankings(self.target, self.sources, self.cfg, reference, seed)
+        assert list(got) == kinds
+        assert got == {kind: baseline_ranking(kind, self.target, self.sources, self.cfg,
+                                              reference_name=reference, rng_seed=seed)
+                       for kind in kinds}
+        assert got["B4"] is None
+
+    def test_rankings_check_candidates(self):
+        alien = self.sources + [profile("alien", 10, [1.0, 2.0], extractor="other")]
+        with pytest.raises(MixedExtractors):
+            baseline_rankings(self.target, alien, self.cfg)
+        got = baseline_rankings(self.target, alien, self.cfg, allow_mixed_extractors=True)
+        assert [len(ranking) for ranking in got.values() if ranking] == [4, 4]
+        with pytest.raises(MissingReference):
+            baseline_rankings(self.target, self.sources, self.cfg, reference_name="nope")
 
 
 class TestMergeProfiles:
