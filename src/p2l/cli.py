@@ -48,10 +48,6 @@ def _note(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _registry(args) -> ProfileRegistry:
-    return ProfileRegistry.open(args.registry)
-
-
 def _parse_grid(text: str | None) -> tuple[float, ...]:
     if text is None:
         return DEFAULT_K_GRID
@@ -83,7 +79,7 @@ def _estimator_config(args) -> EstimatorConfig:
 
 
 def cmd_profile(args) -> int:
-    registry = _registry(args)
+    registry = ProfileRegistry.open(args.registry)
     matrix = sniff_and_read_embeddings(args.input)
     summarizer = Summarizer.parse(args.summarizer)
     size = matrix.items if args.size == "auto" else int(args.size)
@@ -101,13 +97,12 @@ def _load_target(args, registry: ProfileRegistry):
     path = Path(args.target)
     if path.exists():
         matrix = sniff_and_read_embeddings(path)
-        name = path.name.split(".")[0] or "target"
-        return profile_from_matrix(name, matrix, Summarizer.mean(), role="target"), None
+        return profile_from_matrix("target", matrix, Summarizer.mean(), role="target"), None
     return registry.load(args.target), args.target
 
 
 def cmd_rank(args) -> int:
-    registry = _registry(args)
+    registry = ProfileRegistry.open(args.registry)
     target, own_name = _load_target(args, registry)
     candidates = [p for p in registry.load_all()
                   if p.role == "source" and p.name != own_name]
@@ -143,7 +138,7 @@ def _tasks_from_truth(registry: ProfileRegistry, path):
 
 
 def cmd_calibrate(args) -> int:
-    registry = _registry(args)
+    registry = ProfileRegistry.open(args.registry)
     tasks, sources = _tasks_from_truth(registry, args.truth)
     cfg = EvaluationConfig(k_grid=_parse_grid(args.grid),
                            distance_kinds=_parse_kinds(args.kinds),
@@ -160,7 +155,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    registry = _registry(args)
+    registry = ProfileRegistry.open(args.registry)
     tasks, sources = _tasks_from_truth(registry, args.truth)
     pool = {p.name: p for p in sources}
     cfg = _estimator_config(args)
@@ -177,7 +172,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_merge(args) -> int:
-    registry = _registry(args)
+    registry = ProfileRegistry.open(args.registry)
     members = [registry.load(name) for name in args.members.split(",")]
     merged = merge_profiles(members, args.name)
     registry.save(merged, overwrite=args.force)

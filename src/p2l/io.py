@@ -71,10 +71,6 @@ def _atomic_write(path: Path, write: Callable[[BinaryIO], object],
             os.unlink(tmp)
 
 
-def _atomic_write_text(path: Path, text: str, replace: bool = True) -> None:
-    _atomic_write(path, lambda fh: fh.write(text.encode()), replace)
-
-
 # -- embedding matrices ---------------------------------------------------------
 
 def read_embeddings_csv(path) -> EmbeddingMatrix:
@@ -107,6 +103,9 @@ def read_embeddings_csv(path) -> EmbeddingMatrix:
 
 
 def write_embeddings_csv(path, matrix: EmbeddingMatrix) -> None:
+    if not re.fullmatch(r"\S+", matrix.extractor_id):  # as CSV_HEADER_RE reads it
+        raise ValueError(f"extractor id {matrix.extractor_id!r} holds whitespace, "
+                         "which the CSV header cannot carry")
     lines = [f"# p2l-embeddings v1 dim={matrix.dim} extractor={matrix.extractor_id}"]
     for row in matrix.values:
         lines.append(",".join(fmt(v) for v in row))
@@ -216,6 +215,13 @@ def profile_from_dict(doc) -> DatasetProfile:
                           extractor_id=doc["extractor_id"], role=doc["role"])
 
 
+def _parse_profile(data: bytes) -> DatasetProfile:
+    """The profile in a profile file's bytes, decoded as Path.read_text decodes
+    a file: in the locale's preferred encoding, with universal newlines."""
+    text = data.decode(locale.getpreferredencoding(False))
+    return profile_from_dict(json.loads(text.replace("\r\n", "\n").replace("\r", "\n")))
+
+
 # Whatever a damaged, foreign or half-written cache file can make np.load,
 # json or the profile constructors raise.
 _CACHE_READ_ERRORS = (OSError, EOFError, AttributeError, KeyError, TypeError,
@@ -285,9 +291,8 @@ class ProfileRegistry:
                     or doc.get("version") != 1):
                 raise UnsupportedVersion(f"registry manifest {doc!r} unsupported")
         else:
-            _atomic_write_text(
-                manifest,
-                json.dumps({"format": "p2l-registry", "version": 1}, indent=2) + "\n")
+            text = json.dumps({"format": "p2l-registry", "version": 1}, indent=2) + "\n"
+            _atomic_write(manifest, lambda fh: fh.write(text.encode()))
         return cls(root=root)
 
     def _path(self, name: str) -> Path:
@@ -298,16 +303,19 @@ class ProfileRegistry:
     def save(self, profile: DatasetProfile, overwrite: bool = False) -> None:
         path = self._path(profile.name)
         try:
-            _atomic_write_text(path, profile_to_json(profile), replace=overwrite)
+            _atomic_write(path, lambda fh: fh.write(profile_to_json(profile).encode()),
+                          replace=overwrite)
         except FileExistsError:
             raise NameCollision(f"profile {profile.name!r} already exists") from None
 
-    def load(self, name: str) -> DatasetProfile:
+    def _read(self, name: str) -> bytes:
         try:
-            text = self._path(name).read_text()
+            return self._path(name).read_bytes()
         except FileNotFoundError:
             raise NotFound(f"no profile named {name!r} in {self.root}") from None
-        return self._named(name, profile_from_dict(json.loads(text)))
+
+    def load(self, name: str) -> DatasetProfile:
+        return self._named(name, _parse_profile(self._read(name)))
 
     def _named(self, name: str, profile: DatasetProfile) -> DatasetProfile:
         """The profile read from name's file, which must be the profile name."""
@@ -333,17 +341,9 @@ class ProfileRegistry:
         loaded: dict[str, DatasetProfile] = {}
         profiles = []
         for name in self.names():
-            try:
-                data = self._path(name).read_bytes()
-            except FileNotFoundError:
-                raise NotFound(f"no profile named {name!r} in {self.root}") from None
+            data = self._read(name)
             key = hashlib.sha256(data).hexdigest()
-            profile = cached.get(key)
-            if profile is None:
-                # Decoded as load()'s read_text decodes.
-                text = data.decode(locale.getpreferredencoding(False))
-                profile = profile_from_dict(json.loads(text))
-            loaded[key] = profile
+            loaded[key] = profile = cached.get(key) or _parse_profile(data)
             profiles.append(self._named(name, profile))
         if loaded.keys() != cached.keys():
             try:

@@ -2,9 +2,9 @@
 
 A world is a family of Gaussian-cluster classification domains plus a frozen
 random rectified affine map standing in for the reference feature extractor.
-Every domain is split four ways (source-train / source-val / target-train /
-target-val, with the target split a small fraction of its partition), and a
-tiny linear-representation + softmax-head model trained by mini-batch SGD
+Every domain is cut into source-train, target-train and target-val splits
+(the target-train split a small fraction of its partition), and a tiny
+linear-representation + softmax-head model trained by mini-batch SGD
 produces real transfer outcomes:
 
     improvement = accuracy(fine-tuned from source) - accuracy(from scratch)
@@ -83,8 +83,8 @@ class OracleConfig:
     def __post_init__(self):
         if not (0.0 <= self.finetune_multiplier <= 1.0):
             raise ValueError("finetune_multiplier must lie in [0, 1]")
-        if self.learn_rate <= 0.0:
-            raise ValueError("learn_rate must be > 0")
+        if not (math.isfinite(self.learn_rate) and self.learn_rate > 0.0):
+            raise ValueError(f"learn_rate must be finite and > 0, got {self.learn_rate}")
         if self.epochs < 0 or (self.source_epochs is not None and self.source_epochs < 0):
             raise ValueError("epoch counts must be >= 0")
         if self.batch < 1:
@@ -199,14 +199,14 @@ class OracleWorld:
 
 def generate_world(seed: int, spec: WorldSpec,
                    cfg: OracleConfig | None = None) -> OracleWorld:
-    """Sample items for every domain and split them three ways.
+    """Sample items for every domain and cut them into four partitions.
 
     Per domain: items are Gaussian clusters around the class centroids,
     shuffled, then cut into four equal partitions. Partition 1 trains the
     source model, the first TARGET_FRACTION of partition 3 is the transfer
     target's training set, and partition 4 is the target validation set.
-    Partition 2 is unused but still cut, so each seed keeps its world. The
-    world depends on seed and spec only.
+    Partition 2 is unused but keeps its place, so each seed keeps its world.
+    The world depends on seed and spec only.
     """
     if len(spec.domains) < 2:
         raise BadSpec("world needs at least two domains")
@@ -524,7 +524,6 @@ class StudyReport:
     records: list[ImprovementRecord]
     per_target_rho: dict[str, float]
     mean_rho: float
-    best_true: dict[str, str]
     outcomes: dict[str, dict[str, MethodOutcome]]  # target -> method -> outcome
     selections: dict[str, dict[str, str | None]]  # method -> target -> source
     mean_accuracy: dict[str, float]
@@ -554,7 +553,6 @@ def run_study(world: OracleWorld, cfg: OracleConfig,
     pool = {p.name: p for p in source_profiles}
 
     per_target_rho: dict[str, float] = {}
-    best_true: dict[str, str] = {}
     outcomes: dict[str, dict[str, MethodOutcome]] = {}
     for target in target_names:
         recs = by_target[target]
@@ -563,16 +561,16 @@ def run_study(world: OracleWorld, cfg: OracleConfig,
         escore = {s.source_name: s.score for s in scored}
         per_target_rho[target] = float(spearman_or_zero(
             [[escore[r.source_name] for r in recs]], [r.improvement for r in recs])[0])
-        best_true[target] = best_source(recs)
 
-    methods = list(outcomes[target_names[0]])
-    ranked = [m for m in methods if m != "B4"]
+    first = outcomes[target_names[0]]
+    methods = list(first)
+    ranked = [m for m in methods if first[m].picks_to_best is not None]
     picks = {m: {t: outcomes[t][m].picks_to_best for t in target_names} for m in ranked}
     return StudyReport(
         seed=world.seed, estimator=estimator_cfg, records=records,
         per_target_rho=per_target_rho,
         mean_rho=float(np.mean(list(per_target_rho.values()))),
-        best_true=best_true, outcomes=outcomes,
+        outcomes=outcomes,
         selections={m: {t: outcomes[t][m].selection for t in target_names}
                     for m in methods},
         mean_accuracy={m: float(np.mean([outcomes[t][m].perf for t in target_names]))
@@ -665,9 +663,10 @@ def write_study_files(study: StudyReport, outdir) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     write_improvements_csv(outdir / "ground_truth.csv", study.records)
 
+    by_target = group_records_by_target(study.records)
     lines = ["target,spearman_rho,best_source"]
     for target, rho in study.per_target_rho.items():
-        lines.append(f"{target},{fmt(rho)},{study.best_true[target]}")
+        lines.append(f"{target},{fmt(rho)},{best_source(by_target[target])}")
     (outdir / "per_target.csv").write_text("\n".join(lines) + "\n")
 
     lines = [SELECTIONS_HEADER]
@@ -676,13 +675,6 @@ def write_study_files(study: StudyReport, outdir) -> None:
     (outdir / "selections.csv").write_text("\n".join(lines) + "\n")
 
     lines = ["method,mean_accuracy,top1_hit_rate,mean_picks_to_best"]
-    for method in study.selections:
-        acc = fmt(study.mean_accuracy[method])
-        hit = "" if method == "B4" else fmt(study.hit_rate[method])
-        mp = "" if method not in study.mean_picks else fmt(study.mean_picks[method])
-        lines.append(f"{method},{acc},{hit},{mp}")
-    (outdir / "methods.csv").write_text("\n".join(lines) + "\n")
-
     text = [
         f"seed: {study.seed}",
         f"estimator: distance={study.estimator.distance.value} "
@@ -691,12 +683,14 @@ def write_study_files(study: StudyReport, outdir) -> None:
         f"mean spearman rho (score vs improvement): {fmt(study.mean_rho)}",
     ]
     for method in study.selections:
-        part = [f"mean accuracy {fmt(study.mean_accuracy[method])}"]
-        if method in study.hit_rate:
-            part.append(f"top-1 hit rate {fmt(study.hit_rate[method])}")
-        if method in study.mean_picks:
-            part.append(f"mean picks-to-best {fmt(study.mean_picks[method])}")
-        text.append(f"{method}: " + ", ".join(part))
+        acc = fmt(study.mean_accuracy[method])
+        ranks = method in study.mean_picks  # else it ranks nothing (no transfer)
+        hit = fmt(study.hit_rate[method]) if ranks else ""
+        mp = fmt(study.mean_picks[method]) if ranks else ""
+        lines.append(f"{method},{acc},{hit},{mp}")
+        rank = f", top-1 hit rate {hit}, mean picks-to-best {mp}" if ranks else ""
+        text.append(f"{method}: mean accuracy {acc}{rank}")
+    (outdir / "methods.csv").write_text("\n".join(lines) + "\n")
     (outdir / "summary.txt").write_text("\n".join(text) + "\n")
 
 

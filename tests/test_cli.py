@@ -601,6 +601,16 @@ class TestSimulateCommand:
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    @pytest.mark.parametrize("rate", ["nan", "inf", "-inf", "0"])
+    def test_learn_rate_not_finite_and_positive_exits_2(self, capsys, tmp_path, rate):
+        out = tmp_path / "study"
+        code, stdout, err = run(capsys, "simulate", "--seed", "1", "--sources", "3",
+                                "--targets", "2", "--epochs", "1",
+                                f"--learn-rate={rate}", "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert "learn_rate must be finite and > 0" in err
+        assert not out.exists()
+
 
     def test_evaluate_prints_the_study_selections(self, capsys, tmp_path):
         """evaluate over a simulated world's profiles, at the study's own k and

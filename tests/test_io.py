@@ -24,6 +24,7 @@ from p2l.errors import (
     NameCollision,
     NonFiniteValue,
     NotFound,
+    P2LError,
     RaggedRow,
     TruncatedFile,
     UnsupportedVersion,
@@ -167,6 +168,28 @@ class TestEmbeddingsCsv:
         with pytest.raises(EmptyMatrix):
             read_embeddings_csv(path)
 
+    @pytest.mark.parametrize("extractor", ["a b", "x\n", "\tx", "a\u2028b"])
+    def test_id_the_header_cannot_carry_is_refused(self, tmp_path, extractor):
+        path = tmp_path / "emb.csv"
+        with pytest.raises(ValueError, match="whitespace"):
+            write_embeddings_csv(path, random_matrix(1, extractor=extractor))
+        assert not path.exists()
+
+    def test_non_ascii_id_round_trips(self, tmp_path):
+        write_embeddings_csv(tmp_path / "emb.csv", random_matrix(1, extractor="é"))
+        assert read_embeddings_csv(tmp_path / "emb.csv").extractor_id == "é"
+
+    @settings(max_examples=100, deadline=None)
+    @given(extractor=st.text(min_size=1, max_size=8))
+    def test_written_id_reads_back(self, extractor):
+        with tempfile.TemporaryDirectory() as name:
+            path = Path(name) / "emb.csv"
+            try:
+                write_embeddings_csv(path, random_matrix(1, extractor=extractor))
+            except ValueError:
+                return  # refused, or not encodable in the locale's encoding
+            assert read_embeddings_csv(path).extractor_id == extractor
+
 
 class TestEmbeddingsBin:
     def test_round_trip_widened(self, tmp_path):
@@ -296,9 +319,11 @@ class TestRegistry:
         def gone(self, *args, **kwargs):
             raise FileNotFoundError(str(self))
 
-        monkeypatch.setattr(Path, "read_text", gone)
+        monkeypatch.setattr(Path, "read_bytes", gone)
         with pytest.raises(NotFound):
             reg.load("alpha")
+        with pytest.raises(NotFound):
+            reg.load_all()
 
     def test_invalid_name(self, tmp_path):
         reg = ProfileRegistry.open(tmp_path / "reg")
@@ -357,6 +382,48 @@ class TestRegistry:
         reg.save(p)
         assert (tmp_path / "reg" / "alpha.profile.json").read_text() == \
             profile_to_json(p)
+
+
+class TestOneReader:
+    """load and load_all read a profile file's bytes the same way."""
+
+    @staticmethod
+    def outcome(call):
+        """What call returns, or the class and message of what it raises."""
+        try:
+            return call()
+        except (P2LError, ValueError) as exc:  # what the CLI reports as an error
+            return type(exc), str(exc)
+
+    @pytest.mark.parametrize("damage", ["none", "not_json", "crlf_not_json",
+                                        "not_utf8", "missing_key", "renamed"])
+    def test_load_and_cold_and_warm_load_all_agree(self, tmp_path, damage):
+        reg = ProfileRegistry.open(tmp_path / "reg")
+        reg.save(make_profile("alpha", [1.0, 3.0], [1.0, 3.0]))
+        reg.load_all()  # caches the valid file's bytes
+        path = reg.root / "alpha.profile.json"
+        text, name = path.read_text(), "alpha"
+        if damage == "not_json":
+            path.write_text(text[:-5])
+        elif damage == "crlf_not_json":  # newline translation moves the error
+            path.write_bytes(text[:-5].replace("\n", "\r\n").encode())
+        elif damage == "not_utf8":
+            path.write_bytes(b"\xff" + text.encode())
+        elif damage == "missing_key":
+            path.write_text(text.replace('"dim"', '"dims"'))
+        elif damage == "renamed":
+            name = "beta"
+            path.rename(reg.root / f"{name}.profile.json")
+        one = self.outcome(lambda: [reg.load(name)])
+        warm = self.outcome(reg.load_all)
+        (reg.root / CACHE_NAME).unlink()
+        cold = self.outcome(reg.load_all)
+        if damage == "none":
+            assert_same_profiles(warm, one)
+            assert_same_profiles(cold, one)
+        else:
+            assert isinstance(one, tuple)  # load raised
+            assert warm == cold == one
 
 
 class TestProfileJson:
