@@ -8,7 +8,9 @@ prints one `sha256  name` line per output: each command's stdout, its stderr
 writes (for merge, the merged profile). Two checkouts that print the same lines write byte-identical
 outputs. Every rank, calibrate and evaluate command runs twice, first without
 the registry's summary cache and then with the cache the first run left; the
-script exits non-zero if the two runs print differently. Takes no options;
+script exits non-zero if the two runs print differently. Last come commands
+that must fail: each must exit with its documented code, print nothing on
+stdout and write no file, and only its stderr is shown. Takes no options;
 see README for comparing a change with its parent.
 """
 import hashlib
@@ -43,14 +45,14 @@ def show_files(name: str, paths) -> None:
         show(f"{name}/{path.name}", path.read_bytes())
 
 
-def execute(tmp: Path, name: str, *argv: str) -> tuple[bytes, bytes]:
-    """Run `python argv...` in tmp; it must exit 0. Return its stdout and its
-    stderr with tmp replaced by `<tmp>`."""
+def execute(tmp: Path, name: str, *argv: str, code: int = 0) -> tuple[bytes, bytes]:
+    """Run `python argv...` in tmp; it must exit with code. Return its stdout
+    and its stderr with tmp replaced by `<tmp>`."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, *argv], cwd=tmp, env=env,
                           capture_output=True)
-    if proc.returncode != 0:
-        sys.exit(f"{name} exited {proc.returncode}:\n{proc.stderr.decode()}")
+    if proc.returncode != code:
+        sys.exit(f"{name} exited {proc.returncode}, not {code}:\n{proc.stderr.decode()}")
     return proc.stdout, proc.stderr.replace(str(tmp).encode(), b"<tmp>")
 
 
@@ -150,6 +152,46 @@ def studies(tmp: Path) -> None:
     show_files("merged", tmp.glob("merged.seed*.csv"))
 
 
+def files(tmp: Path) -> dict[Path, tuple[int, int]]:
+    return {p: (p.stat().st_size, p.stat().st_mtime_ns)
+            for p in tmp.rglob("*") if p.is_file()}
+
+
+def refuse(tmp: Path, name: str, code: int, *argv: str) -> None:
+    """Run p2l argv... in tmp: it must exit with code, print nothing on stdout
+    and leave every file in tmp as it was. Show its stderr."""
+    before = files(tmp)
+    stdout, stderr = execute(tmp, name, "-m", "p2l.cli", *argv, code=code)
+    if stdout or files(tmp) != before:
+        sys.exit(f"{name} printed to stdout or wrote a file")
+    show(f"{name} stderr", stderr)
+
+
+def refusals(tmp: Path) -> None:
+    """Inputs each command must refuse, with the exit code the CLI documents."""
+    data = (tmp / "target.bin").read_bytes()
+    (tmp / "truncated.bin").write_bytes(data[:-4])
+    (tmp / "dim0.csv").write_text("# p2l-embeddings v1 dim=0 extractor=ext\n1\n")
+    truth = "sim7/ground_truth.csv"
+    for name, code, *argv in (
+        ("profile-truncated", 2, "profile", "--input", "truncated.bin", "--name", "t"),
+        ("profile-dim0", 2, "profile", "--input", "dim0.csv", "--name", "d"),
+        ("profile-existing", 3, "profile", "--input", "emb.csv", "--name", "pmean"),
+    ):
+        refuse(tmp, f"refuse-{name}", code, *argv, "--registry", "profiles")
+    for name, code, *argv in (
+        ("calibrate-grid", 2, "calibrate", "--truth", truth, "--out", "grid-bad.csv",
+         "--grid=1:0:1"),
+        ("rank-distance", 2, "rank", "--target", "dom13", "--distance", "XX", "--k", "-1"),
+        ("rank-target", 4, "rank", "--target", "ghost", "--k", "-1"),
+        ("evaluate-reference", 4, "evaluate", "--truth", truth, "--k", "-1",
+         "--reference", "ghost"),
+    ):
+        refuse(tmp, f"refuse-{name}", code, *argv, "--registry", "oracle")
+    refuse(tmp, "refuse-simulate-learn-rate", 2, "simulate", "--seed", "1",
+           "--out", "sim-nan", "--learn-rate", "nan")
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as name:
         tmp = Path(name)
@@ -159,6 +201,7 @@ def main() -> None:
         registry_commands(tmp)
         profile_files(tmp)
         studies(tmp)
+        refusals(tmp)
 
 
 if __name__ == "__main__":

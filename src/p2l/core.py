@@ -118,6 +118,10 @@ class EmbeddingMatrix:
         object.__setattr__(self, "values", arr)
         if not self.extractor_id:
             raise ValueError("extractor_id must be nonempty")
+        eid = self.extractor_id
+        if not eid.isprintable() or "," in eid or '"' in eid:  # CSV rows print it bare
+            raise ValueError(f"extractor id {eid!r} holds a comma, a double quote "
+                             "or a non-printable character")
 
     @property
     def items(self) -> int:

@@ -22,18 +22,22 @@ class ReferentialError(P2LError):
     """A name refers to something that does not exist; CLI exit 4."""
 
 
+class LineNumbered:
+    """Mixin: an error on input line line_no, if given, says "line <n>: " first."""
+
+    def __init__(self, message: str, line_no: int | None = None):
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
+        self.line_no = line_no
+
+
 # -- validation / construction ------------------------------------------------
 
 class EmptyMatrix(InputError):
     """Embedding matrix has no rows or no columns."""
 
 
-class NonFiniteValue(InputError):
+class NonFiniteValue(LineNumbered, InputError):
     """A value that must be finite is NaN or infinite."""
-
-    def __init__(self, message: str, line_no: int | None = None):
-        super().__init__(message if line_no is None else f"line {line_no}: {message}")
-        self.line_no = line_no
 
 
 class DimensionMismatch(InputError):
@@ -118,12 +122,8 @@ class BadHeader(InputError):
     """File header is missing or malformed."""
 
 
-class RaggedRow(InputError):
+class RaggedRow(LineNumbered, InputError):
     """A data row does not match the declared dimensionality."""
-
-    def __init__(self, message: str, line_no: int | None = None):
-        super().__init__(message if line_no is None else f"line {line_no}: {message}")
-        self.line_no = line_no
 
 
 class BadMagic(InputError):

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import locale
 import math
 import os
 import re
@@ -216,9 +215,9 @@ def profile_from_dict(doc) -> DatasetProfile:
 
 
 def _parse_profile(data: bytes) -> DatasetProfile:
-    """The profile in a profile file's bytes, decoded as Path.read_text decodes
-    a file: in the locale's preferred encoding, with universal newlines."""
-    text = data.decode(locale.getpreferredencoding(False))
+    """The profile in a profile file's bytes: UTF-8 JSON, whatever the locale,
+    read with universal newlines as Path.read_text reads a file."""
+    text = data.decode("utf-8")
     return profile_from_dict(json.loads(text.replace("\r\n", "\n").replace("\r", "\n")))
 
 

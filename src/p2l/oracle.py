@@ -10,7 +10,7 @@ produces real transfer outcomes:
     improvement = accuracy(fine-tuned from source) - accuracy(from scratch)
 
 Fine-tuning replaces the head and trains it at the full learn rate while the
-representation layer moves at a reduced multiple of it. Everything is a pure
+representation layer moves at FINETUNE_MULTIPLIER times it. Everything is a pure
 function of (seed, configs): each training run draws from its own RNG stream
 derived from the world seed and the run's names, so results are independent
 of scheduling order. Negative transfer is possible and intentionally not
@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -68,31 +68,27 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 TARGET_FRACTION = 0.1  # share of partition 3 that trains each target
 HIDDEN_DIM = 8  # width of the trainer's representation layer
+FINETUNE_MULTIPLIER = 0.1  # representation layer's share of the learn rate in a fine-tune
 
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Trainer hyperparameters."""
+    """Trainer hyperparameters; source, fine-tune and scratch runs all train epochs."""
 
-    finetune_multiplier: float = 0.1
     learn_rate: float = 0.1
     epochs: int = 10
-    batch: int = 32
-    source_epochs: int | None = None  # defaults to epochs
+    batch: ClassVar[int] = 32  # mini-batch size
 
     def __post_init__(self):
-        if not (0.0 <= self.finetune_multiplier <= 1.0):
-            raise ValueError("finetune_multiplier must lie in [0, 1]")
         if not (math.isfinite(self.learn_rate) and self.learn_rate > 0.0):
             raise ValueError(f"learn_rate must be finite and > 0, got {self.learn_rate}")
-        if self.epochs < 0 or (self.source_epochs is not None and self.source_epochs < 0):
-            raise ValueError("epoch counts must be >= 0")
-        if self.batch < 1:
-            raise ValueError("batch must be >= 1")
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
 
     @property
     def effective_source_epochs(self) -> int:
-        return self.epochs if self.source_epochs is None else self.source_epochs
+        """A source model's epochs, which are epochs; only the benchmark reads it."""
+        return self.epochs
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,10 +347,6 @@ class ModelParams:
     w2: np.ndarray  # (hidden, n_classes)
     b2: np.ndarray  # (n_classes,)
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.w1.copy(), self.b1.copy(),
-                           self.w2.copy(), self.b2.copy())
-
 
 def init_params(rng: np.random.Generator, in_dim: int, hidden_dim: int,
                 n_classes: int) -> ModelParams:
@@ -439,33 +431,36 @@ def _train_pooled_model(world: OracleWorld, source_names: Sequence[str],
     y = np.concatenate(ys)
     rng = _stream(world.seed, *tags)
     params = init_params(rng, world.spec.feature_dim, HIDDEN_DIM, offset)
-    return sgd_train(params, x, y, rng, cfg.learn_rate,
-                     cfg.effective_source_epochs, cfg.batch)
+    return sgd_train(params, x, y, rng, cfg.learn_rate, cfg.epochs, cfg.batch)
+
+
+def _fit_target(world: OracleWorld, target_name: str, params: ModelParams,
+                rng: np.random.Generator, cfg: OracleConfig,
+                rep_scale: float = 1.0) -> float:
+    """Train params on the target's training split; its validation accuracy."""
+    data = world.domain(target_name)
+    sgd_train(params, data.target_train.x, data.target_train.y, rng,
+              cfg.learn_rate, cfg.epochs, cfg.batch, rep_scale)
+    return accuracy(params, data.target_val.x, data.target_val.y)
 
 
 def _finetune_from(world: OracleWorld, source_params: ModelParams,
                    source_tag: str, target_name: str, cfg: OracleConfig) -> float:
     """Keep the representation layer, new head, train on the target split."""
-    data = world.domain(target_name)
+    n_classes = world.domain(target_name).spec.n_classes
     rng = _stream(world.seed, "transfer", source_tag, target_name)
-    params = source_params.copy()
-    params.w2 = rng.normal(0.0, 1.0 / math.sqrt(HIDDEN_DIM),
-                           (HIDDEN_DIM, data.spec.n_classes))
-    params.b2 = np.zeros(data.spec.n_classes)
-    sgd_train(params, data.target_train.x, data.target_train.y, rng,
-              cfg.learn_rate, cfg.epochs, cfg.batch,
-              rep_scale=cfg.finetune_multiplier)
-    return accuracy(params, data.target_val.x, data.target_val.y)
+    params = ModelParams(
+        w1=source_params.w1.copy(), b1=source_params.b1.copy(),
+        w2=rng.normal(0.0, 1.0 / math.sqrt(HIDDEN_DIM), (HIDDEN_DIM, n_classes)),
+        b2=np.zeros(n_classes))
+    return _fit_target(world, target_name, params, rng, cfg, FINETUNE_MULTIPLIER)
 
 
 def train_scratch(world: OracleWorld, target_name: str, cfg: OracleConfig) -> float:
-    data = world.domain(target_name)
     rng = _stream(world.seed, "scratch", target_name)
     params = init_params(rng, world.spec.feature_dim, HIDDEN_DIM,
-                         data.spec.n_classes)
-    sgd_train(params, data.target_train.x, data.target_train.y, rng,
-              cfg.learn_rate, cfg.epochs, cfg.batch)
-    return accuracy(params, data.target_val.x, data.target_val.y)
+                         world.domain(target_name).spec.n_classes)
+    return _fit_target(world, target_name, params, rng, cfg)
 
 
 def train_transfer(world: OracleWorld, source_name: str | None,

@@ -4,6 +4,7 @@ import hashlib
 import io as stdlib_io
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -88,6 +89,32 @@ class TestProfileCommand:
         code, _, _ = run(capsys, "profile", "--input", str(emb2), "--name", "dup",
                          "--registry", registry_dir, "--force")
         assert code == 0
+
+    @pytest.mark.parametrize("form,data", [
+        ("csv", b"# p2l-embeddings v1 dim=2 extractor=a,b\n1,2\n3,4\n"),
+        ("bin", struct.pack("<4sIIQB", b"P2LE", 1, 1, 1, 3) + b"q\nz"
+         + struct.pack("<f", 1.0)),
+    ], ids=["csv", "bin"])
+    def test_extractor_id_the_row_cannot_carry_exits_2(self, capsys, tmp_path,
+                                                        registry_dir, form, data):
+        emb = tmp_path / f"emb.{form}"
+        emb.write_bytes(data)
+        code, out, err = run(capsys, "profile", "--input", str(emb), "--name", "x",
+                             "--registry", registry_dir)
+        assert (code, out) == (2, "")
+        assert err.startswith("p2l: error: extractor id") and err.count("\n") == 1
+        assert ProfileRegistry.open(registry_dir).names() == []
+
+    @pytest.mark.parametrize("form,extractor", [("bin", "resnet 5"), ("csv", "é")])
+    def test_printable_extractor_id_is_printed(self, capsys, tmp_path, registry_dir,
+                                               form, extractor):
+        emb = tmp_path / f"emb.{form}"
+        matrix = EmbeddingMatrix(np.ones((2, 3)), extractor)
+        (write_embeddings_bin if form == "bin" else write_embeddings_csv)(emb, matrix)
+        code, out, _ = run(capsys, "profile", "--input", str(emb), "--name", "x",
+                           "--registry", registry_dir)
+        assert code == 0
+        assert parse_csv(out) == [["dim", "size", "extractor_id"], ["3", "2", extractor]]
 
     def test_malformed_input_exits_2(self, capsys, tmp_path, registry_dir):
         bad = tmp_path / "bad.csv"

@@ -1,3 +1,4 @@
+import codecs
 import hashlib
 import json
 import math
@@ -5,6 +6,8 @@ import multiprocessing
 import os
 import stat
 import struct
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import p2l
 from p2l.core import DatasetProfile, EmbeddingMatrix, Summarizer, SummaryVector
 from p2l.errors import (
     BadHeader,
@@ -170,8 +174,10 @@ class TestEmbeddingsCsv:
 
     @pytest.mark.parametrize("extractor", ["a b", "x\n", "\tx", "a\u2028b"])
     def test_id_the_header_cannot_carry_is_refused(self, tmp_path, extractor):
+        # A space is the writer's to refuse; no matrix holds a non-printable id.
         path = tmp_path / "emb.csv"
-        with pytest.raises(ValueError, match="whitespace"):
+        refusal = "whitespace" if extractor == "a b" else "non-printable"
+        with pytest.raises(ValueError, match=refusal):
             write_embeddings_csv(path, random_matrix(1, extractor=extractor))
         assert not path.exists()
 
@@ -324,6 +330,30 @@ class TestRegistry:
             reg.load("alpha")
         with pytest.raises(NotFound):
             reg.load_all()
+
+    def test_profile_file_is_utf8_under_any_locale(self, tmp_path):
+        """A profile whose JSON holds raw UTF-8 loads in a process whose locale
+        encoding is not UTF-8."""
+        src = str(Path(p2l.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONUTF8="0", LC_ALL="C", PYTHONCOERCECLOCALE="0",
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+        def child(code, *args):
+            result = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                                    capture_output=True, timeout=60)
+            assert result.returncode == 0, result.stderr.decode(errors="replace")
+            return result.stdout.decode("ascii")
+
+        encoding = child("import locale; print(locale.getpreferredencoding(False))")
+        if codecs.lookup(encoding.strip()).name == "utf-8":
+            pytest.skip("the C locale's preferred encoding is UTF-8 here")
+        ProfileRegistry.open(tmp_path).save(self.profile())
+        path = tmp_path / "alpha.profile.json"
+        path.write_bytes(path.read_bytes().replace(b'"vgg-like"', '"vèrso"'.encode()))
+        assert child("import sys; from p2l.io import ProfileRegistry; "
+                     "print(ascii(ProfileRegistry.open(sys.argv[1]).load('alpha')"
+                     ".extractor_id))", str(tmp_path)) == "'v\\xe8rso'\n"
 
     def test_invalid_name(self, tmp_path):
         reg = ProfileRegistry.open(tmp_path / "reg")
@@ -618,6 +648,73 @@ class TestSummaryCache:
         for version in versions + versions:
             reg.save(version, overwrite=True)
             assert_same_profiles(reg.load_all()[:1], [version])
+
+
+def _bin(id_bytes, id_len=None, floats=(1.0,)):
+    """A 1-column binary embeddings file holding floats, its header declaring
+    id_len bytes of id (by default the length of id_bytes)."""
+    id_len = len(id_bytes) if id_len is None else id_len
+    return (struct.pack("<4sIIQB", b"P2LE", 1, 1, len(floats), id_len) + id_bytes
+            + struct.pack(f"<{len(floats)}f", *floats))
+
+
+TRUTH_HEADER = "target,source,perf_transfer,perf_scratch\n"
+
+
+class TestRefusals:
+    """Refused files, profile documents and ids: class, message and line."""
+
+    @pytest.mark.parametrize("read,content,cls,message,line_no", [
+        (read_embeddings_csv, "# p2l-embeddings v1 dim=0 extractor=x\n1\n",
+         BadHeader, "{path}: dim must be >= 1", None),
+        (read_embeddings_csv, "# p2l-embeddings v1 dim=2 extractor=x\n1,2\n1,z\n",
+         NonFiniteValue, "line 3: unparseable value", 3),
+        (read_embeddings_bin, b"P2", TruncatedFile, "file shorter than the magic bytes",
+         None),
+        (read_embeddings_bin, b"P2LE\x01\x00", TruncatedFile, "incomplete header", None),
+        (read_embeddings_bin, _bin(b"ab", id_len=5, floats=()), TruncatedFile,
+         "incomplete extractor id", None),
+        (read_embeddings_bin, _bin(b"\xff"), BadHeader,
+         "extractor id is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in "
+         "position 0: invalid start byte", None),
+        (read_embeddings_bin, _bin(b"x") + b"\x00", TruncatedFile,
+         "1 trailing bytes after payload", None),
+        (read_improvements_csv, TRUTH_HEADER + "t,s,0.5,0.25\nt,r,x,0.25\n",
+         NonFiniteValue, "line 3: unparseable performance value", 3),
+        (read_improvements_csv, TRUTH_HEADER + "t,s,0.5,nan\n",
+         NonFiniteValue, "line 2: non-finite performance value", 2),
+    ], ids=["csv-dim-0", "csv-unparseable", "bin-shorter-than-magic",
+            "bin-incomplete-header", "bin-incomplete-id", "bin-id-not-utf8",
+            "bin-trailing-bytes", "truth-unparseable", "truth-not-finite"])
+    def test_malformed_file(self, tmp_path, read, content, cls, message, line_no):
+        path = tmp_path / "input"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+        with pytest.raises(cls) as err:
+            read(path)
+        assert str(err.value) == message.format(path=path)
+        assert getattr(err.value, "line_no", None) == line_no
+
+    @pytest.mark.parametrize("field,value,cls,message", [
+        ("version", 2, UnsupportedVersion, "profile version 2 unsupported"),
+        ("dim", 3, RaggedRow, "declared dim 3 but vectors have 2"),
+    ])
+    def test_malformed_profile_document(self, field, value, cls, message):
+        doc = profile_to_dict(make_profile("alpha", [1.0, 3.0], [1.0, 3.0]))
+        with pytest.raises(cls) as err:
+            profile_from_dict({**doc, field: value})
+        assert str(err.value) == message
+        assert getattr(err.value, "line_no", None) is None
+
+    def test_binary_writer_refuses_a_256_byte_id(self, tmp_path):
+        path = tmp_path / "emb.p2le"
+        with pytest.raises(ValueError, match="^extractor id longer than 255 bytes$"):
+            write_embeddings_bin(path, random_matrix(1, extractor="x" * 256))
+        assert not path.exists()
+        write_embeddings_bin(path, random_matrix(1, extractor="x" * 255))
+        assert read_embeddings_bin(path).extractor_id == "x" * 255
 
 
 class TestImprovementsCsv:

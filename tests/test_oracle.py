@@ -154,12 +154,18 @@ class TestTransferRuns:
             wins += transfer >= scratch
         assert wins >= 4
 
-    def test_f_one_zero_source_epochs_like_scratch(self):
-        cfg = oracle.OracleConfig(epochs=10, finetune_multiplier=1.0, source_epochs=0)
+    def test_f_one_zero_source_epochs_like_scratch(self, monkeypatch):
+        # Fine-tuning an untrained source model with the representation layer at
+        # the full learn rate is training from scratch from another start.
+        monkeypatch.setattr(oracle, "FINETUNE_MULTIPLIER", 1.0)
+        cfg = oracle.OracleConfig(epochs=10)
         gaps = []
         for seed in range(1, 6):
             world = oracle.generate_world(seed, two_cluster_spec(n_items=1600))
-            transfer = oracle.train_transfer(world, "bbb", "aaa", cfg)
+            untrained = oracle.init_params(
+                oracle._stream(seed, "source", "bbb"), world.spec.feature_dim,
+                oracle.HIDDEN_DIM, world.domain("bbb").spec.n_classes)
+            transfer = oracle._finetune_from(world, untrained, "bbb", "aaa", cfg)
             scratch = oracle.train_transfer(world, None, "aaa", cfg)
             gaps.append(abs(transfer - scratch))
         assert float(np.mean(gaps)) < 0.05
