@@ -11,13 +11,12 @@ Evaluation compares every selection method on one target at a time
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .core import (
-    DEFAULT_EPSILON,
+    EPSILON,
     CalibrationReport,
     DatasetProfile,
     DivergenceKind,
@@ -25,7 +24,6 @@ from .core import (
     GridPoint,
     ImprovementRecord,
     ScoredSource,
-    check_epsilon,
 )
 from .divergence import distances
 from .errors import (
@@ -37,7 +35,7 @@ from .errors import (
     ZeroDenominator,
 )
 from .estimator import baseline_rankings, check_candidates, score_sources, zscale
-from .io import fmt
+from .io import fmt, write_lines
 
 # k in [-3, 0] by steps of 0.05; distance works against size, so k <= 0.
 DEFAULT_K_GRID: tuple[float, ...] = tuple(round(-3.0 + 0.05 * i, 2) for i in range(61))
@@ -49,17 +47,15 @@ SELECTIONS_HEADER = "target,method,selection,perf,gain_vs_p2l,picks_to_best"
 
 @dataclass(frozen=True)
 class EvaluationConfig:
-    """Calibration grid: k values, distance kinds and smoothing epsilon."""
+    """Calibration grid: k values and distance kinds."""
 
     k_grid: tuple[float, ...] = DEFAULT_K_GRID
     distance_kinds: tuple[DivergenceKind, ...] = tuple(DivergenceKind)
-    epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
         k_grid = tuple(float(k) for k in self.k_grid)
         if not k_grid or not np.all(np.isfinite(k_grid)):
             raise ValueError("k grid must be a nonempty list of finite values")
-        check_epsilon(self.epsilon)
         kinds = tuple(DivergenceKind(k) for k in self.distance_kinds)
         if len(set(kinds)) != len(kinds) or not kinds:
             raise ValueError("distance_kinds must be a nonempty set of distinct kinds")
@@ -171,7 +167,7 @@ def tune_k(training_tasks: Sequence[TrainingTask],
         check_candidates(target, candidates)
         z_logs = zscale(np.log([float(c.size) for c in candidates]))
         summaries = [c.summary for c in candidates]
-        z_dists = np.array([zscale(distances(kind, target.summary, summaries, cfg.epsilon))
+        z_dists = np.array([zscale(distances(kind, target.summary, summaries, EPSILON))
                             for kind in cfg.distance_kinds])
         # One row per grid cell, in grid order: k-major, kind-minor.
         scores = (z_logs + ks[:, None, None] * z_dists).reshape(-1, len(candidates))
@@ -268,4 +264,4 @@ def write_grid_csv(report: CalibrationReport, path) -> None:
     lines = ["k,distance,mean_rho"]
     for g in report.grid:
         lines.append(f"{g.k!r},{g.distance.value},{g.mean_rho!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_lines(path, lines)

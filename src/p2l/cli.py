@@ -2,10 +2,13 @@
 
 stdout carries machine-parseable CSV only; human prose goes to stderr.
 Exit codes: 0 ok, 2 input error, 3 state conflict, 4 referential error.
+Every command checks its flags and reads its input files before it opens the
+registry, so a refused input leaves the registry as it was.
 """
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import os
 import sys
@@ -21,7 +24,7 @@ from .calibrate import (
     tune_k,
     write_grid_csv,
 )
-from .core import DEFAULT_EPSILON, DivergenceKind, EstimatorConfig, Summarizer
+from .core import DivergenceKind, EstimatorConfig, Summarizer
 from .errors import InputError, ReferentialError, StateError
 from .estimator import BASELINES, baseline_rankings, merge_profiles, score_sources
 from .io import (
@@ -51,7 +54,10 @@ def _note(message: str) -> None:
 def _parse_grid(text: str | None) -> tuple[float, ...]:
     if text is None:
         return DEFAULT_K_GRID
-    lo, hi, step = (float(x) for x in text.split(":"))
+    try:
+        lo, hi, step = (float(x) for x in text.split(":"))
+    except ValueError:
+        raise ValueError(f"bad grid spec {text!r}") from None
     finite = all(map(math.isfinite, (lo, hi, step)))
     if not finite or step <= 0 or hi < lo or not math.isfinite((hi - lo) / step):
         raise ValueError(f"bad grid spec {text!r}")
@@ -74,17 +80,16 @@ def _positive_int(text: str) -> int:
 
 
 def _estimator_config(args) -> EstimatorConfig:
-    return EstimatorConfig(distance=DivergenceKind(args.distance.upper()), k=args.k,
-                           epsilon=args.epsilon)
+    return EstimatorConfig(distance=DivergenceKind(args.distance.upper()), k=args.k)
 
 
 def cmd_profile(args) -> int:
-    registry = ProfileRegistry.open(args.registry)
-    matrix = sniff_and_read_embeddings(args.input)
     summarizer = Summarizer.parse(args.summarizer)
-    size = matrix.items if args.size == "auto" else int(args.size)
+    size = None if args.size == "auto" else int(args.size)
+    matrix = sniff_and_read_embeddings(args.input)
     profile = profile_from_matrix(args.name, matrix, summarizer,
                                   role=args.role, size=size)
+    registry = ProfileRegistry.open(args.registry)
     registry.save(profile, overwrite=args.force)
     print("dim,size,extractor_id")
     print(f"{matrix.dim},{profile.size},{profile.extractor_id}")
@@ -92,21 +97,25 @@ def cmd_profile(args) -> int:
     return EXIT_OK
 
 
-def _load_target(args, registry: ProfileRegistry):
-    """The target profile, and the registry name it is (None for a file)."""
-    path = Path(args.target)
-    if path.exists():
-        matrix = sniff_and_read_embeddings(path)
-        return profile_from_matrix("target", matrix, Summarizer.mean(), role="target"), None
-    return registry.load(args.target), args.target
+def _target_file(text: str):
+    """The target profile of the embeddings file at text; None when there is
+    no such file, and text names a registry profile."""
+    path = Path(text)
+    if not path.exists():
+        return None
+    return profile_from_matrix("target", sniff_and_read_embeddings(path),
+                               Summarizer.mean(), role="target")
 
 
 def cmd_rank(args) -> int:
+    cfg = _estimator_config(args)
+    target = _target_file(args.target)
     registry = ProfileRegistry.open(args.registry)
-    target, own_name = _load_target(args, registry)
+    own_name = None
+    if target is None:
+        target, own_name = registry.load(args.target), args.target
     candidates = [p for p in registry.load_all()
                   if p.role == "source" and p.name != own_name]
-    cfg = _estimator_config(args)
     scored = score_sources(target, candidates, cfg,
                            allow_mixed_extractors=args.allow_mixed_extractors)
     picks = {}
@@ -127,22 +136,26 @@ def cmd_rank(args) -> int:
     return EXIT_OK
 
 
-def _tasks_from_truth(registry: ProfileRegistry, path):
+def _read_truth(path):
+    """The ground-truth records of a truth CSV, grouped by target."""
     records = read_improvements_csv(path)
     if not records:
         raise ValueError("ground-truth file has no records")
-    grouped = group_records_by_target(records)
+    return group_records_by_target(records)
+
+
+def _tasks(registry: ProfileRegistry, grouped):
+    """The registry's target profile for each truth group, and its sources."""
     tasks = [(registry.load(name), recs) for name, recs in grouped.items()]
     sources = [p for p in registry.load_all() if p.role == "source"]
     return tasks, sources
 
 
 def cmd_calibrate(args) -> int:
-    registry = ProfileRegistry.open(args.registry)
-    tasks, sources = _tasks_from_truth(registry, args.truth)
     cfg = EvaluationConfig(k_grid=_parse_grid(args.grid),
-                           distance_kinds=_parse_kinds(args.kinds),
-                           epsilon=args.epsilon)
+                           distance_kinds=_parse_kinds(args.kinds))
+    grouped = _read_truth(args.truth)
+    tasks, sources = _tasks(ProfileRegistry.open(args.registry), grouped)
     report = tune_k(tasks, sources, cfg)
     write_grid_csv(report, args.out)
     for name, rho in report.per_task_rho.items():
@@ -155,10 +168,10 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    registry = ProfileRegistry.open(args.registry)
-    tasks, sources = _tasks_from_truth(registry, args.truth)
-    pool = {p.name: p for p in sources}
     cfg = _estimator_config(args)
+    grouped = _read_truth(args.truth)
+    tasks, sources = _tasks(ProfileRegistry.open(args.registry), grouped)
+    pool = {p.name: p for p in sources}
     rows = []
     for target, recs in tasks:
         _, outcomes = compare_methods(
@@ -185,15 +198,11 @@ def cmd_merge(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = oracle.OracleConfig(epochs=args.epochs, learn_rate=args.learn_rate)
     world = oracle.default_world(args.seed, cfg, n_sources=args.sources,
-                                 n_targets=args.targets,
-                                 feature_dim=args.feature_dim,
-                                 embed_dim=args.embed_dim)
+                                 n_targets=args.targets)
     records = oracle.ground_truth(world, cfg)
     tasks, sources = oracle.calibration_tasks(world, records)
-    eval_cfg = EvaluationConfig()
-    report = tune_k(tasks, sources, eval_cfg)
-    est = EstimatorConfig(distance=report.best_distance, k=report.best_k,
-                          epsilon=eval_cfg.epsilon)
+    report = tune_k(tasks, sources)
+    est = EstimatorConfig(distance=report.best_distance, k=report.best_k)
     study = oracle.run_study(world, cfg, est, records=records)
 
     outdir = Path(args.out)
@@ -222,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_estimator(p):
         p.add_argument("--distance", default="KL")
         p.add_argument("--k", type=float, required=True)
-        p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
         p.add_argument("--reference", default=None, help="reference source for B2")
         p.add_argument("--seed", type=int, default=None, help="seed for the B3 baseline")
         p.add_argument("--allow-mixed-extractors", action="store_true")
@@ -252,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default=None, help="k grid as min:max:step; a "
                    "negative min needs the = form: --grid=-2:0:0.25")
     p.add_argument("--kinds", default=None, help="comma-separated distance kinds")
-    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     add_registry(p)
     p.set_defaults(func=cmd_calibrate)
 
@@ -274,8 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sources", type=int, default=6)
     p.add_argument("--targets", type=int, default=8)
     p.add_argument("--out", required=True)
-    p.add_argument("--feature-dim", type=int, default=16)
-    p.add_argument("--embed-dim", type=int, default=32)
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--learn-rate", type=float, default=0.1)
     p.set_defaults(func=cmd_simulate)
@@ -284,6 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; stdout is switched to UTF-8 whatever the locale."""
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        sys.stdout.reconfigure(encoding="utf-8")
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -20,8 +20,8 @@ from .errors import EmptyMatrix, NonFiniteValue, NonPositiveEpsilon
 SCORE_IDENTITY_TOL = 1e-12
 # Normalized summaries must sum to 1 within this.
 L1_TOL = 1e-9
-# Smoothing weight of the probability distances unless one is given.
-DEFAULT_EPSILON = 1e-6
+# Smoothing weight of the probability distances in every ranking.
+EPSILON = 1e-6
 
 
 class DivergenceKind(str, Enum):
@@ -188,15 +188,14 @@ class DatasetProfile:
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Fully determines the selection score: distance kind, k, smoothing."""
+    """Fully determines the selection score: distance kind and k (the
+    probability kinds smooth by EPSILON)."""
 
     distance: DivergenceKind = DivergenceKind.KL
     k: float = -1.0
-    epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
         object.__setattr__(self, "distance", DivergenceKind(self.distance))
-        check_epsilon(self.epsilon)
         if not math.isfinite(self.k):
             raise ValueError("k must be finite")
 

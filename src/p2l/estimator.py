@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    EPSILON,
     SCORE_IDENTITY_TOL,
     DatasetProfile,
     EstimatorConfig,
@@ -128,7 +129,7 @@ def score_sources(target: DatasetProfile, sources: Sequence[DatasetProfile],
     names = [s.name for s in sources]
     sizes = [float(s.size) for s in sources]
     dists = distances(cfg.distance, target.summary, [s.summary for s in sources],
-                      cfg.epsilon)
+                      EPSILON)
     return score_table(names, sizes, dists, cfg.k)
 
 
@@ -168,7 +169,7 @@ def baseline_ranking(kind: str, target: DatasetProfile,
     if cfg is None:
         raise ValueError("B5 needs an estimator config for the distance")
     dists = dict(zip(names, distances(cfg.distance, target.summary,
-                                      [s.summary for s in sources], cfg.epsilon)))
+                                      [s.summary for s in sources], EPSILON)))
     return [s.name for s in
             sorted(sources, key=lambda s: (dists[s.name], -s.size, s.name))]
 

@@ -54,6 +54,11 @@ def fmt(x: float) -> str:
     return repr(float(x))
 
 
+def write_lines(path, lines: Iterable[str]) -> None:
+    """A UTF-8 text file of these lines, each ending in a newline."""
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def _atomic_write(path: Path, write: Callable[[BinaryIO], object],
                   replace: bool = True) -> None:
     """Have write() fill a temp file, then move it to path in one step; without
@@ -75,7 +80,7 @@ def _atomic_write(path: Path, write: Callable[[BinaryIO], object],
 def read_embeddings_csv(path) -> EmbeddingMatrix:
     """Header '# p2l-embeddings v1 dim=<d> extractor=<id>' then one row per line."""
     path = Path(path)
-    with path.open("r") as fh:
+    with path.open("r", encoding="utf-8") as fh:
         header = fh.readline()
         m = CSV_HEADER_RE.match(header)
         if not m:
@@ -108,7 +113,7 @@ def write_embeddings_csv(path, matrix: EmbeddingMatrix) -> None:
     lines = [f"# p2l-embeddings v1 dim={matrix.dim} extractor={matrix.extractor_id}"]
     for row in matrix.values:
         lines.append(",".join(fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def read_embeddings_bin(path) -> EmbeddingMatrix:
@@ -285,7 +290,7 @@ class ProfileRegistry:
         root.mkdir(parents=True, exist_ok=True)
         manifest = root / MANIFEST_NAME
         if manifest.exists():
-            doc = json.loads(manifest.read_text())
+            doc = json.loads(manifest.read_text(encoding="utf-8"))
             if (not isinstance(doc, dict) or doc.get("format") != "p2l-registry"
                     or doc.get("version") != 1):
                 raise UnsupportedVersion(f"registry manifest {doc!r} unsupported")
@@ -358,7 +363,7 @@ def read_improvements_csv(path) -> list[ImprovementRecord]:
     """Four-column interchange format: target,source,perf_transfer,perf_scratch."""
     path = Path(path)
     records = []
-    with path.open("r") as fh:
+    with path.open("r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != IMPROVEMENTS_HEADER:
             raise BadHeader(
@@ -385,7 +390,7 @@ def write_improvements_csv(path, records: Iterable[ImprovementRecord]) -> None:
     for r in records:
         lines.append(f"{r.target_name},{r.source_name},"
                      f"{fmt(r.perf_transfer)},{fmt(r.perf_scratch)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def group_records_by_target(records: Iterable[ImprovementRecord],

@@ -36,6 +36,7 @@ from .calibrate import (
     spearman_or_zero,
 )
 from .core import (
+    EPSILON,
     DatasetProfile,
     EmbeddingMatrix,
     EstimatorConfig,
@@ -44,7 +45,7 @@ from .core import (
 )
 from .errors import BadSpec, UnknownName
 from .estimator import merge_profiles, score_sources
-from .io import fmt, group_records_by_target, write_improvements_csv
+from .io import fmt, group_records_by_target, write_improvements_csv, write_lines
 from .summarize import profile_from_matrix
 
 
@@ -193,8 +194,7 @@ class OracleWorld:
         return [d.spec.name for d in self.domains[self.spec.n_sources:]]
 
 
-def generate_world(seed: int, spec: WorldSpec,
-                   cfg: OracleConfig | None = None) -> OracleWorld:
+def generate_world(seed: int, spec: WorldSpec) -> OracleWorld:
     """Sample items for every domain and cut them into four partitions.
 
     Per domain: items are Gaussian clusters around the class centroids,
@@ -255,8 +255,7 @@ N_GROUPS, MIN_ITEMS, MAX_ITEMS = 2, 240, 9600
 GROUP_SCALE, DOMAIN_SCALE, CLASS_SCALE, SPREAD = 2.0, 1.0, 1.0, 1.6
 
 
-def default_world_spec(seed: int, n_sources: int = 6, n_targets: int = 8,
-                       feature_dim: int = 16, embed_dim: int = 32) -> WorldSpec:
+def default_world_spec(seed: int, n_sources: int = 6, n_targets: int = 8) -> WorldSpec:
     """Random world layout: disjoint source and target domains in shared groups.
 
     Domains in the same group share jittered class anchors, so in-group
@@ -267,6 +266,7 @@ def default_world_spec(seed: int, n_sources: int = 6, n_targets: int = 8,
     is in the wrong group for some targets, and the nearest source is
     sometimes the tiny one.
     """
+    feature_dim = WorldSpec.feature_dim
     rng = _stream(seed, "worldspec")
     groups = []
     for _ in range(N_GROUPS):
@@ -298,13 +298,12 @@ def default_world_spec(seed: int, n_sources: int = 6, n_targets: int = 8,
         domains.append(DomainSpec(name=f"dom{i:02d}", n_classes=anchors.shape[0],
                                   n_items=int(sizes[i]), centroids=centroids,
                                   spread=SPREAD))
-    return WorldSpec(domains=tuple(domains), feature_dim=feature_dim,
-                     embed_dim=embed_dim, n_sources=n_sources)
+    return WorldSpec(domains=tuple(domains), n_sources=n_sources)
 
 
 def default_world(seed: int, cfg: OracleConfig | None = None,
                   **spec_kwargs) -> OracleWorld:
-    return generate_world(seed, default_world_spec(seed, **spec_kwargs), cfg)
+    return generate_world(seed, default_world_spec(seed, **spec_kwargs))
 
 
 # -- profiles ------------------------------------------------------------------------
@@ -662,18 +661,18 @@ def write_study_files(study: StudyReport, outdir) -> None:
     lines = ["target,spearman_rho,best_source"]
     for target, rho in study.per_target_rho.items():
         lines.append(f"{target},{fmt(rho)},{best_source(by_target[target])}")
-    (outdir / "per_target.csv").write_text("\n".join(lines) + "\n")
+    write_lines(outdir / "per_target.csv", lines)
 
     lines = [SELECTIONS_HEADER]
     for target, outcomes in study.outcomes.items():
         lines.extend(selection_row(target, o) for o in outcomes.values())
-    (outdir / "selections.csv").write_text("\n".join(lines) + "\n")
+    write_lines(outdir / "selections.csv", lines)
 
     lines = ["method,mean_accuracy,top1_hit_rate,mean_picks_to_best"]
     text = [
         f"seed: {study.seed}",
         f"estimator: distance={study.estimator.distance.value} "
-        f"k={fmt(study.estimator.k)} epsilon={fmt(study.estimator.epsilon)}",
+        f"k={fmt(study.estimator.k)} epsilon={fmt(EPSILON)}",
         f"targets: {len(study.per_target_rho)}",
         f"mean spearman rho (score vs improvement): {fmt(study.mean_rho)}",
     ]
@@ -685,8 +684,8 @@ def write_study_files(study: StudyReport, outdir) -> None:
         lines.append(f"{method},{acc},{hit},{mp}")
         rank = f", top-1 hit rate {hit}, mean picks-to-best {mp}" if ranks else ""
         text.append(f"{method}: mean accuracy {acc}{rank}")
-    (outdir / "methods.csv").write_text("\n".join(lines) + "\n")
-    (outdir / "summary.txt").write_text("\n".join(text) + "\n")
+    write_lines(outdir / "methods.csv", lines)
+    write_lines(outdir / "summary.txt", text)
 
 
 def write_merged_csv(report: MergedStudyReport, path) -> None:
@@ -696,4 +695,4 @@ def write_merged_csv(report: MergedStudyReport, path) -> None:
         lines.append(f"{o.target_name},{fmt(o.divergence_from_reference)},"
                      f"{fmt(o.perf_reference)},{fmt(o.perf_merged)},"
                      f"{o.predicted},{o.winner}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_lines(path, lines)

@@ -17,6 +17,7 @@ from p2l.calibrate import (
     write_grid_csv,
 )
 from p2l.core import (
+    EPSILON,
     DivergenceKind,
     EmbeddingMatrix,
     EstimatorConfig,
@@ -27,7 +28,6 @@ from p2l.errors import (
     DegenerateConstantInput,
     LengthMismatch,
     MixedExtractors,
-    NonPositiveEpsilon,
     TooFewSources,
     UnknownSource,
     ZeroDenominator,
@@ -200,12 +200,6 @@ class TestTuneK:
         assert report.best_point().mean_rho == pytest.approx(1.0)
         assert report.per_task_rho["t"] == pytest.approx(1.0)
 
-    def test_bad_epsilon_refused_for_every_kind_list(self):
-        # EUC and CITYBLOCK never smooth, but the grid still cannot take it.
-        for bad in (0.0, -1.0, float("nan")):
-            with pytest.raises(NonPositiveEpsilon):
-                EvaluationConfig(distance_kinds=("EUC", "CITYBLOCK"), epsilon=bad)
-
     def test_distance_task_tie_breaks_to_smallest_magnitude_k(self):
         target, sources, records = distance_task()
         report = tune_k([(target, records)], sources)
@@ -302,7 +296,7 @@ class TestTuneK:
             improvements = np.array([r.improvement for r in records])
             z_dists = {kind: zscale(distances(kind, target.summary,
                                               [c.summary for c in candidates],
-                                              cfg.epsilon))
+                                              EPSILON))
                        for kind in cfg.distance_kinds}
             for g in report.grid:
                 got = g.task_rho[target.name]

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import errno
 import hashlib
@@ -116,6 +117,30 @@ class TestProfileCommand:
         assert code == 0
         assert parse_csv(out) == [["dim", "size", "extractor_id"], ["3", "2", extractor]]
 
+    def test_stdout_is_utf8_under_any_locale(self, tmp_path):
+        """profile prints a non-ASCII extractor id as UTF-8 in a process whose
+        locale encoding is not UTF-8."""
+        src = str(Path(p2l.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONUTF8="0", LC_ALL="C", PYTHONCOERCECLOCALE="0",
+                   PYTHONIOENCODING="", PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+        def child(*args):
+            return subprocess.run([sys.executable, *args], env=env,
+                                  capture_output=True, timeout=60)
+
+        encoding = child("-c", "import locale; print(locale.getpreferredencoding(False))")
+        if codecs.lookup(encoding.stdout.decode("ascii").strip()).name == "utf-8":
+            pytest.skip("the C locale's preferred encoding is UTF-8 here")
+        emb = tmp_path / "emb.csv"
+        write_embeddings(emb, np.ones((2, 2)), extractor="é")
+        registry = tmp_path / "registry"
+        result = child("-m", "p2l.cli", "profile", "--input", str(emb), "--name", "x",
+                       "--registry", str(registry))
+        assert result.returncode == 0, result.stderr.decode(errors="replace")
+        assert result.stdout == "dim,size,extractor_id\n2,2,é\n".encode("utf-8")
+        assert ProfileRegistry.open(registry).load("x").extractor_id == "é"
+
     def test_malformed_input_exits_2(self, capsys, tmp_path, registry_dir):
         bad = tmp_path / "bad.csv"
         bad.write_text("not a header\n1,2\n")
@@ -152,6 +177,20 @@ def seed_registry(tmp_path, registry_dir):
     target = tmp_path / "target.csv"
     write_embeddings(target, np.tile(base, (4, 1)))
     return target
+
+
+def seed_truth(tmp_path, registry_dir):
+    """seed_registry plus a target profile 'tprof' and its truth CSV."""
+    target = seed_registry(tmp_path, registry_dir)
+    assert main(["profile", "--input", str(target), "--name", "tprof",
+                 "--role", "target", "--registry", registry_dir]) == 0
+    # improvements strictly increasing in size: size alone ranks perfectly
+    records = [ImprovementRecord("tprof", "small_near", 0.3, 0.2),
+               ImprovementRecord("tprof", "mid", 0.4, 0.2),
+               ImprovementRecord("tprof", "big_far", 0.6, 0.2)]
+    truth = tmp_path / "truth.csv"
+    write_improvements_csv(truth, records)
+    return truth
 
 
 class TestRankCommand:
@@ -454,20 +493,8 @@ class TestProfileFileChecks:
 
 
 class TestCalibrateAndEvaluate:
-    def seed_truth(self, tmp_path, registry_dir):
-        target = seed_registry(tmp_path, registry_dir)
-        assert main(["profile", "--input", str(target), "--name", "tprof",
-                     "--role", "target", "--registry", registry_dir]) == 0
-        # improvements strictly increasing in size: size alone ranks perfectly
-        records = [ImprovementRecord("tprof", "small_near", 0.3, 0.2),
-                   ImprovementRecord("tprof", "mid", 0.4, 0.2),
-                   ImprovementRecord("tprof", "big_far", 0.6, 0.2)]
-        truth = tmp_path / "truth.csv"
-        write_improvements_csv(truth, records)
-        return truth
-
     def test_calibrate_monotone_size_task(self, capsys, tmp_path, registry_dir):
-        truth = self.seed_truth(tmp_path, registry_dir)
+        truth = seed_truth(tmp_path, registry_dir)
         grid_out = tmp_path / "grid.csv"
         code, out, _ = run(capsys, "calibrate", "--truth", str(truth),
                            "--registry", registry_dir, "--out", str(grid_out))
@@ -482,7 +509,7 @@ class TestCalibrateAndEvaluate:
         assert len(grid_rows) == 1 + 61 * 5
 
     def test_calibrate_mixed_extractors_exits_2(self, capsys, tmp_path, registry_dir):
-        truth = self.seed_truth(tmp_path, registry_dir)
+        truth = seed_truth(tmp_path, registry_dir)
         path = Path(registry_dir) / "tprof.profile.json"
         doc = json.loads(path.read_text())
         path.write_text(json.dumps({**doc, "extractor_id": "other"}))
@@ -495,7 +522,7 @@ class TestCalibrateAndEvaluate:
 
     def test_calibrate_unknown_source_exits_4(self, capsys, tmp_path,
                                               registry_dir):
-        truth = self.seed_truth(tmp_path, registry_dir)
+        truth = seed_truth(tmp_path, registry_dir)
         text = truth.read_text() + "tprof,ghost,0.5,0.2\n"
         truth.write_text(text)
         code, _, _ = run(capsys, "calibrate", "--truth", str(truth),
@@ -505,7 +532,7 @@ class TestCalibrateAndEvaluate:
 
     def test_evaluate_unknown_source_exits_4(self, capsys, tmp_path,
                                              registry_dir):
-        truth = self.seed_truth(tmp_path, registry_dir)
+        truth = seed_truth(tmp_path, registry_dir)
         truth.write_text(truth.read_text() + "tprof,ghost,0.5,0.2\n")
         code, _, _ = run(capsys, "evaluate", "--truth", str(truth),
                          "--registry", registry_dir, "--distance", "KL",
@@ -518,7 +545,7 @@ class TestCalibrateAndEvaluate:
     def test_inconsistent_truth_exits_2_before_output(self, capsys, tmp_path,
                                                       registry_dir, command,
                                                       extra_row):
-        truth = self.seed_truth(tmp_path, registry_dir)
+        truth = seed_truth(tmp_path, registry_dir)
         truth.write_text(truth.read_text() + extra_row + "\n")
         extra = (["--out", str(tmp_path / "g.csv")] if command == "calibrate"
                  else ["--k", "0"])
@@ -530,7 +557,7 @@ class TestCalibrateAndEvaluate:
 
     def test_calibrate_grid_stays_within_its_range(self, capsys, tmp_path,
                                                    registry_dir):
-        truth = self.seed_truth(tmp_path, registry_dir)
+        truth = seed_truth(tmp_path, registry_dir)
         grid_out = tmp_path / "grid.csv"
         code, _, _ = run(capsys, "calibrate", "--truth", str(truth), "--registry",
                          registry_dir, "--out", str(grid_out), "--grid=0:1:0.35",
@@ -540,16 +567,16 @@ class TestCalibrateAndEvaluate:
         assert ks == [0.0, 0.35, 0.7]
 
     @pytest.mark.parametrize("grid", ["0:inf:1", "-inf:0:1", "nan:0:0.5", "0:1:nan",
-                                      "-1e308:1e308:1"])
+                                      "-1e308:1e308:1", "1:2", "0:1:0.5:2", "0:x:1"])
     def test_calibrate_non_finite_grid_exits_2(self, capsys, tmp_path, registry_dir,
                                                grid):
-        truth = self.seed_truth(tmp_path, registry_dir)
+        truth = seed_truth(tmp_path, registry_dir)
         code, out, err = run(capsys, "calibrate", "--truth", str(truth),
                              "--registry", registry_dir, "--out",
                              str(tmp_path / "g.csv"), f"--grid={grid}")
         assert code == 2
         assert out == ""
-        assert len(err.splitlines()) == 1 and err.startswith("p2l: error:")
+        assert err == f"p2l: error: bad grid spec {grid!r}\n"
 
     def test_calibrate_notes_per_task_rho(self, capsys, tmp_path):
         registry_dir = tmp_path / "registry"
@@ -566,7 +593,7 @@ class TestCalibrateAndEvaluate:
         assert len(report.per_task_rho) == 4
 
     def test_evaluate_gain_arithmetic(self, capsys, tmp_path, registry_dir):
-        truth = self.seed_truth(tmp_path, registry_dir)
+        truth = seed_truth(tmp_path, registry_dir)
         code, out, _ = run(capsys, "evaluate", "--truth", str(truth),
                            "--registry", registry_dir, "--distance", "KL",
                            "--k", "0")
@@ -584,6 +611,48 @@ class TestCalibrateAndEvaluate:
         # B4 gain: (0.6 - 0.2) / 0.2
         assert float(table["B4"][4]) == pytest.approx(2.0)
         assert table["B4"][2] == ""
+
+
+class TestRefusedInputLeavesTheRegistry:
+    """A flag or input file a command refuses exits 2 before the registry is
+    opened: an existing registry keeps its files, a missing one is not made."""
+
+    CASES = {
+        "rank-distance": ["rank", "--target", "{target}", "--k", "-1",
+                          "--distance", "XX"],
+        "rank-k": ["rank", "--target", "{target}", "--k", "nan"],
+        "calibrate-grid": ["calibrate", "--truth", "{truth}", "--out", "{out}",
+                           "--grid=1:0:1"],
+        "calibrate-kinds": ["calibrate", "--truth", "{truth}", "--out", "{out}",
+                            "--kinds", "XX"],
+        "evaluate-distance": ["evaluate", "--truth", "{truth}", "--k", "0",
+                              "--distance", "XX"],
+        "profile-input": ["profile", "--input", "{missing}", "--name", "x"],
+        "profile-summarizer": ["profile", "--input", "{target}", "--name", "x",
+                               "--summarizer", "bogus"],
+    }
+
+    @pytest.mark.parametrize("registry", ["existing", "absent"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_refused_input_exits_2_and_leaves_the_registry(self, capsys, tmp_path,
+                                                           case, registry):
+        truth = seed_truth(tmp_path, str(tmp_path / "existing"))
+        root = tmp_path / registry
+        assert CACHE_NAME not in os.listdir(tmp_path / "existing")
+
+        def snapshot():
+            if not root.exists():
+                return None
+            return {p.name: p.stat().st_mtime_ns for p in root.iterdir()}
+
+        before = snapshot()
+        paths = {"target": tmp_path / "target.csv", "truth": truth,
+                 "out": tmp_path / "grid.csv", "missing": tmp_path / "missing.csv"}
+        argv = [arg.format(**paths) for arg in self.CASES[case]]
+        code, out, err = run(capsys, *argv, "--registry", str(root))
+        assert (code, out) == (2, ""), err
+        assert snapshot() == before
+        assert not (tmp_path / "grid.csv").exists()
 
 
 class TestMergeCommand:
@@ -659,6 +728,29 @@ class TestSimulateCommand:
                               "--distance", best_distance)
         assert code == 0
         assert stdout == (outdir / "selections.csv").read_text()
+
+
+class TestFixedSettings:
+    @pytest.mark.parametrize("argv", [
+        ["rank", "--target", "t.csv", "--k", "-1", "--epsilon", "1e-3"],
+        ["evaluate", "--truth", "t.csv", "--k", "0", "--epsilon", "1e-3"],
+        ["calibrate", "--truth", "t.csv", "--out", "g.csv", "--epsilon", "1e-3"],
+        ["simulate", "--feature-dim", "8"],
+        ["simulate", "--embed-dim", "8"],
+    ], ids=["rank-epsilon", "evaluate-epsilon", "calibrate-epsilon",
+            "simulate-feature-dim", "simulate-embed-dim"])
+    def test_flag_of_a_fixed_setting_exits_2(self, capsys, tmp_path, argv):
+        """The smoothing weight and the simulated world's widths are constants."""
+        command, *rest = argv
+        extra = (["--seed", "1", "--sources", "3", "--targets", "2", "--epochs", "1",
+                  "--out", str(tmp_path / "study")] if command == "simulate"
+                 else ["--registry", str(tmp_path / "registry")])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([command, *rest, *extra])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert os.listdir(tmp_path) == []
 
 
 class TestImports:

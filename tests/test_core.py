@@ -13,7 +13,7 @@ from p2l.core import (
     Summarizer,
     SummaryVector,
 )
-from p2l.errors import EmptyMatrix, NonFiniteValue, NonPositiveEpsilon
+from p2l.errors import EmptyMatrix, NonFiniteValue
 
 
 def make_summary(values):
@@ -111,12 +111,6 @@ class TestEstimatorConfig:
     def test_accepts_string_distance(self):
         cfg = EstimatorConfig(distance="CITYBLOCK", k=-1.0)
         assert cfg.distance is DivergenceKind.CITYBLOCK
-
-    def test_rejects_bad_epsilon(self):
-        with pytest.raises(NonPositiveEpsilon):
-            EstimatorConfig(k=-1.0, epsilon=0.0)
-        with pytest.raises(NonPositiveEpsilon):
-            EstimatorConfig(k=-1.0, epsilon=float("nan"))
 
 
 class TestScoredSource:

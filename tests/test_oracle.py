@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from p2l import oracle
-from p2l.core import DivergenceKind, EstimatorConfig
+from p2l.core import EPSILON, DivergenceKind, EstimatorConfig
 from p2l.divergence import distances
 from p2l.errors import BadSpec, UnknownName
 from p2l.estimator import merge_profiles
@@ -76,7 +76,7 @@ class TestWorldGeneration:
             b_src = sources[1]
             a_resample = targets["aaa"]
             d_ab, d_aa = distances(est.distance, a_resample.summary,
-                                   [b_src.summary, a_src.summary], est.epsilon)
+                                   [b_src.summary, a_src.summary], EPSILON)
             wins += d_ab > 2.0 * d_aa
         assert wins >= 5
 
@@ -243,10 +243,9 @@ class TestStudies:
         )
         spec = oracle.WorldSpec(domains=domains, feature_dim=8, embed_dim=16,
                                 n_sources=3)
-        cfg = oracle.OracleConfig()
         est = EstimatorConfig(distance="KL", k=-1.0)
         for seed in (1, 2, 3):
-            world = oracle.generate_world(seed, spec, cfg)
+            world = oracle.generate_world(seed, spec)
             sources, targets = oracle.build_profiles(world)
             from p2l.estimator import baseline_ranking, score_sources
             tgt = targets["tgt"]
