@@ -286,17 +286,16 @@ class ProfileRegistry:
 
     @classmethod
     def open(cls, root) -> "ProfileRegistry":
+        """The registry at root, which need not exist: opening writes nothing,
+        and the first save makes the directory and its manifest. A manifest
+        that is there must be one this version reads."""
         root = Path(root)
-        root.mkdir(parents=True, exist_ok=True)
         manifest = root / MANIFEST_NAME
         if manifest.exists():
             doc = json.loads(manifest.read_text(encoding="utf-8"))
             if (not isinstance(doc, dict) or doc.get("format") != "p2l-registry"
                     or doc.get("version") != 1):
                 raise UnsupportedVersion(f"registry manifest {doc!r} unsupported")
-        else:
-            text = json.dumps({"format": "p2l-registry", "version": 1}, indent=2) + "\n"
-            _atomic_write(manifest, lambda fh: fh.write(text.encode()))
         return cls(root=root)
 
     def _path(self, name: str) -> Path:
@@ -306,6 +305,11 @@ class ProfileRegistry:
 
     def save(self, profile: DatasetProfile, overwrite: bool = False) -> None:
         path = self._path(profile.name)
+        manifest = self.root / MANIFEST_NAME
+        if not manifest.exists():
+            self.root.mkdir(parents=True, exist_ok=True)
+            text = json.dumps({"format": "p2l-registry", "version": 1}, indent=2) + "\n"
+            _atomic_write(manifest, lambda fh: fh.write(text.encode()))
         try:
             _atomic_write(path, lambda fh: fh.write(profile_to_json(profile).encode()),
                           replace=overwrite)

@@ -13,7 +13,8 @@ Fine-tuning replaces the head and trains it at the full learn rate while the
 representation layer moves at FINETUNE_MULTIPLIER times it. Everything is a pure
 function of (seed, configs): each training run draws from its own RNG stream
 derived from the world seed and the run's names, so results are independent
-of scheduling order. Negative transfer is possible and intentionally not
+of scheduling order. The runs onto one target train in lockstep, stacked on a
+leading run axis, and each still draws only from its own stream. Negative transfer is possible and intentionally not
 clamped away.
 """
 from __future__ import annotations
@@ -339,75 +340,97 @@ def build_profiles(world: OracleWorld,
 
 @dataclass
 class ModelParams:
-    """Linear representation layer then a softmax classification head."""
+    """Linear representation layer then a softmax classification head, for R
+    runs at once: every weight has a leading run axis, and R = 1 is one model."""
 
-    w1: np.ndarray  # (in_dim, hidden)
-    b1: np.ndarray  # (hidden,)
-    w2: np.ndarray  # (hidden, n_classes)
-    b2: np.ndarray  # (n_classes,)
+    w1: np.ndarray  # (R, in_dim, hidden)
+    b1: np.ndarray  # (R, hidden)
+    w2: np.ndarray  # (R, hidden, n_classes)
+    b2: np.ndarray  # (R, n_classes)
+
+    @classmethod
+    def concat(cls, runs: Sequence[ModelParams]) -> ModelParams:
+        """A new stack of the given runs' weights, in order."""
+        return cls(w1=np.concatenate([p.w1 for p in runs]),
+                   b1=np.concatenate([p.b1 for p in runs]),
+                   w2=np.concatenate([p.w2 for p in runs]),
+                   b2=np.concatenate([p.b2 for p in runs]))
 
 
 def init_params(rng: np.random.Generator, in_dim: int, hidden_dim: int,
                 n_classes: int) -> ModelParams:
+    """One run's starting weights (R = 1)."""
     return ModelParams(
-        w1=rng.normal(0.0, 1.0 / math.sqrt(in_dim), (in_dim, hidden_dim)),
-        b1=np.zeros(hidden_dim),
-        w2=rng.normal(0.0, 1.0 / math.sqrt(hidden_dim), (hidden_dim, n_classes)),
-        b2=np.zeros(n_classes),
+        w1=rng.normal(0.0, 1.0 / math.sqrt(in_dim), (1, in_dim, hidden_dim)),
+        b1=np.zeros((1, hidden_dim)),
+        w2=rng.normal(0.0, 1.0 / math.sqrt(hidden_dim), (1, hidden_dim, n_classes)),
+        b2=np.zeros((1, n_classes)),
     )
 
 
 def loss_and_grads(params: ModelParams, x: np.ndarray, y: np.ndarray,
                    ) -> tuple[float, ModelParams]:
-    """Mean softmax cross-entropy and its analytic gradients."""
-    shifted, denom, grads = _softmax_grads(params, x, y)
-    log_probs = shifted - np.log(denom)
+    """Mean softmax cross-entropy of one run (R = 1) and its analytic gradients."""
+    shifted, denom, grads = _softmax_grads(params, x[None], y[None])
+    log_probs = shifted[0] - np.log(denom[0])
     return -float(log_probs[np.arange(x.shape[0]), y].mean()), grads
 
 
 def _softmax_grads(params: ModelParams, x: np.ndarray, y: np.ndarray,
                    ) -> tuple[np.ndarray, np.ndarray, ModelParams]:
-    """Max-shifted logits, softmax denominators and loss gradients; sgd_train
-    needs only the gradients, loss_and_grads adds the loss from the rest."""
-    m = x.shape[0]
-    h = x @ params.w1 + params.b1
-    logits = h @ params.w2 + params.b2
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    """Max-shifted logits, softmax denominators and loss gradients of R runs,
+    run r on the batch x[r] (m, in_dim), y[r] (m,); sgd_train needs only the
+    gradients, loss_and_grads adds the loss from the rest."""
+    m = y.shape[1]
+    h = x @ params.w1 + params.b1[:, None]
+    logits = h @ params.w2 + params.b2[:, None]
+    shifted = logits - logits.max(axis=2, keepdims=True)
     exp = np.exp(shifted)
-    denom = exp.sum(axis=1, keepdims=True)
+    denom = exp.sum(axis=2, keepdims=True)
     g = exp / denom
-    g[np.arange(m), y] -= 1.0
+    g.reshape(-1)[np.arange(0, g.size, g.shape[2]) + y.reshape(-1)] -= 1.0  # true class
     g /= m
-    dh = g @ params.w2.T
-    grads = ModelParams(w1=x.T @ dh, b1=dh.sum(axis=0),
-                        w2=h.T @ g, b2=g.sum(axis=0))
+    dh = g @ params.w2.swapaxes(1, 2)
+    grads = ModelParams(w1=x.swapaxes(1, 2) @ dh, b1=dh.sum(axis=1),
+                        w2=h.swapaxes(1, 2) @ g, b2=g.sum(axis=1))
     return shifted, denom, grads
 
 
 def sgd_train(params: ModelParams, x: np.ndarray, y: np.ndarray,
-              rng: np.random.Generator, learn_rate: float, epochs: int,
-              batch: int, rep_scale: float = 1.0) -> ModelParams:
-    """Plain mini-batch gradient descent, in place; no momentum, fixed budget.
+              rngs: Sequence[np.random.Generator], learn_rate: float, epochs: int,
+              batch: int, rep_scale: float | Sequence[float] = 1.0) -> ModelParams:
+    """Plain mini-batch gradient descent of R runs on one split, in lockstep
+    and in place; no momentum, fixed budget.
 
-    The representation layer moves at rep_scale times the learn rate; the
-    head always moves at the full rate.
+    Run r draws each epoch's order from its own rngs[r] and moves its
+    representation layer at rep_scale[r] times the learn rate (a single
+    rep_scale serves every run); every head moves at the full rate. Each
+    run's weights come out bit for bit as if it had trained alone.
     """
     n = x.shape[0]
+    rep_rates = learn_rate * np.broadcast_to(rep_scale, (len(rngs),))
+    w1_rates, b1_rates = rep_rates[:, None, None], rep_rates[:, None]
     for _ in range(epochs):
-        order = rng.permutation(n)
+        order = np.stack([rng.permutation(n) for rng in rngs])
         for start in range(0, n, batch):
-            idx = order[start:start + batch]
-            _, _, g = _softmax_grads(params, x[idx], y[idx])
-            params.w1 -= learn_rate * rep_scale * g.w1
-            params.b1 -= learn_rate * rep_scale * g.b1
+            idx = order[:, start:start + batch]
+            _, _, g = _softmax_grads(params, x.take(idx, axis=0), y.take(idx))
+            params.w1 -= w1_rates * g.w1
+            params.b1 -= b1_rates * g.b1
             params.w2 -= learn_rate * g.w2
             params.b2 -= learn_rate * g.b2
     return params
 
 
-def accuracy(params: ModelParams, x: np.ndarray, y: np.ndarray) -> float:
-    logits = (x @ params.w1 + params.b1) @ params.w2 + params.b2
-    return float((logits.argmax(axis=1) == y).mean())
+def accuracy(params: ModelParams, x: np.ndarray, y: np.ndarray) -> list[float]:
+    """Each run's top-1 accuracy on (x, y), one run at a time: a validation
+    split is far larger than a batch, and R copies of its activations would
+    set the process's peak memory."""
+    accs = []
+    for w1, b1, w2, b2 in zip(params.w1, params.b1, params.w2, params.b2):
+        logits = (x @ w1 + b1) @ w2 + b2
+        accs.append(float((logits.argmax(axis=1) == y).mean()))
+    return accs
 
 
 # -- transfer runs --------------------------------------------------------------------
@@ -430,36 +453,50 @@ def _train_pooled_model(world: OracleWorld, source_names: Sequence[str],
     y = np.concatenate(ys)
     rng = _stream(world.seed, *tags)
     params = init_params(rng, world.spec.feature_dim, HIDDEN_DIM, offset)
-    return sgd_train(params, x, y, rng, cfg.learn_rate, cfg.epochs, cfg.batch)
+    return sgd_train(params, x, y, [rng], cfg.learn_rate, cfg.epochs, cfg.batch)
 
 
-def _fit_target(world: OracleWorld, target_name: str, params: ModelParams,
-                rng: np.random.Generator, cfg: OracleConfig,
-                rep_scale: float = 1.0) -> float:
-    """Train params on the target's training split; its validation accuracy."""
+def _scratch_run(world: OracleWorld, target_name: str,
+                 ) -> tuple[ModelParams, np.random.Generator]:
+    """A random initialization; the start and its RNG stream."""
+    rng = _stream(world.seed, "scratch", target_name)
+    return init_params(rng, world.spec.feature_dim, HIDDEN_DIM,
+                       world.domain(target_name).spec.n_classes), rng
+
+
+def _finetune_run(world: OracleWorld, source_params: ModelParams, source_tag: str,
+                  target_name: str) -> tuple[ModelParams, np.random.Generator]:
+    """Keep the representation layer, new head; the start and its RNG stream."""
+    n_classes = world.domain(target_name).spec.n_classes
+    rng = _stream(world.seed, "transfer", source_tag, target_name)
+    w2 = rng.normal(0.0, 1.0 / math.sqrt(HIDDEN_DIM), (1, HIDDEN_DIM, n_classes))
+    return ModelParams(w1=source_params.w1, b1=source_params.b1, w2=w2,
+                       b2=np.zeros((1, n_classes))), rng
+
+
+def _fit_target(world: OracleWorld, target_name: str,
+                runs: Sequence[tuple[ModelParams, np.random.Generator]],
+                cfg: OracleConfig, rep_scale: float | Sequence[float] = 1.0,
+                ) -> list[float]:
+    """Train copies of the runs on the target's training split in lockstep;
+    each run's validation accuracy."""
     data = world.domain(target_name)
-    sgd_train(params, data.target_train.x, data.target_train.y, rng,
-              cfg.learn_rate, cfg.epochs, cfg.batch, rep_scale)
+    params = sgd_train(ModelParams.concat([p for p, _ in runs]),
+                       data.target_train.x, data.target_train.y,
+                       [rng for _, rng in runs], cfg.learn_rate, cfg.epochs,
+                       cfg.batch, rep_scale)
     return accuracy(params, data.target_val.x, data.target_val.y)
 
 
 def _finetune_from(world: OracleWorld, source_params: ModelParams,
                    source_tag: str, target_name: str, cfg: OracleConfig) -> float:
-    """Keep the representation layer, new head, train on the target split."""
-    n_classes = world.domain(target_name).spec.n_classes
-    rng = _stream(world.seed, "transfer", source_tag, target_name)
-    params = ModelParams(
-        w1=source_params.w1.copy(), b1=source_params.b1.copy(),
-        w2=rng.normal(0.0, 1.0 / math.sqrt(HIDDEN_DIM), (HIDDEN_DIM, n_classes)),
-        b2=np.zeros(n_classes))
-    return _fit_target(world, target_name, params, rng, cfg, FINETUNE_MULTIPLIER)
+    """Fine-tune a copy of source_params on the target; its validation accuracy."""
+    run = _finetune_run(world, source_params, source_tag, target_name)
+    return _fit_target(world, target_name, [run], cfg, FINETUNE_MULTIPLIER)[0]
 
 
 def train_scratch(world: OracleWorld, target_name: str, cfg: OracleConfig) -> float:
-    rng = _stream(world.seed, "scratch", target_name)
-    params = init_params(rng, world.spec.feature_dim, HIDDEN_DIM,
-                         world.domain(target_name).spec.n_classes)
-    return _fit_target(world, target_name, params, rng, cfg)
+    return _fit_target(world, target_name, [_scratch_run(world, target_name)], cfg)[0]
 
 
 def train_transfer(world: OracleWorld, source_name: str | None,
@@ -479,18 +516,22 @@ def train_transfer(world: OracleWorld, source_name: str | None,
 def ground_truth(world: OracleWorld, cfg: OracleConfig) -> list[ImprovementRecord]:
     """Real improvements for every (target, source) pair in the world.
 
-    Source models are trained once and reused across targets; results are
+    Source models are trained once and reused across targets. Per target, the
+    scratch run and one fine-tune per source train in lockstep; results are
     identical to independent train_transfer calls because every run owns its
     RNG stream.
     """
+    sources = world.source_names()
     models = {name: _train_pooled_model(world, [name], cfg, "source", name)
-              for name in world.source_names()}
+              for name in sources}
     records = []
     for target in world.target_names():
-        scratch = train_scratch(world, target, cfg)
-        for source in world.source_names():
-            perf = _finetune_from(world, models[source], source, target, cfg)
-            records.append(ImprovementRecord(target, source, perf, scratch))
+        runs = [_scratch_run(world, target)]
+        runs += [_finetune_run(world, models[s], s, target) for s in sources]
+        scratch, *perfs = _fit_target(world, target, runs, cfg,
+                                      [1.0] + [FINETUNE_MULTIPLIER] * len(sources))
+        records.extend(ImprovementRecord(target, source, perf, scratch)
+                       for source, perf in zip(sources, perfs))
     return records
 
 
@@ -636,8 +677,10 @@ def merged_source_study(world: OracleWorld, cfg: OracleConfig,
         scored = score_sources(target_profiles[target],
                                [ref_profile, merged_profile], est)
         div = next(s.distance_value for s in scored if s.source_name == reference)
-        perf_ref = _finetune_from(world, ref_model, reference, target, cfg)
-        perf_merged = _finetune_from(world, merged_model, "merged", target, cfg)
+        runs = [_finetune_run(world, ref_model, reference, target),
+                _finetune_run(world, merged_model, "merged", target)]
+        perf_ref, perf_merged = _fit_target(world, target, runs, cfg,
+                                            FINETUNE_MULTIPLIER)
         outcomes.append(MergedOutcome(
             target_name=target, divergence_from_reference=div,
             perf_reference=perf_ref, perf_merged=perf_merged,

@@ -655,6 +655,38 @@ class TestRefusedInputLeavesTheRegistry:
         assert not (tmp_path / "grid.csv").exists()
 
 
+class TestMissingRegistryIsNotMade:
+    """A command that only reads the registry keeps its exit code and message
+    on a mistyped --registry path, and leaves nothing there."""
+
+    CASES = {
+        "rank-name": (["rank", "--target", "ghost", "--k", "-1"], 4,
+                      "no profile named 'ghost' in {root}"),
+        "rank-file": (["rank", "--target", "{target}", "--k", "-1"], 2,
+                      "need at least one candidate source"),
+        "calibrate": (["calibrate", "--truth", "{truth}", "--out", "{out}"], 4,
+                      "no profile named 'tprof' in {root}"),
+        "evaluate": (["evaluate", "--truth", "{truth}", "--k", "0"], 4,
+                     "no profile named 'tprof' in {root}"),
+        "merge": (["merge", "--name", "pooled", "--members", "small_near,mid"], 4,
+                  "no profile named 'small_near' in {root}"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_read_only_command_leaves_no_registry(self, capsys, tmp_path, case):
+        truth = seed_truth(tmp_path, str(tmp_path / "existing"))
+        root = tmp_path / "typo"
+        paths = {"target": tmp_path / "target.csv", "truth": truth,
+                 "out": tmp_path / "grid.csv", "root": root}
+        argv, want_code, message = self.CASES[case]
+        code, out, err = run(capsys, *[arg.format(**paths) for arg in argv],
+                             "--registry", str(root))
+        assert (code, out) == (want_code, "")
+        assert err == f"p2l: error: {message.format(**paths)}\n"
+        assert not root.exists()
+        assert not (tmp_path / "grid.csv").exists()
+
+
 class TestMergeCommand:
     def test_merge_and_collision(self, capsys, tmp_path, registry_dir):
         seed_registry(tmp_path, registry_dir)

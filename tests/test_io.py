@@ -370,6 +370,8 @@ class TestRegistry:
     def test_manifest_written_and_checked(self, tmp_path):
         root = tmp_path / "reg"
         ProfileRegistry.open(root)
+        assert not root.exists()  # the first save makes the registry
+        ProfileRegistry.open(root).save(self.profile())
         manifest = json.loads((root / "manifest.json").read_text())
         assert manifest == {"format": "p2l-registry", "version": 1}
         (root / "manifest.json").write_text(

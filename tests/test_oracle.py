@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from p2l import oracle
 from p2l.core import EPSILON, DivergenceKind, EstimatorConfig
@@ -121,16 +123,104 @@ class TestTrainer:
     def test_training_reduces_loss(self):
         params, x, y = self.random_instance(99)
         before, _ = oracle.loss_and_grads(params, x, y)
-        oracle.sgd_train(params, x, y, np.random.default_rng(0), 0.1, 50, 4)
+        oracle.sgd_train(params, x, y, [np.random.default_rng(0)], 0.1, 50, 4)
         after, _ = oracle.loss_and_grads(params, x, y)
         assert after < before
 
     def test_rep_scale_zero_freezes_representation(self):
         params, x, y = self.random_instance(7)
         w1_before = params.w1.copy()
-        oracle.sgd_train(params, x, y, np.random.default_rng(0), 0.1, 5, 4,
+        oracle.sgd_train(params, x, y, [np.random.default_rng(0)], 0.1, 5, 4,
                          rep_scale=0.0)
         np.testing.assert_array_equal(params.w1, w1_before)
+
+
+def reference_grads(params, x, y):
+    """One run's loss gradients on one batch, with 2-D weights; the kernel
+    the trainer ran before runs were stacked."""
+    m = x.shape[0]
+    h = x @ params.w1 + params.b1
+    logits = h @ params.w2 + params.b2
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    denom = exp.sum(axis=1, keepdims=True)
+    g = exp / denom
+    g[np.arange(m), y] -= 1.0
+    g /= m
+    dh = g @ params.w2.T
+    return oracle.ModelParams(w1=x.T @ dh, b1=dh.sum(axis=0),
+                              w2=h.T @ g, b2=g.sum(axis=0))
+
+
+def reference_sgd_train(params, x, y, rng, learn_rate, epochs, batch, rep_scale):
+    """One run trained alone, in place: the trainer's loop before runs were
+    stacked."""
+    n = x.shape[0]
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch):
+            idx = order[start:start + batch]
+            g = reference_grads(params, x[idx], y[idx])
+            params.w1 -= learn_rate * rep_scale * g.w1
+            params.b1 -= learn_rate * rep_scale * g.b1
+            params.w2 -= learn_rate * g.w2
+            params.b2 -= learn_rate * g.b2
+    return params
+
+
+class TestStackedTrainer:
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 89), d=st.integers(1, 19), hidden=st.integers(1, 9),
+           classes=st.integers(1, 7), batch=st.integers(1, 39),
+           epochs=st.integers(0, 3), learn_rate=st.sampled_from([0.1, 0.05, 0.3]),
+           rep_scales=st.lists(st.one_of(st.sampled_from([1.0, 0.1, 0.0, 0.37]),
+                                         st.floats(0.0, 2.0)),
+                               min_size=1, max_size=13),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=10, d=3, hidden=2, classes=3, batch=4, epochs=2, learn_rate=0.1,
+             rep_scales=[1.0, 0.1, 0.1], seed=1)  # a short last batch
+    def test_stacked_runs_match_runs_alone_bit_for_bit(
+            self, n, d, hidden, classes, batch, epochs, learn_rate, rep_scales, seed):
+        """Every weight of every run, trained in lockstep on one split, has the
+        float64 bits of the same run trained alone from the same stream."""
+        data_rng = np.random.default_rng(seed)
+        x = data_rng.normal(0.0, 2.0, (n, d))
+        y = data_rng.integers(0, classes, n)
+
+        def stream(r):
+            return np.random.default_rng([seed, r])
+
+        rngs = [stream(r) for r in range(len(rep_scales))]
+        starts = [oracle.init_params(rng, d, hidden, classes) for rng in rngs]
+        stacked = oracle.sgd_train(oracle.ModelParams.concat(starts), x, y, rngs,
+                                   learn_rate, epochs, batch, rep_scales)
+        for r, rep_scale in enumerate(rep_scales):
+            rng = stream(r)
+            start = oracle.init_params(rng, d, hidden, classes)
+            alone = oracle.ModelParams(w1=start.w1[0], b1=start.b1[0],
+                                       w2=start.w2[0], b2=start.b2[0])
+            reference_sgd_train(alone, x, y, rng, learn_rate, epochs, batch, rep_scale)
+            for field in ("w1", "b1", "w2", "b2"):
+                got = getattr(stacked, field)[r]
+                want = getattr(alone, field)
+                assert got.dtype == want.dtype == np.float64
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (field, r)
+
+    def test_one_rep_scale_serves_every_run(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(0.0, 1.0, (10, 4))
+        y = rng.integers(0, 3, 10)
+        starts = [oracle.init_params(np.random.default_rng(r), 4, 5, 3) for r in range(3)]
+
+        def train(rep_scale):
+            return oracle.sgd_train(oracle.ModelParams.concat(starts), x, y,
+                                    [np.random.default_rng(9 + r) for r in range(3)],
+                                    0.1, 2, 4, rep_scale)
+
+        one, each = train(0.1), train([0.1, 0.1, 0.1])
+        for field in ("w1", "b1", "w2", "b2"):
+            assert getattr(one, field).tobytes() == getattr(each, field).tobytes()
 
 
 class TestTransferRuns:
