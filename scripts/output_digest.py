@@ -144,6 +144,20 @@ def profile_files(tmp: Path) -> None:
     show_files("profiles", (tmp / "profiles").glob("*.profile.json"))
 
 
+CSV_HEADER = "# p2l-embeddings v1 dim=3 extractor=ext\n"
+
+
+def unusual_csvs(tmp: Path) -> None:
+    """profile of valid CSV files in forms write_embeddings_csv never writes."""
+    for name, body in (("padded", " 1.5 ,\t2, 0.25 \n3 ,4,5\n"),
+                       ("underscore", "1_0,2,3\n4,5_5,6\n"),
+                       ("crlf", "1.5,2,0.25\r\n3,4,5\r\n")):
+        (tmp / f"{name}.csv").write_bytes((CSV_HEADER + body).encode())
+        p2l(tmp, f"profile-{name}", "profile", "--registry", "unusual",
+            "--input", f"{name}.csv", "--name", name)
+    show_files("unusual", (tmp / "unusual").glob("*.profile.json"))
+
+
 def studies(tmp: Path) -> None:
     scripts = ROOT / "scripts"
     run(tmp, "run_oracle_study", str(scripts / "run_oracle_study.py"),
@@ -172,10 +186,14 @@ def refusals(tmp: Path) -> None:
     data = (tmp / "target.bin").read_bytes()
     (tmp / "truncated.bin").write_bytes(data[:-4])
     (tmp / "dim0.csv").write_text("# p2l-embeddings v1 dim=0 extractor=ext\n1\n")
+    (tmp / "empty-line.csv").write_text(CSV_HEADER + "1,2,3\n\n4,5,6\n")
+    (tmp / "inf.csv").write_text(CSV_HEADER + "1,2,3\n4,inf,6\n")
     truth = "sim7/ground_truth.csv"
     for name, code, *argv in (
         ("profile-truncated", 2, "profile", "--input", "truncated.bin", "--name", "t"),
         ("profile-dim0", 2, "profile", "--input", "dim0.csv", "--name", "d"),
+        ("profile-empty-line", 2, "profile", "--input", "empty-line.csv", "--name", "e"),
+        ("profile-inf", 2, "profile", "--input", "inf.csv", "--name", "i"),
         ("profile-existing", 3, "profile", "--input", "emb.csv", "--name", "pmean"),
     ):
         refuse(tmp, f"refuse-{name}", code, *argv, "--registry", "profiles")
@@ -200,6 +218,7 @@ def main() -> None:
         shelf_registry(tmp)
         registry_commands(tmp)
         profile_files(tmp)
+        unusual_csvs(tmp)
         studies(tmp)
         refusals(tmp)
 

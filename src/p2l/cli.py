@@ -14,7 +14,6 @@ import os
 import sys
 from pathlib import Path
 
-from . import oracle
 from .calibrate import (
     DEFAULT_K_GRID,
     SELECTIONS_HEADER,
@@ -196,6 +195,7 @@ def cmd_merge(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import oracle  # only simulate trains; the other commands skip its import
     cfg = oracle.OracleConfig(epochs=args.epochs, learn_rate=args.learn_rate)
     world = oracle.default_world(args.seed, cfg, n_sources=args.sources,
                                  n_targets=args.targets)

@@ -78,8 +78,35 @@ def _atomic_write(path: Path, write: Callable[[BinaryIO], object],
 # -- embedding matrices ---------------------------------------------------------
 
 def read_embeddings_csv(path) -> EmbeddingMatrix:
-    """Header '# p2l-embeddings v1 dim=<d> extractor=<id>' then one row per line."""
+    """Header '# p2l-embeddings v1 dim=<d> extractor=<id>' then one row per line,
+    each field read as float() reads it.
+
+    numpy's C parser reads the rows. A file it refuses, or one on which it
+    could part from the line rule (not UTF-8, a bad header, no rows, an empty
+    line, a value that is not finite), is read again by the line parser,
+    which then gives the answer and every refusal."""
     path = Path(path)
+    values = None
+    try:
+        # Universal newlines, as the line parser's text-mode iteration reads them.
+        header, _, body = path.read_text(encoding="utf-8").partition("\n")
+        m = CSV_HEADER_RE.match(header)
+        dim = int(m.group(1)) if m else 0
+        lines = body.split("\n")
+        if lines[-1] == "":
+            lines.pop()  # the newline that ends the last row
+        if dim >= 1 and lines and "" not in lines:
+            values = np.loadtxt(lines, delimiter=",", dtype=np.float64,
+                                comments=None, ndmin=2)
+    except ValueError:  # not UTF-8, or a field numpy does not read
+        pass
+    if values is not None and values.shape == (len(lines), dim) and np.isfinite(values).all():
+        return EmbeddingMatrix(values, m.group(2))
+    return _read_embeddings_csv_lines(path)
+
+
+def _read_embeddings_csv_lines(path: Path) -> EmbeddingMatrix:
+    """read_embeddings_csv one line at a time: the rule it reads by."""
     with path.open("r", encoding="utf-8") as fh:
         header = fh.readline()
         m = CSV_HEADER_RE.match(header)

@@ -786,15 +786,26 @@ class TestFixedSettings:
 
 
 class TestImports:
-    def test_cli_import_does_not_load_scipy(self):
+    @staticmethod
+    def loaded_by_cli_import(module):
+        """Whether a fresh interpreter holds module after `import p2l.cli`."""
         src = str(Path(p2l.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         result = subprocess.run(
             [sys.executable, "-c",
-             "import sys, p2l.cli; sys.exit('scipy' in sys.modules)"],
+             f"import sys, p2l.cli; sys.exit({module!r} in sys.modules)"],
             env=env, timeout=60)
-        assert result.returncode == 0
+        assert result.returncode in (0, 1)
+        return result.returncode == 1
+
+    def test_cli_import_does_not_load_scipy(self):
+        assert not self.loaded_by_cli_import("scipy")
+
+    def test_cli_import_does_not_load_the_oracle(self):
+        # Only simulate trains, so rank, profile and calibrate skip its import.
+        assert not self.loaded_by_cli_import("p2l.oracle")
+        assert self.loaded_by_cli_import("p2l.io")
 
 
 class TestEnvRegistry:

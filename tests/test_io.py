@@ -35,6 +35,7 @@ from p2l.errors import (
 )
 from p2l.io import (
     CACHE_NAME,
+    _read_embeddings_csv_lines,
     ProfileRegistry,
     group_records_by_target,
     profile_from_dict,
@@ -195,6 +196,138 @@ class TestEmbeddingsCsv:
             except ValueError:
                 return  # refused: whitespace or a non-printable character
             assert read_embeddings_csv(path).extractor_id == extractor
+
+
+def csv_outcome(read, path):
+    """What read(path) gives: the values' float64 bytes, shape and extractor id,
+    or the class, message and line number of what it raises."""
+    try:
+        m = read(path)
+    except (P2LError, ValueError) as exc:  # UnicodeDecodeError too
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+    return m.values.tobytes(), m.values.shape, m.extractor_id
+
+
+# Fields numpy's loadtxt reads as float() does, and fields where the two part:
+# numpy reads the non-finite ones as inf or nan and refuses the rest.
+PLAIN_FIELDS = ["0", "-0", "1e-400", "1e-320", "007", ".5", "5.", "+1", "1E5",
+                " 2 ", "\t3", "4\xa0", "\u30005"]
+ODD_FIELDS = ["inf", "-inf", "nan", "-nan", "Infinity", "1e999", "1_0", "١",
+              "#", "#1", '"1"', "0x10", "", " ", "1 2", "1j"]
+CSV_HEAD = "# p2l-embeddings v1 dim={dim} extractor={id}"
+
+
+@st.composite
+def csv_files(draw):
+    """Bytes of an embeddings CSV: mostly well formed, with every form on which
+    loadtxt and the line rule part: empty or blank lines, non-finite values,
+    `1_0`, non-ASCII digits, `#`, quotes, trailing commas, hex; and CR or CRLF
+    line ends, a missing final newline, bad headers and non-UTF-8 bytes."""
+    dim = draw(st.integers(1, 4))
+    header = draw(st.sampled_from([
+        CSV_HEAD.format(dim=dim, id="ext"), CSV_HEAD.format(dim=dim, id="é"),
+        CSV_HEAD.format(dim=dim, id="a,b"), CSV_HEAD.format(dim=0, id="ext"),
+        "dim=2 extractor=x"]))
+    odd = draw(st.booleans())
+    field = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                      st.sampled_from(PLAIN_FIELDS + (ODD_FIELDS if odd else [])))
+    width = st.one_of(st.just(dim), st.integers(0, dim + 1)) if odd else st.just(dim)
+    rows = draw(st.lists(width.flatmap(lambda n: st.lists(field, min_size=n,
+                                                             max_size=n)),
+                         max_size=12))
+    ends = st.sampled_from(["\n", "\r\n", "\r"]) if odd else st.just("\n")
+    text = header + "".join(draw(ends) + ",".join(row) for row in rows)
+    if draw(st.booleans()):
+        text += draw(ends)
+    data = text.encode("utf-8")
+    if odd and draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+HEAD_DIM2 = "# p2l-embeddings v1 dim=2 extractor=ext\n"
+
+
+class TestCsvFastPath:
+    """read_embeddings_csv reads with numpy's parser where it can, and gives
+    exactly what the line parser gives on every input."""
+
+    @pytest.mark.filterwarnings("error::UserWarning")  # loadtxt warns on empty input
+    @settings(max_examples=400, deadline=None)
+    @given(data=csv_files())
+    def test_same_as_the_line_parser(self, data):
+        with tempfile.TemporaryDirectory() as name:
+            path = Path(name) / "emb.csv"
+            path.write_bytes(data)
+            assert csv_outcome(read_embeddings_csv, path) == \
+                csv_outcome(_read_embeddings_csv_lines, path)
+
+    @pytest.mark.filterwarnings("error::UserWarning")
+    @pytest.mark.parametrize("body,want", [
+        ("1,2\n\n3,4\n", (RaggedRow, 3)),
+        ("1,2\n\n", (RaggedRow, 3)),
+        ("1,2\n3,inf\n", (NonFiniteValue, 3)),
+        ("nan,2\n", (NonFiniteValue, 2)),
+        ("1,Infinity\n", (NonFiniteValue, 2)),
+        ("1e999,2\n", (NonFiniteValue, 2)),
+        ("1_0,2\n", [[10.0, 2.0]]),
+        ("١,2\n", [[1.0, 2.0]]),
+        ("1,2\n  \n", (RaggedRow, 3)),
+        ("#1,2\n", (NonFiniteValue, 2)),
+        ('"1",2\n', (NonFiniteValue, 2)),
+        ("1,2,\n", (RaggedRow, 2)),
+        ("0x1,2\n", (NonFiniteValue, 2)),
+        (" 1 , 2 \n", [[1.0, 2.0]]),
+        ("\t1,2\t\n", [[1.0, 2.0]]),
+        ("1,2\r\n3,4\r\n", [[1.0, 2.0], [3.0, 4.0]]),
+        ("1,2\n3,4", [[1.0, 2.0], [3.0, 4.0]]),
+        ("1,2\r3,4\r", [[1.0, 2.0], [3.0, 4.0]]),
+        ("", (EmptyMatrix, None)),
+        ("\n\n", (RaggedRow, 2)),
+        ("1,2\ninf,2\n" + "1,2\n" * 6 + "1\n", (NonFiniteValue, 3)),
+    ], ids=["empty-line-mid", "empty-line-end", "inf", "nan", "Infinity", "1e999",
+            "underscore", "arabic-digit", "blank-line", "hash", "quotes",
+            "trailing-comma", "hex", "padded", "tab", "crlf", "no-final-newline",
+            "cr", "header-only", "only-empty-lines", "inf-line-3-before-ragged-line-10"])
+    def test_forms_where_loadtxt_and_the_line_rule_part(self, tmp_path, body, want):
+        path = tmp_path / "emb.csv"
+        path.write_bytes((HEAD_DIM2 + body).encode("utf-8"))
+        got = csv_outcome(read_embeddings_csv, path)
+        assert got == csv_outcome(_read_embeddings_csv_lines, path)
+        if isinstance(want, list):
+            assert got[0] == np.array(want, dtype=np.float64).tobytes()
+        else:
+            assert (got[0], got[2]) == want
+
+    def test_non_utf8_byte_is_refused_as_the_line_parser_refuses_it(self, tmp_path):
+        path = tmp_path / "emb.csv"
+        path.write_bytes(HEAD_DIM2.encode() + b"1,2\n3,\xff\n")
+        got = csv_outcome(read_embeddings_csv, path)
+        assert got[0] is UnicodeDecodeError
+        assert got == csv_outcome(_read_embeddings_csv_lines, path)
+
+    def test_plain_file_never_reaches_the_line_parser(self, tmp_path, monkeypatch):
+        def refuse(path):
+            raise AssertionError("line parser called on a plain file")
+        monkeypatch.setattr("p2l.io._read_embeddings_csv_lines", refuse)
+        m = random_matrix(3, n=40, d=7)
+        write_embeddings_csv(tmp_path / "emb.csv", m)
+        assert read_embeddings_csv(tmp_path / "emb.csv").values.tobytes() == \
+            m.values.tobytes()
+
+    def test_empty_line_reaches_the_line_parser(self, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(path):
+            calls.append(path)
+            return _read_embeddings_csv_lines(path)
+        monkeypatch.setattr("p2l.io._read_embeddings_csv_lines", spy)
+        path = tmp_path / "emb.csv"
+        path.write_text(HEAD_DIM2 + "1,2\n\n3,4\n")
+        with pytest.raises(RaggedRow):
+            read_embeddings_csv(path)
+        assert calls == [path]
 
 
 class TestEmbeddingsBin:
