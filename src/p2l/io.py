@@ -7,6 +7,7 @@ profiles are correctness-dominant and use decimal JSON text that round-trips
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -55,8 +56,10 @@ def fmt(x: float) -> str:
 
 
 def write_lines(path, lines: Iterable[str]) -> None:
-    """A UTF-8 text file of these lines, each ending in a newline."""
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """A UTF-8 text file of these lines, each ending in a newline, written line
+    by line so that a generator of lines is never held whole."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"{line}\n" for line in lines)
 
 
 def _atomic_write(path: Path, write: Callable[[BinaryIO], object],
@@ -137,10 +140,9 @@ def write_embeddings_csv(path, matrix: EmbeddingMatrix) -> None:
     if not re.fullmatch(r"\S+", matrix.extractor_id):  # as CSV_HEADER_RE reads it
         raise ValueError(f"extractor id {matrix.extractor_id!r} holds whitespace, "
                          "which the CSV header cannot carry")
-    lines = [f"# p2l-embeddings v1 dim={matrix.dim} extractor={matrix.extractor_id}"]
-    for row in matrix.values:
-        lines.append(",".join(fmt(v) for v in row))
-    write_lines(path, lines)
+    header = f"# p2l-embeddings v1 dim={matrix.dim} extractor={matrix.extractor_id}"
+    rows = (",".join(map(float.__repr__, row.tolist())) for row in matrix.values)
+    write_lines(path, itertools.chain([header], rows))
 
 
 def read_embeddings_bin(path) -> EmbeddingMatrix:

@@ -10,12 +10,12 @@ produces real transfer outcomes:
     improvement = accuracy(fine-tuned from source) - accuracy(from scratch)
 
 Fine-tuning replaces the head and trains it at the full learn rate while the
-representation layer moves at FINETUNE_MULTIPLIER times it. Everything is a pure
-function of (seed, configs): each training run draws from its own RNG stream
-derived from the world seed and the run's names, so results are independent
-of scheduling order. The runs onto one target train in lockstep, stacked on a
-leading run axis, and each still draws only from its own stream. Negative transfer is possible and intentionally not
-clamped away.
+representation layer moves at FINETUNE_MULTIPLIER times it. Everything is a
+pure function of (seed, configs): each training run draws from its own RNG
+stream derived from the world seed and the run's names, so results are
+independent of scheduling order. The runs onto one target train in lockstep,
+stacked on a leading run axis, and each still draws only from its own stream.
+Negative transfer is possible and intentionally not clamped away.
 """
 from __future__ import annotations
 
@@ -71,6 +71,8 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 TARGET_FRACTION = 0.1  # share of partition 3 that trains each target
 HIDDEN_DIM = 8  # width of the trainer's representation layer
 FINETUNE_MULTIPLIER = 0.1  # representation layer's share of the learn rate in a fine-tune
+FEATURE_DIM = 16  # feature width of the default world
+EMBED_DIM = 32  # width of the reference extractor's embeddings
 
 
 @dataclass(frozen=True)
@@ -98,19 +100,22 @@ class DomainSpec:
     """One domain: class centroids in feature space plus an item budget."""
 
     name: str
-    n_classes: int
     n_items: int
     centroids: np.ndarray  # (n_classes, feature_dim)
     spread: float = 1.0
 
     def __post_init__(self):
         arr = _frozen(np.array(self.centroids, dtype=np.float64, copy=True))
-        if arr.ndim != 2 or arr.shape[0] != self.n_classes:
+        if arr.ndim != 2 or arr.shape[1] < 1:
             raise BadSpec(f"domain {self.name!r}: centroids must be "
                           f"(n_classes, feature_dim), got {arr.shape}")
         object.__setattr__(self, "centroids", arr)
         if self.spread <= 0.0:
             raise BadSpec(f"domain {self.name!r}: spread must be > 0")
+
+    @property
+    def n_classes(self) -> int:
+        return self.centroids.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,22 +124,26 @@ class WorldSpec:
 
     The remaining domains are the evaluation targets; when every domain is a
     source, every domain is also a target. All domains get all four splits
-    either way, so self-transfer stays expressible.
+    either way, so self-transfer stays expressible. The feature width is the
+    domains' shared centroid width.
     """
 
     domains: tuple[DomainSpec, ...]
-    feature_dim: int = 16
-    embed_dim: int = 32
     n_sources: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "domains", tuple(self.domains))
-        if self.feature_dim < 1 or self.embed_dim < 1:
-            raise BadSpec("feature_dim and embed_dim must be >= 1")
         n_sources = len(self.domains) if self.n_sources is None else self.n_sources
         if not (1 <= n_sources <= len(self.domains)):
             raise BadSpec("n_sources must lie in [1, number of domains]")
         object.__setattr__(self, "n_sources", n_sources)
+        widths = {d.centroids.shape[1] for d in self.domains}
+        if len(widths) > 1:
+            raise BadSpec(f"domains differ in centroid width: {sorted(widths)}")
+
+    @property
+    def feature_dim(self) -> int:
+        return self.domains[0].centroids.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,9 +223,6 @@ def generate_world(seed: int, spec: WorldSpec) -> OracleWorld:
     for dom in spec.domains:
         if dom.n_classes < 2:
             raise BadSpec(f"domain {dom.name!r} needs at least two classes")
-        if dom.centroids.shape[1] != spec.feature_dim:
-            raise BadSpec(f"domain {dom.name!r}: centroid dim "
-                          f"{dom.centroids.shape[1]} != feature_dim {spec.feature_dim}")
         quarter = dom.n_items // 4
         target_items = math.floor(TARGET_FRACTION * quarter)
         if target_items < 1:
@@ -243,8 +249,8 @@ def generate_world(seed: int, spec: WorldSpec) -> OracleWorld:
 
     ext_rng = _stream(seed, "extractor")
     weights = ext_rng.normal(0.0, 1.0 / math.sqrt(spec.feature_dim),
-                             (spec.feature_dim, spec.embed_dim))
-    offset = ext_rng.normal(0.0, 0.5, spec.embed_dim)
+                             (spec.feature_dim, EMBED_DIM))
+    offset = ext_rng.normal(0.0, 0.5, EMBED_DIM)
     extractor = ReferenceExtractor(weights=_frozen(weights), offset=_frozen(offset),
                                    extractor_id=f"oracle-ref-{seed}")
     return OracleWorld(seed=seed, spec=spec, domains=tuple(domains),
@@ -267,13 +273,15 @@ def default_world_spec(seed: int, n_sources: int = 6, n_targets: int = 8) -> Wor
     is in the wrong group for some targets, and the nearest source is
     sometimes the tiny one.
     """
-    feature_dim = WorldSpec.feature_dim
+    if n_sources < 1 or n_targets < 1:
+        raise BadSpec("a world needs at least one source and one target, "
+                      f"got {n_sources} and {n_targets}")
     rng = _stream(seed, "worldspec")
     groups = []
     for _ in range(N_GROUPS):
-        center = rng.normal(0.0, GROUP_SCALE, feature_dim)
+        center = rng.normal(0.0, GROUP_SCALE, FEATURE_DIM)
         n_classes = int(rng.integers(5, 9))
-        anchors = center + rng.normal(0.0, CLASS_SCALE, (n_classes, feature_dim))
+        anchors = center + rng.normal(0.0, CLASS_SCALE, (n_classes, FEATURE_DIM))
         groups.append(anchors)
 
     n_domains = n_sources + n_targets
@@ -296,9 +304,8 @@ def default_world_spec(seed: int, n_sources: int = 6, n_targets: int = 8) -> Wor
         # different distances from a target instead of one indistinct blob.
         jitter = rng.uniform(0.3, DOMAIN_SCALE)
         centroids = anchors + rng.normal(0.0, jitter, anchors.shape)
-        domains.append(DomainSpec(name=f"dom{i:02d}", n_classes=anchors.shape[0],
-                                  n_items=int(sizes[i]), centroids=centroids,
-                                  spread=SPREAD))
+        domains.append(DomainSpec(name=f"dom{i:02d}", n_items=int(sizes[i]),
+                                  centroids=centroids, spread=SPREAD))
     return WorldSpec(domains=tuple(domains), n_sources=n_sources)
 
 
@@ -456,47 +463,38 @@ def _train_pooled_model(world: OracleWorld, source_names: Sequence[str],
     return sgd_train(params, x, y, [rng], cfg.learn_rate, cfg.epochs, cfg.batch)
 
 
-def _scratch_run(world: OracleWorld, target_name: str,
-                 ) -> tuple[ModelParams, np.random.Generator]:
-    """A random initialization; the start and its RNG stream."""
-    rng = _stream(world.seed, "scratch", target_name)
-    return init_params(rng, world.spec.feature_dim, HIDDEN_DIM,
-                       world.domain(target_name).spec.n_classes), rng
-
-
-def _finetune_run(world: OracleWorld, source_params: ModelParams, source_tag: str,
-                  target_name: str) -> tuple[ModelParams, np.random.Generator]:
-    """Keep the representation layer, new head; the start and its RNG stream."""
-    n_classes = world.domain(target_name).spec.n_classes
-    rng = _stream(world.seed, "transfer", source_tag, target_name)
-    w2 = rng.normal(0.0, 1.0 / math.sqrt(HIDDEN_DIM), (1, HIDDEN_DIM, n_classes))
-    return ModelParams(w1=source_params.w1, b1=source_params.b1, w2=w2,
-                       b2=np.zeros((1, n_classes))), rng
-
-
 def _fit_target(world: OracleWorld, target_name: str,
-                runs: Sequence[tuple[ModelParams, np.random.Generator]],
-                cfg: OracleConfig, rep_scale: float | Sequence[float] = 1.0,
-                ) -> list[float]:
-    """Train copies of the runs on the target's training split in lockstep;
-    each run's validation accuracy."""
+                sources: Sequence[tuple[str, ModelParams] | None],
+                cfg: OracleConfig) -> list[float]:
+    """One run onto the target per source entry, trained in lockstep on the
+    target's training split; each run's validation accuracy.
+
+    None is the scratch run: a fresh initialization on the stream
+    ("scratch", target) that moves at the full learn rate. (tag, model)
+    fine-tunes a copy of model: a new head drawn from the stream
+    ("transfer", tag, target), and a representation layer that moves at
+    FINETUNE_MULTIPLIER times the learn rate.
+    """
     data = world.domain(target_name)
-    params = sgd_train(ModelParams.concat([p for p, _ in runs]),
-                       data.target_train.x, data.target_train.y,
-                       [rng for _, rng in runs], cfg.learn_rate, cfg.epochs,
+    n_classes = data.spec.n_classes
+    runs, rngs, rep_scale = [], [], []
+    for source in sources:
+        if source is None:
+            rng = _stream(world.seed, "scratch", target_name)
+            runs.append(init_params(rng, world.spec.feature_dim, HIDDEN_DIM, n_classes))
+            rep_scale.append(1.0)
+        else:
+            tag, model = source
+            rng = _stream(world.seed, "transfer", tag, target_name)
+            w2 = rng.normal(0.0, 1.0 / math.sqrt(HIDDEN_DIM), (1, HIDDEN_DIM, n_classes))
+            runs.append(ModelParams(w1=model.w1, b1=model.b1, w2=w2,
+                                    b2=np.zeros((1, n_classes))))
+            rep_scale.append(FINETUNE_MULTIPLIER)
+        rngs.append(rng)
+    params = sgd_train(ModelParams.concat(runs), data.target_train.x,
+                       data.target_train.y, rngs, cfg.learn_rate, cfg.epochs,
                        cfg.batch, rep_scale)
     return accuracy(params, data.target_val.x, data.target_val.y)
-
-
-def _finetune_from(world: OracleWorld, source_params: ModelParams,
-                   source_tag: str, target_name: str, cfg: OracleConfig) -> float:
-    """Fine-tune a copy of source_params on the target; its validation accuracy."""
-    run = _finetune_run(world, source_params, source_tag, target_name)
-    return _fit_target(world, target_name, [run], cfg, FINETUNE_MULTIPLIER)[0]
-
-
-def train_scratch(world: OracleWorld, target_name: str, cfg: OracleConfig) -> float:
-    return _fit_target(world, target_name, [_scratch_run(world, target_name)], cfg)[0]
 
 
 def train_transfer(world: OracleWorld, source_name: str | None,
@@ -507,10 +505,11 @@ def train_transfer(world: OracleWorld, source_name: str | None,
     only. Non-convergence is not an error; the accuracy stands as measured.
     """
     world.domain(target_name)
-    if source_name is None:
-        return train_scratch(world, target_name, cfg)
-    model = _train_pooled_model(world, [source_name], cfg, "source", source_name)
-    return _finetune_from(world, model, source_name, target_name, cfg)
+    source = None
+    if source_name is not None:
+        source = (source_name, _train_pooled_model(world, [source_name], cfg,
+                                                   "source", source_name))
+    return _fit_target(world, target_name, [source], cfg)[0]
 
 
 def ground_truth(world: OracleWorld, cfg: OracleConfig) -> list[ImprovementRecord]:
@@ -526,10 +525,7 @@ def ground_truth(world: OracleWorld, cfg: OracleConfig) -> list[ImprovementRecor
               for name in sources}
     records = []
     for target in world.target_names():
-        runs = [_scratch_run(world, target)]
-        runs += [_finetune_run(world, models[s], s, target) for s in sources]
-        scratch, *perfs = _fit_target(world, target, runs, cfg,
-                                      [1.0] + [FINETUNE_MULTIPLIER] * len(sources))
+        scratch, *perfs = _fit_target(world, target, [None, *models.items()], cfg)
         records.extend(ImprovementRecord(target, source, perf, scratch)
                        for source, perf in zip(sources, perfs))
     return records
@@ -677,10 +673,8 @@ def merged_source_study(world: OracleWorld, cfg: OracleConfig,
         scored = score_sources(target_profiles[target],
                                [ref_profile, merged_profile], est)
         div = next(s.distance_value for s in scored if s.source_name == reference)
-        runs = [_finetune_run(world, ref_model, reference, target),
-                _finetune_run(world, merged_model, "merged", target)]
-        perf_ref, perf_merged = _fit_target(world, target, runs, cfg,
-                                            FINETUNE_MULTIPLIER)
+        perf_ref, perf_merged = _fit_target(
+            world, target, [(reference, ref_model), ("merged", merged_model)], cfg)
         outcomes.append(MergedOutcome(
             target_name=target, divergence_from_reference=div,
             perf_reference=perf_ref, perf_merged=perf_merged,

@@ -739,6 +739,18 @@ class TestSimulateCommand:
         assert "learn_rate must be finite and > 0" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--sources", "--targets"])
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_world_without_sources_or_targets_exits_2(self, capsys, tmp_path,
+                                                      flag, count):
+        out = tmp_path / "study"  # the last of a repeated flag counts
+        code, stdout, err = run(capsys, "simulate", "--seed", "1", "--epochs", "1",
+                                "--sources", "3", "--targets", "2", flag, count,
+                                "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert "at least one source and one target" in err
+        assert not out.exists()
+
 
     def test_evaluate_prints_the_study_selections(self, capsys, tmp_path):
         """evaluate over a simulated world's profiles, at the study's own k and

@@ -140,6 +140,15 @@ class TestEmbeddingsCsv:
         np.testing.assert_array_equal(back.values, m.values)
         assert back.extractor_id == m.extractor_id
 
+    def test_written_bytes(self, tmp_path):
+        # Each value is its shortest round-trip decimal: sign of zero kept,
+        # subnormals and large magnitudes in exponent form.
+        path = tmp_path / "emb.csv"
+        write_embeddings_csv(path, EmbeddingMatrix(
+            np.array([[-0.0, 5e-324], [1e16, 0.1 + 0.2]]), "x"))
+        assert path.read_bytes() == (b"# p2l-embeddings v1 dim=2 extractor=x\n"
+                                     b"-0.0,5e-324\n1e+16,0.30000000000000004\n")
+
     def test_minimal_two_rows(self, tmp_path):
         path = tmp_path / "emb.csv"
         path.write_text("# p2l-embeddings v1 dim=2 extractor=x\n1,0\n0,1\n")

@@ -17,9 +17,9 @@ def two_cluster_spec(feature_dim=8, n_items=400, gap=8.0, n_classes=5,
     a = rng.normal(0.0, 1.0, (n_classes, feature_dim))
     b = a + gap
     return oracle.WorldSpec(domains=(
-        oracle.DomainSpec("aaa", n_classes, n_items, a, spread=spread),
-        oracle.DomainSpec("bbb", n_classes, n_items, b, spread=spread),
-    ), feature_dim=feature_dim, embed_dim=16)
+        oracle.DomainSpec("aaa", n_items, a, spread=spread),
+        oracle.DomainSpec("bbb", n_items, b, spread=spread),
+    ))
 
 
 class TestWorldGeneration:
@@ -54,10 +54,13 @@ class TestWorldGeneration:
         with pytest.raises(BadSpec, match="empty target split"):
             # 39 items: a quarter of 9 leaves floor(0.1 * 9) = 0 target items
             oracle.generate_world(1, two_cluster_spec(n_items=39))
-        one_class = oracle.DomainSpec("c", 2, 100, np.zeros((2, 8)))
-        with pytest.raises(BadSpec):
-            oracle.DomainSpec("c", 3, 100, np.zeros((2, 8)))
-        assert one_class.n_classes == 2
+        two_classes = oracle.DomainSpec("c", 100, np.zeros((2, 8)))
+        assert (two_classes.n_classes, spec.feature_dim) == (2, 8)
+        with pytest.raises(BadSpec, match="centroids must be"):
+            oracle.DomainSpec("c", 100, np.zeros(8))
+        with pytest.raises(BadSpec, match="differ in centroid width"):
+            oracle.WorldSpec(domains=(spec.domains[0],
+                                      oracle.DomainSpec("c", 100, np.zeros((2, 4)))))
 
     def test_unknown_domain(self):
         world = oracle.generate_world(1, two_cluster_spec())
@@ -87,7 +90,8 @@ class TestWorldGeneration:
         assert len(world.source_names()) == 6
         assert len(world.target_names()) == 8
         assert len(world.domains) == 14
-        assert world.spec.feature_dim == 16
+        assert world.spec.feature_dim == oracle.FEATURE_DIM == 16
+        assert world.extractor.weights.shape == (16, oracle.EMBED_DIM) == (16, 32)
         assert world.extractor.extractor_id == "oracle-ref-1"
 
 
@@ -231,7 +235,7 @@ class TestTransferRuns:
         b = oracle.train_transfer(world, "aaa", "bbb", cfg)
         assert a == b
         s1 = oracle.train_transfer(world, None, "bbb", cfg)
-        s2 = oracle.train_scratch(world, "bbb", cfg)
+        s2 = oracle.train_transfer(world, None, "bbb", cfg)
         assert s1 == s2
 
     def test_self_transfer_usually_helps(self):
@@ -244,7 +248,7 @@ class TestTransferRuns:
             wins += transfer >= scratch
         assert wins >= 4
 
-    def test_f_one_zero_source_epochs_like_scratch(self, monkeypatch):
+    def test_full_rate_finetune_of_untrained_model_like_scratch(self, monkeypatch):
         # Fine-tuning an untrained source model with the representation layer at
         # the full learn rate is training from scratch from another start.
         monkeypatch.setattr(oracle, "FINETUNE_MULTIPLIER", 1.0)
@@ -255,7 +259,7 @@ class TestTransferRuns:
             untrained = oracle.init_params(
                 oracle._stream(seed, "source", "bbb"), world.spec.feature_dim,
                 oracle.HIDDEN_DIM, world.domain("bbb").spec.n_classes)
-            transfer = oracle._finetune_from(world, untrained, "bbb", "aaa", cfg)
+            transfer = oracle._fit_target(world, "aaa", [("bbb", untrained)], cfg)[0]
             scratch = oracle.train_transfer(world, None, "aaa", cfg)
             gaps.append(abs(transfer - scratch))
         assert float(np.mean(gaps)) < 0.05
@@ -272,6 +276,8 @@ class TestTransferRuns:
             assert scratch[r.target_name] == r.perf_scratch
             assert r.perf_transfer == oracle.train_transfer(
                 world, r.source_name, r.target_name, cfg)
+            assert r.perf_scratch == oracle.train_transfer(
+                world, None, r.target_name, cfg)
 
     def test_monotone_size_effect(self):
         # same distribution, growing size; median transfer accuracy over five
@@ -282,11 +288,10 @@ class TestTransferRuns:
         cfg = oracle.OracleConfig(epochs=10)
         perfs = {n: [] for n in sizes}
         for seed in range(1, 6):
-            domains = [oracle.DomainSpec(f"src{n}", 5, n, centroids, spread=1.6)
+            domains = [oracle.DomainSpec(f"src{n}", n, centroids, spread=1.6)
                        for n in sizes]
-            domains.append(oracle.DomainSpec("tgt", 5, 2000, centroids, spread=1.6))
-            spec = oracle.WorldSpec(domains=tuple(domains), feature_dim=8,
-                                    embed_dim=16, n_sources=3)
+            domains.append(oracle.DomainSpec("tgt", 2000, centroids, spread=1.6))
+            spec = oracle.WorldSpec(domains=tuple(domains), n_sources=3)
             world = oracle.generate_world(seed, spec)
             for n in sizes:
                 perfs[n].append(oracle.train_transfer(world, f"src{n}", "tgt", cfg))
@@ -326,13 +331,12 @@ class TestStudies:
         far1 = anchors + 8.0
         far2 = anchors - 8.0
         domains = (
-            oracle.DomainSpec("twin", 3, 400, anchors),
-            oracle.DomainSpec("far1", 3, 400, far1),
-            oracle.DomainSpec("far2", 3, 400, far2),
-            oracle.DomainSpec("tgt", 3, 400, anchors),
+            oracle.DomainSpec("twin", 400, anchors),
+            oracle.DomainSpec("far1", 400, far1),
+            oracle.DomainSpec("far2", 400, far2),
+            oracle.DomainSpec("tgt", 400, anchors),
         )
-        spec = oracle.WorldSpec(domains=domains, feature_dim=8, embed_dim=16,
-                                n_sources=3)
+        spec = oracle.WorldSpec(domains=domains, n_sources=3)
         est = EstimatorConfig(distance="KL", k=-1.0)
         for seed in (1, 2, 3):
             world = oracle.generate_world(seed, spec)
@@ -357,6 +361,17 @@ class TestStudies:
         ref_sizes = {n: world.domain(n).source_train.items
                      for n in world.source_names()}
         assert ref_sizes[report.reference_name] == max(ref_sizes.values())
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_merged_study_reference_runs_like_train_transfer(self, seed):
+        # The merged model trains beside the reference in lockstep; the
+        # reference's accuracy must be what it gets when trained alone.
+        cfg = oracle.OracleConfig()
+        world = oracle.default_world(seed, cfg, n_sources=4, n_targets=4)
+        report = oracle.merged_source_study(world, cfg)
+        for o in report.outcomes:
+            assert o.perf_reference == oracle.train_transfer(
+                world, report.reference_name, o.target_name, cfg)
 
     def test_study_report_files(self, tmp_path):
         cfg = oracle.OracleConfig()
