@@ -16,6 +16,7 @@ from .core import (
     GridPoint,
     ImprovementRecord,
     ScoredSource,
+    Shelf,
     Summarizer,
     SummaryVector,
 )
@@ -52,6 +53,7 @@ __all__ = [
     "ImprovementRecord",
     "ProfileRegistry",
     "ScoredSource",
+    "Shelf",
     "Summarizer",
     "SummaryVector",
     "DEFAULT_K_GRID",

@@ -113,8 +113,9 @@ def cmd_rank(args) -> int:
     own_name = None
     if target is None:
         target, own_name = registry.load(args.target), args.target
-    candidates = [p for p in registry.load_all()
-                  if p.role == "source" and p.name != own_name]
+    shelf = registry.load_all()
+    candidates = shelf.take([i for i, (name, role) in enumerate(zip(shelf.names, shelf.roles))
+                             if role == "source" and name != own_name])
     scored = score_sources(target, candidates, cfg,
                            allow_mixed_extractors=args.allow_mixed_extractors)
     picks = {}
@@ -124,7 +125,7 @@ def cmd_rank(args) -> int:
         # B2 without --reference and B3 without --seed do not run: an empty pick.
         picks = {kind: rankings[kind][0] if kind in rankings else ""
                  for kind in BASELINES if kind != "B4"}
-    sizes = {p.name: p.size for p in candidates}
+    sizes = dict(zip(candidates.names, candidates.sizes))
     rows = scored if args.top is None else scored[:args.top]
     print("name,size,distance,z_log_size,z_distance,score")
     for s in rows:

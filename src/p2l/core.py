@@ -6,15 +6,16 @@ safe to share between threads.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import EmptyMatrix, NonFiniteValue, NonPositiveEpsilon
+from .errors import DimensionMismatch, EmptyMatrix, NonFiniteValue, NonPositiveEpsilon
 
 # Scores equal once rounded to a multiple of this tie when ranked.
 SCORE_IDENTITY_TOL = 1e-12
@@ -184,6 +185,165 @@ class DatasetProfile:
         object.__setattr__(self, "size", int(self.size))
         if self.role not in ("source", "target"):
             raise ValueError(f"role must be 'source' or 'target', got {self.role!r}")
+
+
+def _owned(values, dtype) -> np.ndarray:
+    """values as an array of dtype that no caller can write: a copy, unless
+    it is read-only already."""
+    arr = np.asarray(values, dtype=dtype)
+    return arr.copy() if arr.flags.writeable else arr
+
+
+def _parses(label) -> bool:
+    try:
+        Summarizer.parse(label)
+    except ValueError:
+        return False
+    return True
+
+
+class Shelf(Sequence[DatasetProfile]):
+    """Profiles stored by column, as the registry loads them.
+
+    Row i is the profile named names[i]: sizes[i], roles[i], extractor_ids[i],
+    labels[i] (its summarizer's label) and the vectors
+    summary[offsets[i]:offsets[i + 1]] and raw_mean[offsets[i]:offsets[i + 1]].
+    Building a shelf from columns checks every row as SummaryVector and
+    DatasetProfile check one, in one numpy pass over the vectors; the first
+    bad row raises the error its own profile raises. Shelf.of stacks profiles,
+    which are checked already. As a read-only Sequence of DatasetProfile, a
+    shelf builds row i's profile only when it is asked for it.
+    """
+
+    __slots__ = ("names", "sizes", "roles", "extractor_ids", "labels",
+                 "summary", "raw_mean", "offsets")
+
+    def __init__(self, names: Iterable[str], sizes: Iterable[int], roles: Iterable[str],
+                 extractor_ids: Iterable[str], labels: Iterable[str], summary, raw_mean,
+                 offsets):
+        self._fill(names, sizes, roles, extractor_ids, labels, _owned(summary, np.float64),
+                   _owned(raw_mean, np.float64), _owned(offsets, np.int64))
+        self._check()
+
+    @classmethod
+    def of(cls, profiles: Iterable[DatasetProfile]) -> "Shelf":
+        """These profiles stacked by column; a shelf is returned as it is."""
+        if isinstance(profiles, Shelf):
+            return profiles
+        profiles = list(profiles)
+        summaries = [p.summary for p in profiles]
+        return cls._unchecked(
+            [p.name for p in profiles], [p.size for p in profiles],
+            [p.role for p in profiles], [p.extractor_id for p in profiles],
+            [s.summarizer.label() for s in summaries],
+            np.concatenate([np.empty(0)] + [s.values for s in summaries]),
+            np.concatenate([np.empty(0)] + [s.raw_mean for s in summaries]),
+            np.cumsum([0] + [s.dim for s in summaries], dtype=np.int64))
+
+    @classmethod
+    def concat(cls, shelves: Iterable["Shelf"]) -> "Shelf":
+        """The rows of these shelves, one shelf after the other."""
+        shelves = list(shelves)
+        ends = np.cumsum([0] + [s.offsets[-1] for s in shelves[:-1]], dtype=np.int64)
+        return cls._unchecked(
+            *(sum((getattr(s, column) for s in shelves), ())
+              for column in ("names", "sizes", "roles", "extractor_ids", "labels")),
+            np.concatenate([np.empty(0)] + [s.summary for s in shelves]),
+            np.concatenate([np.empty(0)] + [s.raw_mean for s in shelves]),
+            np.concatenate([np.zeros(1, np.int64)]
+                           + [s.offsets[1:] + end for s, end in zip(shelves, ends)]))
+
+    @classmethod
+    def _unchecked(cls, *columns) -> "Shelf":
+        """A shelf of rows already checked, taking over the arrays given."""
+        shelf = cls.__new__(cls)
+        shelf._fill(*columns)
+        return shelf
+
+    def _fill(self, names, sizes, roles, extractor_ids, labels, summary, raw_mean, offsets):
+        self.names, self.sizes, self.roles, self.extractor_ids, self.labels = map(
+            tuple, (names, sizes, roles, extractor_ids, labels))
+        for arr in (summary, raw_mean, offsets):
+            arr.flags.writeable = False
+        self.summary, self.raw_mean, self.offsets = summary, raw_mean, offsets
+
+    def _check(self) -> None:
+        n = len(self.names)
+        if any(len(column) != n for column in (self.sizes, self.roles,
+                                                self.extractor_ids, self.labels)):
+            raise ValueError("shelf columns must hold one entry per row")
+        if self.summary.shape != self.raw_mean.shape:
+            raise ValueError("values and raw_mean must have the same dimension")
+        offsets = self.offsets
+        if (self.summary.ndim != 1 or offsets.shape != (n + 1,) or offsets[0] != 0
+                or offsets[-1] != self.summary.size or (self.dims() < 0).any()):
+            raise ValueError("shelf offsets must rise from 0 to the vector length")
+        values = self.summary
+        bad_item = ~(np.isfinite(values) & np.isfinite(self.raw_mean)) | (values < 0.0)
+        bad = np.zeros(n, dtype=bool)
+        bad[np.searchsorted(offsets, np.flatnonzero(bad_item), side="right") - 1] = True
+        # Each row summed as SummaryVector sums its own vector, bit for bit:
+        # a 2-d sum along rows adds each row as a 1-d sum does.
+        dims = self.dims()
+        if n and (dims == dims[0]).all():
+            sums = values.reshape(n, int(dims[0])).sum(axis=1)
+        else:
+            sums = np.array([values[lo:hi].sum() for lo, hi in
+                             zip(offsets[:-1].tolist(), offsets[1:].tolist())])
+        bad |= np.abs(sums - 1.0) > L1_TOL
+        texts = {label for label in self.labels if isinstance(label, str)}
+        good_labels = {label for label in texts if _parses(label)}  # each once
+        bad |= np.array([
+            not (isinstance(name, str) and name and isinstance(eid, str) and eid
+                 and not isinstance(size, bool) and isinstance(size, (int, np.integer))
+                 and size >= 1 and role in ("source", "target")
+                 and isinstance(label, str) and label in good_labels)
+            for name, size, role, eid, label in zip(
+                self.names, self.sizes, self.roles, self.extractor_ids, self.labels)],
+            dtype=bool)
+        for i in np.flatnonzero(bad).tolist():
+            self[i]  # builds the row's profile, which raises the row's error
+
+    def dims(self) -> np.ndarray:
+        """Each row's vector length."""
+        return np.diff(self.offsets)
+
+    def matrix(self, dim: int) -> np.ndarray:
+        """The summaries as one (rows, dim) array, without copying; every row
+        must have dimension dim."""
+        other = self.dims() != dim
+        if other.any():
+            raise DimensionMismatch(
+                f"summary dims differ: {dim} vs {self.dims()[other.argmax()]}")
+        return self.summary.reshape(len(self), dim)
+
+    def take(self, rows) -> "Shelf":
+        """The shelf of these rows, indices in [0, len(self)), in this order."""
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+        if rows.size == len(self) and (rows == np.arange(len(self))).all():
+            return self
+        starts = self.offsets[rows]
+        dims = self.offsets[rows + 1] - starts
+        offsets = np.concatenate([np.zeros(1, np.int64), np.cumsum(dims)])
+        flat = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], dims)
+        picked = rows.tolist()
+        return Shelf._unchecked(
+            *([column[i] for i in picked] for column in (
+                self.names, self.sizes, self.roles, self.extractor_ids, self.labels)),
+            self.summary[flat], self.raw_mean[flat], offsets)
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self.take(range(len(self))[i])
+        i = range(len(self))[i]
+        lo, hi = self.offsets[i], self.offsets[i + 1]
+        summary = SummaryVector(values=self.summary[lo:hi], raw_mean=self.raw_mean[lo:hi],
+                                summarizer=Summarizer.parse(self.labels[i]))
+        return DatasetProfile(name=self.names[i], size=self.sizes[i], summary=summary,
+                              extractor_id=self.extractor_ids[i], role=self.roles[i])
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ Five candidates, natural log throughout:
 KL/JSD/CHI2 treat summaries as probability vectors and need strictly positive
 input; pass ``epsilon`` to smooth both arguments first, or smooth upstream.
 EUC/CITYBLOCK never smooth. ``distances`` is the one implementation, over a
-whole candidate list at once; ``distance`` is its one-row case.
+whole candidate list or matrix at once; ``distance`` is its one-row case.
 """
 from __future__ import annotations
 
@@ -31,15 +31,24 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def distances(kind: DivergenceKind | str, p: SummaryVector,
-              qs: Sequence[SummaryVector], epsilon: float | None = None) -> np.ndarray:
-    """D(p, q) >= 0 for each q in qs, p being the target by convention; the
-    qs are stacked into one N x d array and p is smoothed once."""
+              qs: Sequence[SummaryVector] | np.ndarray,
+              epsilon: float | None = None) -> np.ndarray:
+    """D(p, q) >= 0 for each q in qs, p being the target by convention. qs is
+    a list of summaries, stacked here into one N x d array, or that array
+    itself (Shelf.matrix); p is smoothed once."""
     kind = DivergenceKind(kind)
-    for q in qs:
-        if q.dim != p.dim:
-            raise DimensionMismatch(f"summary dims differ: {p.dim} vs {q.dim}")
+    if isinstance(qs, np.ndarray):
+        if qs.ndim != 2:
+            raise DimensionMismatch(f"expected an N x {p.dim} matrix, got shape {qs.shape}")
+        if qs.shape[1] != p.dim:
+            raise DimensionMismatch(f"summary dims differ: {p.dim} vs {qs.shape[1]}")
+        qv = np.asarray(qs, dtype=np.float64)
+    else:
+        for q in qs:
+            if q.dim != p.dim:
+                raise DimensionMismatch(f"summary dims differ: {p.dim} vs {q.dim}")
+        qv = np.array([q.values for q in qs], dtype=np.float64).reshape(len(qs), p.dim)
     pv = p.values
-    qv = np.array([q.values for q in qs], dtype=np.float64).reshape(len(qs), p.dim)
 
     if kind in PROBABILITY_KINDS:
         if epsilon is not None:

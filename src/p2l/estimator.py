@@ -23,6 +23,7 @@ from .core import (
     DatasetProfile,
     EstimatorConfig,
     ScoredSource,
+    Shelf,
     Summarizer,
 )
 from .divergence import distances
@@ -98,23 +99,30 @@ def check_candidates(target: DatasetProfile, sources: Sequence[DatasetProfile],
                      allow_mixed_extractors: bool = False) -> None:
     """A (target, candidates) set every ranking accepts: at least one
     candidate, distinct names, the target's dimension and, unless allowed
-    otherwise, the target's extractor."""
-    if not sources:
+    otherwise, the target's extractor. The first bad candidate is refused."""
+    shelf = Shelf.of(sources)
+    if not shelf:
         raise EmptyCandidates("need at least one candidate source")
+    dim = target.summary.dim
     seen = set()
-    for s in sources:
-        if s.name in seen:
-            raise DuplicateSourceName(f"duplicate source name {s.name!r}")
-        seen.add(s.name)
-        if s.summary.dim != target.summary.dim:
+    for name, s_dim, extractor_id in zip(shelf.names, shelf.dims().tolist(),
+                                         shelf.extractor_ids):
+        if name in seen:
+            raise DuplicateSourceName(f"duplicate source name {name!r}")
+        seen.add(name)
+        if s_dim != dim:
             raise DimensionMismatch(
-                f"source {s.name!r} has dim {s.summary.dim}, target has "
-                f"{target.summary.dim}")
-        if not allow_mixed_extractors and s.extractor_id != target.extractor_id:
+                f"source {name!r} has dim {s_dim}, target has {dim}")
+        if not allow_mixed_extractors and extractor_id != target.extractor_id:
             raise MixedExtractors(
-                f"source {s.name!r} was embedded by {s.extractor_id!r}, target "
+                f"source {name!r} was embedded by {extractor_id!r}, target "
                 f"by {target.extractor_id!r}; distances are only meaningful "
                 "within one extractor's feature space")
+
+
+def _distances(kind, target: DatasetProfile, shelf: Shelf) -> np.ndarray:
+    """D(target, s) for each checked candidate s, from the shelf's matrix."""
+    return distances(kind, target.summary, shelf.matrix(target.summary.dim), EPSILON)
 
 
 def score_sources(target: DatasetProfile, sources: Sequence[DatasetProfile],
@@ -123,14 +131,13 @@ def score_sources(target: DatasetProfile, sources: Sequence[DatasetProfile],
     """Score every candidate for this target; result is sorted best-first.
 
     z-statistics are computed across exactly this candidate set, separately
-    for the log-size and distance lists.
+    for the log-size and distance lists. A list of profiles is stacked into
+    a Shelf once; a Shelf is read by column.
     """
-    check_candidates(target, sources, allow_mixed_extractors)
-    names = [s.name for s in sources]
-    sizes = [float(s.size) for s in sources]
-    dists = distances(cfg.distance, target.summary, [s.summary for s in sources],
-                      EPSILON)
-    return score_table(names, sizes, dists, cfg.k)
+    shelf = Shelf.of(sources)
+    check_candidates(target, shelf, allow_mixed_extractors)
+    return score_table(shelf.names, [float(size) for size in shelf.sizes],
+                       _distances(cfg.distance, target, shelf), cfg.k)
 
 
 def baseline_ranking(kind: str, target: DatasetProfile,
@@ -148,17 +155,19 @@ def baseline_ranking(kind: str, target: DatasetProfile,
         raise ValueError(f"unknown baseline {kind!r}")
     if kind == "B4":
         return None
-    check_candidates(target, sources, allow_mixed_extractors)
-    names = [s.name for s in sources]
+    shelf = Shelf.of(sources)
+    check_candidates(target, shelf, allow_mixed_extractors)
+    names, sizes = shelf.names, shelf.sizes
+    rows = range(len(shelf))
     if kind == "B1":
-        return [s.name for s in sorted(sources, key=lambda s: (-s.size, s.name))]
+        return [names[i] for i in sorted(rows, key=lambda i: (-sizes[i], names[i]))]
     if kind == "B2":
         if reference_name is None or reference_name not in names:
             raise MissingReference(
                 f"reference source {reference_name!r} not among candidates")
-        rest = [s for s in sources if s.name != reference_name]
+        rest = [i for i in rows if names[i] != reference_name]
         return [reference_name] + [
-            s.name for s in sorted(rest, key=lambda s: (-s.size, s.name))]
+            names[i] for i in sorted(rest, key=lambda i: (-sizes[i], names[i]))]
     if kind == "B3":
         if rng_seed is None:
             raise MissingSeed("random baseline needs an explicit seed")
@@ -168,10 +177,8 @@ def baseline_ranking(kind: str, target: DatasetProfile,
     # B5: least divergent first; same secondary tie-breaks as score_sources.
     if cfg is None:
         raise ValueError("B5 needs an estimator config for the distance")
-    dists = dict(zip(names, distances(cfg.distance, target.summary,
-                                      [s.summary for s in sources], EPSILON)))
-    return [s.name for s in
-            sorted(sources, key=lambda s: (dists[s.name], -s.size, s.name))]
+    dists = _distances(cfg.distance, target, shelf).tolist()
+    return [names[i] for i in sorted(rows, key=lambda i: (dists[i], -sizes[i], names[i]))]
 
 
 def baseline_rankings(target: DatasetProfile, sources: Sequence[DatasetProfile],
@@ -179,8 +186,10 @@ def baseline_rankings(target: DatasetProfile, sources: Sequence[DatasetProfile],
                       rng_seed: int | None = None, allow_mixed_extractors: bool = False,
                       ) -> dict[str, list[str] | None]:
     """baseline_ranking of every baseline that can run, in BASELINES order:
-    B2 runs only with a reference, B3 only with a seed; B4 maps to None."""
-    return {kind: baseline_ranking(kind, target, sources, cfg, reference_name,
+    B2 runs only with a reference, B3 only with a seed; B4 maps to None.
+    The candidates are stacked once for all of them."""
+    shelf = Shelf.of(sources)
+    return {kind: baseline_ranking(kind, target, shelf, cfg, reference_name,
                                    rng_seed, allow_mixed_extractors)
             for kind in BASELINES
             if not (kind == "B2" and reference_name is None

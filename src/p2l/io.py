@@ -20,7 +20,14 @@ from typing import BinaryIO, Callable, Iterable
 
 import numpy as np
 
-from .core import DatasetProfile, EmbeddingMatrix, ImprovementRecord, Summarizer, SummaryVector
+from .core import (
+    DatasetProfile,
+    EmbeddingMatrix,
+    ImprovementRecord,
+    Shelf,
+    Summarizer,
+    SummaryVector,
+)
 from .errors import (
     BadHeader,
     BadMagic,
@@ -43,8 +50,11 @@ BIN_VERSION = 1
 _BIN_HEAD = struct.Struct("<4sIIQB")  # magic, version, dim, count, id length
 _NAME_RE = re.compile(r"^[A-Za-z0-9_-]+$")
 MANIFEST_NAME = "manifest.json"
+PROFILE_SUFFIX = ".profile.json"
 CACHE_NAME = ".p2l-summaries.npz"
-CACHE_VERSION = 1
+# 3: entries carry the stat key of the file they were read from (2 was never
+# written).
+CACHE_VERSION = 3
 IMPROVEMENTS_HEADER = "target,source,perf_transfer,perf_scratch"
 PROFILE_KEYS = ("name", "role", "size", "dim", "summarizer", "extractor_id",
                 "raw_mean", "summary")
@@ -256,48 +266,69 @@ def _parse_profile(data: bytes) -> DatasetProfile:
 
 
 # Whatever a damaged, foreign or half-written cache file can make np.load,
-# json or the profile constructors raise.
+# json or the shelf's checks raise.
 _CACHE_READ_ERRORS = (OSError, EOFError, AttributeError, KeyError, TypeError,
                       ValueError, MemoryError, zipfile.BadZipFile, P2LError)
 
 
-def _read_summary_cache(path: Path) -> dict[str, DatasetProfile]:
-    """Profiles of a summary cache by the sha256 of the file they came from;
-    empty when the cache is missing or cannot be trusted whole."""
+def _stat_key(st: os.stat_result) -> list[int]:
+    """What a cache entry records of the file its bytes were read from."""
+    return [st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns]
+
+
+def _read_summary_cache(path: Path) -> tuple[Shelf, list, int]:
+    """The rows of a summary cache as one checked Shelf, each row's
+    (sha256, stat key) entry, and the cache file's mtime_ns; no rows when the
+    cache is missing or cannot be trusted whole."""
     try:
-        with path.open("rb") as fh, np.load(fh, allow_pickle=False) as npz:
-            version, meta, offsets, values, raw = (
-                npz[key] for key in ("version", "meta", "offsets", "summary", "raw_mean"))
+        with path.open("rb") as fh:
+            written = os.fstat(fh.fileno()).st_mtime_ns
+            with np.load(fh, allow_pickle=False) as npz:
+                version, meta, offsets, values, raw = (
+                    npz[key] for key in ("version", "meta", "offsets", "summary", "raw_mean"))
         if version.tolist() != CACHE_VERSION:
-            return {}
+            raise ValueError("another cache version")
         entries = json.loads(meta.tobytes())
-        if not (offsets.dtype == np.int64 and values.dtype == raw.dtype == np.float64
-                and offsets.shape == (len(entries) + 1,) and offsets[0] == 0
-                and values.shape == raw.shape == (offsets[-1],)):
-            return {}
-        cached = {}
-        for (key, name, size, role, label, extractor_id), lo, hi in zip(
-                entries, offsets[:-1].tolist(), offsets[1:].tolist()):
-            summary = SummaryVector(values=values[lo:hi], raw_mean=raw[lo:hi],
-                                    summarizer=Summarizer.parse(label))
-            cached[key] = DatasetProfile(name=name, size=size, summary=summary,
-                                         extractor_id=extractor_id, role=role)
-        return cached
+        if not (offsets.dtype == np.int64 and values.dtype == raw.dtype == np.float64):
+            raise ValueError("cache arrays of another type")
+        hashes, names, sizes, roles, labels, extractor_ids, stats = (
+            list(zip(*entries, strict=True)) or [()] * 7)
+        for arr in (offsets, values, raw):
+            arr.flags.writeable = False
+        shelf = Shelf(names, sizes, roles, extractor_ids, labels, values, raw, offsets)
+        return shelf, list(zip(hashes, stats)), written
     except _CACHE_READ_ERRORS:
-        return {}
+        return Shelf.of(()), [], 0
 
 
-def _write_summary_cache(fh: BinaryIO, profiles: dict[str, DatasetProfile]) -> None:
-    """The stacked form _read_summary_cache reads: one meta entry per profile,
-    its vectors concatenated, profile i's at offsets[i]:offsets[i + 1]."""
-    entries = [[key, p.name, p.size, p.role, p.summary.summarizer.label(), p.extractor_id]
-               for key, p in profiles.items()]
-    summaries = [p.summary for p in profiles.values()]
+def _write_summary_cache(fh: BinaryIO, profiles, keys=None) -> None:
+    """The stacked form _read_summary_cache reads: one meta entry per row,
+    the rows' vectors concatenated, row i's at offsets[i]:offsets[i + 1].
+
+    profiles is a Shelf with each row's (sha256, stat key) in keys, or a
+    mapping of sha256 to profile, whose entries record no stat key.
+    """
+    if keys is None:
+        keys = [(sha, None) for sha in profiles]
+        profiles = profiles.values()
+    shelf = Shelf.of(profiles)
+    entries = [[sha, *row, stat] for (sha, stat), row in zip(keys, zip(
+        shelf.names, shelf.sizes, shelf.roles, shelf.labels, shelf.extractor_ids))]
     np.savez(fh, version=np.array(CACHE_VERSION),
              meta=np.frombuffer(json.dumps(entries).encode(), dtype=np.uint8),
-             offsets=np.cumsum([0] + [s.dim for s in summaries], dtype=np.int64),
-             summary=np.concatenate([np.empty(0)] + [s.values for s in summaries]),
-             raw_mean=np.concatenate([np.empty(0)] + [s.raw_mean for s in summaries]))
+             offsets=shelf.offsets, summary=shelf.summary, raw_mean=shelf.raw_mean)
+
+
+def _unchanged(path: str, stat, written: int) -> bool:
+    """Whether the file at path still has the stat key an entry recorded, and
+    the recorded times are strictly older than the cache's own mtime
+    (written): git's racy-timestamp rule, as a change within the clock tick
+    of the cache's write may leave every time as it was."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return False
+    return stat == _stat_key(st) and max(stat[2], stat[3]) < written
 
 
 @dataclass
@@ -306,8 +337,9 @@ class ProfileRegistry:
 
     Writes are atomic (temp file, then rename or link); listing is sorted.
     load_all keeps a derived summary cache beside the profiles (CACHE_NAME):
-    a stacked copy of every profile it loaded, keyed by the sha256 of the
-    profile file's bytes, so that a profile whose bytes it has seen is not
+    a stacked copy of every profile it loaded, with the sha256 of the profile
+    file's bytes and the file's stat key, so that a file whose stat has not
+    changed is not read again and a profile whose bytes it has seen is not
     parsed again. The JSON files stay the only source of truth.
     """
 
@@ -330,7 +362,7 @@ class ProfileRegistry:
     def _path(self, name: str) -> Path:
         if not _NAME_RE.match(name):
             raise InvalidName(f"profile name {name!r} is not filesystem-safe")
-        return self.root / f"{name}.profile.json"
+        return self.root / f"{name}{PROFILE_SUFFIX}"
 
     def save(self, profile: DatasetProfile, overwrite: bool = False) -> None:
         path = self._path(profile.name)
@@ -345,14 +377,17 @@ class ProfileRegistry:
         except FileExistsError:
             raise NameCollision(f"profile {profile.name!r} already exists") from None
 
-    def _read(self, name: str) -> bytes:
+    def _read(self, name: str) -> tuple[os.stat_result, bytes]:
+        """name's profile file: the stat of the open file, taken before its
+        bytes are read, and the bytes."""
         try:
-            return self._path(name).read_bytes()
+            with self._path(name).open("rb") as fh:
+                return os.fstat(fh.fileno()), fh.read()
         except FileNotFoundError:
             raise NotFound(f"no profile named {name!r} in {self.root}") from None
 
     def load(self, name: str) -> DatasetProfile:
-        return self._named(name, _parse_profile(self._read(name)))
+        return self._named(name, _parse_profile(self._read(name)[1]))
 
     def _named(self, name: str, profile: DatasetProfile) -> DatasetProfile:
         """The profile read from name's file, which must be the profile name."""
@@ -362,32 +397,54 @@ class ProfileRegistry:
         return profile
 
     def names(self) -> list[str]:
-        suffix = ".profile.json"
-        return sorted(p.name[:-len(suffix)] for p in self.root.glob(f"*{suffix}"))
+        """The names of the profile files, sorted; none when root is no directory."""
+        try:
+            entries = os.listdir(self.root)
+        except (FileNotFoundError, NotADirectoryError):
+            return []
+        return sorted(entry[:-len(PROFILE_SUFFIX)] for entry in entries
+                      if entry.endswith(PROFILE_SUFFIX))
 
-    def load_all(self) -> list[DatasetProfile]:
-        """Every profile, in names() order, each parsed from its file unless
-        the summary cache holds an entry for exactly the file's bytes. As
-        with load(), a file must hold the profile it is named after.
+    def load_all(self) -> Shelf:
+        """Every profile, in names() order, as one Shelf. As with load(), a
+        file must hold the profile it is named after.
 
-        The cache is rewritten when an entry was missed or dropped. A cache
-        that cannot be read or written changes nothing but the time taken.
+        A file is not opened when the summary cache vouches for it: its stat
+        key (inode, length, mtime_ns, ctime_ns) is the one recorded when its
+        bytes were read, and the recorded times are strictly older than the
+        cache file's own mtime. Any other file is read and hashed, and parsed
+        unless its sha256 is the one the cache holds for its name.
+
+        The cache is rewritten when a file was parsed or an entry dropped. A
+        cache that cannot be read or written changes nothing but the time
+        taken.
         """
         cache = self.root / CACHE_NAME
-        cached = _read_summary_cache(cache)
-        loaded: dict[str, DatasetProfile] = {}
-        profiles = []
+        cached, entries, written = _read_summary_cache(cache)
+        row_of = {name: i for i, name in enumerate(cached.names)}
+        rows, keys, parsed = [], [], []
+        root = os.fspath(self.root)
         for name in self.names():
-            data = self._read(name)
-            key = hashlib.sha256(data).hexdigest()
-            loaded[key] = profile = cached.get(key) or _parse_profile(data)
-            profiles.append(self._named(name, profile))
-        if loaded.keys() != cached.keys():
+            i = row_of.get(name)
+            sha, stat = entries[i] if i is not None else (None, None)
+            # A plain string path: a Path object per file costs as much as its stat.
+            if i is None or not (_NAME_RE.match(name) and _unchanged(
+                    os.path.join(root, name + PROFILE_SUFFIX), stat, written)):
+                st, data = self._read(name)
+                digest, stat = hashlib.sha256(data).hexdigest(), _stat_key(st)
+                if digest != sha:
+                    i, sha = len(cached) + len(parsed), digest
+                    parsed.append(self._named(name, _parse_profile(data)))
+            rows.append(i)
+            keys.append((sha, stat))
+        shelf = Shelf.concat([cached, Shelf.of(parsed)]) if parsed else cached
+        shelf = shelf.take(rows)
+        if parsed or len(rows) != len(cached):
             try:
-                _atomic_write(cache, lambda fh: _write_summary_cache(fh, loaded))
+                _atomic_write(cache, lambda fh: _write_summary_cache(fh, shelf, keys))
             except OSError:
                 pass  # a read-only registry loads from JSON every time
-        return profiles
+        return shelf
 
 
 # -- ground-truth interchange -------------------------------------------------------

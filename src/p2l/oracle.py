@@ -110,8 +110,9 @@ class DomainSpec:
             raise BadSpec(f"domain {self.name!r}: centroids must be "
                           f"(n_classes, feature_dim), got {arr.shape}")
         object.__setattr__(self, "centroids", arr)
-        if self.spread <= 0.0:
-            raise BadSpec(f"domain {self.name!r}: spread must be > 0")
+        if not (math.isfinite(self.spread) and self.spread > 0.0):
+            raise BadSpec(f"domain {self.name!r}: spread must be a finite value > 0, "
+                          f"got {self.spread!r}")
 
     @property
     def n_classes(self) -> int:

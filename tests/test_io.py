@@ -9,6 +9,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -467,7 +468,7 @@ class TestRegistry:
         def gone(self, *args, **kwargs):
             raise FileNotFoundError(str(self))
 
-        monkeypatch.setattr(Path, "read_bytes", gone)
+        monkeypatch.setattr(Path, "open", gone)
         with pytest.raises(NotFound):
             reg.load("alpha")
         with pytest.raises(NotFound):
@@ -792,6 +793,97 @@ class TestSummaryCache:
         for version in versions + versions:
             reg.save(version, overwrite=True)
             assert_same_profiles(reg.load_all()[:1], [version])
+
+
+def settle(root):
+    """Wait until the clock of root's file system has passed the last change
+    to any profile file there, so that a file written next is strictly newer."""
+    latest = max(p.stat().st_ctime_ns for p in root.glob("*.profile.json"))
+    probe = root.parent / "clock-probe"
+    while True:
+        probe.write_bytes(b"")
+        if probe.stat().st_mtime_ns > latest:
+            return
+        time.sleep(0.001)
+
+
+class TestSummaryCacheStatKeys:
+    """A warm load trusts a cache entry by its file's stat key only when the
+    key is unchanged and older than the cache; every other file is hashed."""
+
+    def registry(self, tmp_path):
+        reg = ProfileRegistry.open(tmp_path / "reg")
+        for i in range(3):
+            reg.save(profile_from_matrix(f"p{i}", random_matrix(i, d=3 + i), size=5 + i))
+        return reg
+
+    def reads(self, monkeypatch):
+        """The names whose profile file ProfileRegistry._read opens from now on."""
+        names = []
+        read = ProfileRegistry._read
+        monkeypatch.setattr(ProfileRegistry, "_read",
+                            lambda reg, name: names.append(name) or read(reg, name))
+        return names
+
+    def test_unchanged_registry_older_than_the_cache_opens_no_profile_file(
+            self, tmp_path, monkeypatch):
+        reg = self.registry(tmp_path)
+        settle(reg.root)
+        cold = reg.load_all()
+        before = (reg.root / CACHE_NAME).stat()
+        opened = self.reads(monkeypatch)
+        assert_same_profiles(reg.load_all(), cold)
+        assert opened == []
+        after = (reg.root / CACHE_NAME).stat()
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+    @pytest.mark.parametrize("racy", ["file_mtime_after_cache", "cache_in_file_tick"])
+    def test_entry_not_strictly_older_than_the_cache_is_hashed(
+            self, tmp_path, monkeypatch, racy):
+        reg = self.registry(tmp_path)
+        path = reg.root / "p1.profile.json"
+        if racy == "file_mtime_after_cache":
+            future = time.time_ns() + 3600 * 10**9
+            os.utime(path, ns=(future, future))
+        settle(reg.root)
+        reg.load_all()
+        cache = reg.root / CACHE_NAME
+        if racy == "cache_in_file_tick":
+            os.utime(cache, ns=(cache.stat().st_atime_ns, path.stat().st_ctime_ns))
+        written = cache.stat().st_mtime_ns
+        racy_names = [name for name in reg.names()
+                      if max((reg.root / f"{name}.profile.json").stat().st_mtime_ns,
+                             (reg.root / f"{name}.profile.json").stat().st_ctime_ns)
+                      >= written]
+        assert "p1" in racy_names
+        expected = json_only(reg.root)
+        opened = self.reads(monkeypatch)
+        hashed = []
+        sha256 = hashlib.sha256
+        monkeypatch.setattr(hashlib, "sha256", lambda data: hashed.append(data) or sha256(data))
+        assert_same_profiles(reg.load_all(), expected)
+        assert opened == racy_names and len(hashed) == len(racy_names)
+        assert cache.stat().st_mtime_ns == written  # every hash matched: no rewrite
+
+    def test_in_place_rewrite_with_mtime_put_back_is_seen(self, tmp_path):
+        reg = ProfileRegistry.open(tmp_path / "reg")
+        before = make_profile("alpha", [1.0, 3.0], [1.0, 3.0])
+        after = make_profile("alpha", [3.0, 1.0], [3.0, 1.0])
+        reg.save(before)
+        path = reg.root / "alpha.profile.json"
+        settle(reg.root)
+        reg.load_all()
+        stamp = path.stat()
+        data = profile_to_json(after).encode()
+        assert len(data) == stamp.st_size
+        with open(path, "r+b") as fh:
+            fh.write(data)
+        os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
+        now = path.stat()
+        assert (now.st_ino, now.st_size, now.st_mtime_ns) == \
+               (stamp.st_ino, stamp.st_size, stamp.st_mtime_ns)
+        assert now.st_ctime_ns > stamp.st_ctime_ns
+        assert_same_profiles(reg.load_all(), [after])
 
 
 def _bin(id_bytes, id_len=None, floats=(1.0,)):

@@ -62,6 +62,14 @@ class TestWorldGeneration:
             oracle.WorldSpec(domains=(spec.domains[0],
                                       oracle.DomainSpec("c", 100, np.zeros((2, 4)))))
 
+    @pytest.mark.parametrize("spread", [0.0, -1.0, float("nan"), float("inf"),
+                                        float("-inf")])
+    def test_spread_must_be_finite_and_positive(self, spread):
+        # A NaN or infinite spread would fill the domain's features with NaN,
+        # and train_transfer would report an accuracy measured on them.
+        with pytest.raises(BadSpec, match="spread must be a finite value > 0"):
+            oracle.DomainSpec("c", 100, np.zeros((2, 8)), spread=spread)
+
     def test_unknown_domain(self):
         world = oracle.generate_world(1, two_cluster_spec())
         with pytest.raises(UnknownName):
