@@ -24,6 +24,7 @@ from .core import (
     GridPoint,
     ImprovementRecord,
     ScoredSource,
+    Shelf,
 )
 from .divergence import distances
 from .errors import (
@@ -225,16 +226,16 @@ def compare_methods(target: DatasetProfile, records: Sequence[ImprovementRecord]
 
     The records are the target's, as group_records_by_target gives them; the
     candidates are the pool sources they name, in record order. Methods run
-    in the order P2L, then baseline_rankings'. A method's perf is its pick's
+    in the order P2L, then baseline_rankings', which order P2L's scored
+    candidates: they are checked and measured once. A method's perf is its pick's
     perf_transfer, perf_scratch for no transfer (B4). Returns P2L's scored
     candidates and each method's outcome keyed by method.
     """
-    candidates = _candidates(target.name, records, pool)
+    candidates = Shelf.of(_candidates(target.name, records, pool))
     scored = score_sources(target, candidates, cfg,
                            allow_mixed_extractors=allow_mixed_extractors)
     rankings = {"P2L": [s.source_name for s in scored],
-                **baseline_rankings(target, candidates, cfg, reference_name, rng_seed,
-                                    allow_mixed_extractors)}
+                **baseline_rankings(scored, candidates, reference_name, rng_seed)}
     transfer = {r.source_name: r.perf_transfer for r in records}
     best = best_source(records)
     p2l_perf = transfer[scored[0].source_name]

@@ -108,6 +108,8 @@ def _target_file(text: str):
 
 def cmd_rank(args) -> int:
     cfg = _estimator_config(args)
+    if not args.baselines and (args.reference is not None or args.seed is not None):
+        raise ValueError("--reference and --seed only set baselines; pass --baselines")
     target = _target_file(args.target)
     registry = ProfileRegistry.open(args.registry)
     own_name = None
@@ -120,8 +122,7 @@ def cmd_rank(args) -> int:
                            allow_mixed_extractors=args.allow_mixed_extractors)
     picks = {}
     if args.baselines:
-        rankings = baseline_rankings(target, candidates, cfg, args.reference, args.seed,
-                                     args.allow_mixed_extractors)
+        rankings = baseline_rankings(scored, candidates, args.reference, args.seed)
         # B2 without --reference and B3 without --seed do not run: an empty pick.
         picks = {kind: rankings[kind][0] if kind in rankings else ""
                  for kind in BASELINES if kind != "B4"}

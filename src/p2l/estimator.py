@@ -6,13 +6,16 @@ The selection score of source s for target t is
 
 with both z-scalings taken over the current candidate set. A larger source
 helps (logarithmically); divergence from the target works against it, so k is
-conventionally negative. Also implements the five reference selection
-baselines B1..B5 and size-weighted profile merging.
+conventionally negative. The five reference selection baselines B1..B5
+order the candidates score_sources scored: they are not checked or measured
+again, and B5 orders by P2L's own distances. Also size-weighted profile
+merging.
 """
 from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -120,11 +123,6 @@ def check_candidates(target: DatasetProfile, sources: Sequence[DatasetProfile],
                 "within one extractor's feature space")
 
 
-def _distances(kind, target: DatasetProfile, shelf: Shelf) -> np.ndarray:
-    """D(target, s) for each checked candidate s, from the shelf's matrix."""
-    return distances(kind, target.summary, shelf.matrix(target.summary.dim), EPSILON)
-
-
 def score_sources(target: DatasetProfile, sources: Sequence[DatasetProfile],
                   cfg: EstimatorConfig,
                   allow_mixed_extractors: bool = False) -> list[ScoredSource]:
@@ -136,8 +134,39 @@ def score_sources(target: DatasetProfile, sources: Sequence[DatasetProfile],
     """
     shelf = Shelf.of(sources)
     check_candidates(target, shelf, allow_mixed_extractors)
-    return score_table(shelf.names, [float(size) for size in shelf.sizes],
-                       _distances(cfg.distance, target, shelf), cfg.k)
+    dists = distances(cfg.distance, target.summary,
+                      shelf.matrix(target.summary.dim), EPSILON)
+    return score_table(shelf.names, [float(size) for size in shelf.sizes], dists, cfg.k)
+
+
+def baseline_rankings(scored: Sequence[ScoredSource],
+                      candidates: Sequence[DatasetProfile],
+                      reference_name: str | None = None, rng_seed: int | None = None,
+                      ) -> dict[str, list[str] | None]:
+    """Every baseline that can run, in BASELINES order, as an ordering of
+    score_sources' rows for these candidates, which it checked already.
+
+    B1: by size, largest first, ties to the smaller name. B2: the reference,
+    then B1's order; it runs only with a reference. B3: a seeded shuffle of
+    the sorted names; it runs only with a seed. B4: None, no transfer. B5:
+    by the scored distance, least first, ties as B1's.
+    """
+    shelf = Shelf.of(candidates)
+    size = dict(zip(shelf.names, shelf.sizes))
+    by_size = sorted(size, key=lambda name: (-size[name], name))
+    rankings: dict[str, list[str] | None] = {"B1": by_size}
+    if reference_name is not None:
+        if reference_name not in size:
+            raise MissingReference(
+                f"reference source {reference_name!r} not among candidates")
+        rankings["B2"] = [reference_name] + [n for n in by_size if n != reference_name]
+    if rng_seed is not None:
+        rankings["B3"] = sorted(size)
+        random.Random(rng_seed).shuffle(rankings["B3"])
+    rankings["B4"] = None
+    rankings["B5"] = [s.source_name for s in sorted(
+        scored, key=lambda s: (s.distance_value, -size[s.source_name], s.source_name))]
+    return rankings
 
 
 def baseline_ranking(kind: str, target: DatasetProfile,
@@ -146,54 +175,25 @@ def baseline_ranking(kind: str, target: DatasetProfile,
                      reference_name: str | None = None,
                      rng_seed: int | None = None,
                      allow_mixed_extractors: bool = False) -> list[str] | None:
-    """Full candidate ordering for one baseline; None for B4 (no transfer).
-
-    B1: by size, largest first. B2: the fixed reference first. B3: seeded
-    uniform shuffle. B5: by divergence, least first (needs cfg).
+    """One baseline's full candidate ordering, as baseline_rankings gives it;
+    None for B4. The candidates are checked and scored first, at k = 0, so
+    that no |k| is refused; then B2 needs a reference, B3 a seed and B5 cfg,
+    whose distance it orders by.
     """
     if kind not in BASELINES:
         raise ValueError(f"unknown baseline {kind!r}")
     if kind == "B4":
         return None
     shelf = Shelf.of(sources)
-    check_candidates(target, shelf, allow_mixed_extractors)
-    names, sizes = shelf.names, shelf.sizes
-    rows = range(len(shelf))
-    if kind == "B1":
-        return [names[i] for i in sorted(rows, key=lambda i: (-sizes[i], names[i]))]
-    if kind == "B2":
-        if reference_name is None or reference_name not in names:
-            raise MissingReference(
-                f"reference source {reference_name!r} not among candidates")
-        rest = [i for i in rows if names[i] != reference_name]
-        return [reference_name] + [
-            names[i] for i in sorted(rest, key=lambda i: (-sizes[i], names[i]))]
-    if kind == "B3":
-        if rng_seed is None:
-            raise MissingSeed("random baseline needs an explicit seed")
-        ordered = sorted(names)
-        random.Random(rng_seed).shuffle(ordered)
-        return ordered
-    # B5: least divergent first; same secondary tie-breaks as score_sources.
-    if cfg is None:
+    scored = score_sources(target, shelf, replace(cfg or EstimatorConfig(), k=0.0),
+                           allow_mixed_extractors)
+    if kind == "B2" and reference_name is None:
+        raise MissingReference("reference source None not among candidates")
+    if kind == "B3" and rng_seed is None:
+        raise MissingSeed("random baseline needs an explicit seed")
+    if kind == "B5" and cfg is None:
         raise ValueError("B5 needs an estimator config for the distance")
-    dists = _distances(cfg.distance, target, shelf).tolist()
-    return [names[i] for i in sorted(rows, key=lambda i: (dists[i], -sizes[i], names[i]))]
-
-
-def baseline_rankings(target: DatasetProfile, sources: Sequence[DatasetProfile],
-                      cfg: EstimatorConfig, reference_name: str | None = None,
-                      rng_seed: int | None = None, allow_mixed_extractors: bool = False,
-                      ) -> dict[str, list[str] | None]:
-    """baseline_ranking of every baseline that can run, in BASELINES order:
-    B2 runs only with a reference, B3 only with a seed; B4 maps to None.
-    The candidates are stacked once for all of them."""
-    shelf = Shelf.of(sources)
-    return {kind: baseline_ranking(kind, target, shelf, cfg, reference_name,
-                                   rng_seed, allow_mixed_extractors)
-            for kind in BASELINES
-            if not (kind == "B2" and reference_name is None
-                    or kind == "B3" and rng_seed is None)}
+    return baseline_rankings(scored, shelf, reference_name, rng_seed)[kind]
 
 
 def merge_profiles(profiles: Sequence[DatasetProfile], name: str) -> DatasetProfile:

@@ -48,7 +48,7 @@ CSV_HEADER_RE = re.compile(r"^# p2l-embeddings v1 dim=(\d+) extractor=(\S+)\s*$"
 BIN_MAGIC = b"P2LE"
 BIN_VERSION = 1
 _BIN_HEAD = struct.Struct("<4sIIQB")  # magic, version, dim, count, id length
-_NAME_RE = re.compile(r"^[A-Za-z0-9_-]+$")
+_NAME_RE = re.compile(r"[A-Za-z0-9_-]+")
 MANIFEST_NAME = "manifest.json"
 PROFILE_SUFFIX = ".profile.json"
 CACHE_NAME = ".p2l-summaries.npz"
@@ -301,17 +301,10 @@ def _read_summary_cache(path: Path) -> tuple[Shelf, list, int]:
         return Shelf.of(()), [], 0
 
 
-def _write_summary_cache(fh: BinaryIO, profiles, keys=None) -> None:
+def _write_summary_cache(fh: BinaryIO, shelf: Shelf, keys) -> None:
     """The stacked form _read_summary_cache reads: one meta entry per row,
-    the rows' vectors concatenated, row i's at offsets[i]:offsets[i + 1].
-
-    profiles is a Shelf with each row's (sha256, stat key) in keys, or a
-    mapping of sha256 to profile, whose entries record no stat key.
-    """
-    if keys is None:
-        keys = [(sha, None) for sha in profiles]
-        profiles = profiles.values()
-    shelf = Shelf.of(profiles)
+    holding its (sha256, stat key) from keys, and the rows' vectors
+    concatenated, row i's at offsets[i]:offsets[i + 1]."""
     entries = [[sha, *row, stat] for (sha, stat), row in zip(keys, zip(
         shelf.names, shelf.sizes, shelf.roles, shelf.labels, shelf.extractor_ids))]
     np.savez(fh, version=np.array(CACHE_VERSION),
@@ -360,7 +353,7 @@ class ProfileRegistry:
         return cls(root=root)
 
     def _path(self, name: str) -> Path:
-        if not _NAME_RE.match(name):
+        if not _NAME_RE.fullmatch(name):
             raise InvalidName(f"profile name {name!r} is not filesystem-safe")
         return self.root / f"{name}{PROFILE_SUFFIX}"
 
@@ -415,31 +408,34 @@ class ProfileRegistry:
         cache file's own mtime. Any other file is read and hashed, and parsed
         unless its sha256 is the one the cache holds for its name.
 
-        The cache is rewritten when a file was parsed or an entry dropped. A
-        cache that cannot be read or written changes nothing but the time
-        taken.
+        The cache is rewritten when a file was parsed, a hashed file's stat
+        key differs from its entry's (say, after a touch or a copy, so that
+        the next load trusts it again), or an entry was dropped. A cache that
+        cannot be read or written changes nothing but the time taken.
         """
         cache = self.root / CACHE_NAME
         cached, entries, written = _read_summary_cache(cache)
         row_of = {name: i for i, name in enumerate(cached.names)}
-        rows, keys, parsed = [], [], []
+        rows, keys, parsed, stale = [], [], [], False
         root = os.fspath(self.root)
         for name in self.names():
             i = row_of.get(name)
             sha, stat = entries[i] if i is not None else (None, None)
             # A plain string path: a Path object per file costs as much as its stat.
-            if i is None or not (_NAME_RE.match(name) and _unchanged(
+            if i is None or not (_NAME_RE.fullmatch(name) and _unchanged(
                     os.path.join(root, name + PROFILE_SUFFIX), stat, written)):
                 st, data = self._read(name)
-                digest, stat = hashlib.sha256(data).hexdigest(), _stat_key(st)
+                digest, read_stat = hashlib.sha256(data).hexdigest(), _stat_key(st)
+                stale |= (digest, read_stat) != (sha, stat)
                 if digest != sha:
-                    i, sha = len(cached) + len(parsed), digest
+                    i = len(cached) + len(parsed)
                     parsed.append(self._named(name, _parse_profile(data)))
+                sha, stat = digest, read_stat
             rows.append(i)
             keys.append((sha, stat))
         shelf = Shelf.concat([cached, Shelf.of(parsed)]) if parsed else cached
         shelf = shelf.take(rows)
-        if parsed or len(rows) != len(cached):
+        if stale or len(rows) != len(cached):
             try:
                 _atomic_write(cache, lambda fh: _write_summary_cache(fh, shelf, keys))
             except OSError:

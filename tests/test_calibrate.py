@@ -360,6 +360,11 @@ class TestCompareMethods(MethodTask):
         assert list(out) == ["P2L", "B1", "B2", "B3", "B4", "B5"]
         assert out["B2"].gain_vs_p2l == (0.5 - 0.3) / 0.3
 
+    def test_one_candidate_check_and_distance_vector(self, estimator_passes):
+        self.outcomes({"big": 0.4, "near": 0.3, "mid": 0.5}, reference_name="near",
+                      rng_seed=0)
+        assert estimator_passes == {"check_candidates": 1, "distances": 1}
+
 
 class TestGainTable(MethodTask):
     """The gain_vs_p2l column of compare_methods: (perf(P2L) - perf(m)) / perf(m)."""

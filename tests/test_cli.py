@@ -9,7 +9,6 @@ import struct
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ import p2l
 from p2l import oracle
 from p2l.calibrate import tune_k
 from p2l.cli import main
-from p2l.core import EmbeddingMatrix
+from p2l.core import EmbeddingMatrix, Shelf
 from p2l.io import CACHE_NAME, ProfileRegistry, _write_summary_cache, fmt, \
     write_embeddings_bin, write_embeddings_csv, write_improvements_csv
 from p2l.core import ImprovementRecord
@@ -90,6 +89,16 @@ class TestProfileCommand:
         code, _, _ = run(capsys, "profile", "--input", str(emb2), "--name", "dup",
                          "--registry", registry_dir, "--force")
         assert code == 0
+
+    def test_name_ending_in_a_newline_exits_2_and_writes_nothing(self, capsys, tmp_path,
+                                                                 registry_dir):
+        emb = tmp_path / "a.csv"
+        write_embeddings(emb, [[1.0, 2.0]])
+        code, out, err = run(capsys, "profile", "--input", str(emb), "--name", "ab\n",
+                             "--registry", registry_dir)
+        assert (code, out) == (2, "")
+        assert err == "p2l: error: profile name 'ab\\n' is not filesystem-safe\n"
+        assert not Path(registry_dir).exists()
 
     @pytest.mark.parametrize("form,data", [
         ("csv", b"# p2l-embeddings v1 dim=2 extractor=a,b\n1,2\n3,4\n"),
@@ -273,6 +282,16 @@ class TestRankCommand:
         assert baseline_rows["B5"] == "small_near"
         assert baseline_rows["B3"] in {"small_near", "big_far", "mid"}
 
+    @pytest.mark.parametrize("reference", [(), ("--reference", "mid")])
+    def test_rank_baselines_check_and_measure_the_candidates_once(
+            self, capsys, tmp_path, registry_dir, estimator_passes, reference):
+        target = seed_registry(tmp_path, registry_dir)
+        code, out, _ = run(capsys, "rank", "--target", str(target), "--registry",
+                           registry_dir, "--k", "-1", "--baselines", "--seed", "1",
+                           *reference)
+        assert code == 0 and out.count("\nbaseline,") == 4
+        assert estimator_passes == {"check_candidates": 1, "distances": 1}
+
     def test_rank_baselines_without_flags_empty(self, capsys, tmp_path,
                                                 registry_dir):
         target = seed_registry(tmp_path, registry_dir)
@@ -442,14 +461,14 @@ def cache_as_read(registry_dir, name):
     check their types would have cached."""
     path = Path(registry_dir) / name
     doc = json.loads(path.read_text())
-    summary = SimpleNamespace(dim=len(doc["summary"]), values=np.array(doc["summary"]),
-                              raw_mean=np.array(doc["raw_mean"]),
-                              summarizer=SimpleNamespace(label=lambda: doc["summarizer"]))
-    entry = SimpleNamespace(summary=summary, **{
-        key: doc[key] for key in ("name", "size", "role", "extractor_id")})
+    row = Shelf._unchecked(
+        *([doc[key]] for key in ("name", "size", "role", "extractor_id", "summarizer")),
+        np.array(doc["summary"], dtype=np.float64),
+        np.array(doc["raw_mean"], dtype=np.float64),
+        np.array([0, len(doc["summary"])], dtype=np.int64))
     key = hashlib.sha256(path.read_bytes()).hexdigest()
     with open(Path(registry_dir) / CACHE_NAME, "wb") as fh:
-        _write_summary_cache(fh, {key: entry})
+        _write_summary_cache(fh, row, [(key, None)])
 
 
 class TestProfileFileChecks:
@@ -627,6 +646,9 @@ class TestRefusedInputLeavesTheRegistry:
                             "--kinds", "XX"],
         "evaluate-distance": ["evaluate", "--truth", "{truth}", "--k", "0",
                               "--distance", "XX"],
+        "rank-reference": ["rank", "--target", "{target}", "--k", "-1",
+                           "--reference", "ghost"],
+        "rank-seed": ["rank", "--target", "{target}", "--k", "-1", "--seed", "5"],
         "profile-input": ["profile", "--input", "{missing}", "--name", "x"],
         "profile-summarizer": ["profile", "--input", "{target}", "--name", "x",
                                "--summarizer", "bogus"],

@@ -229,21 +229,23 @@ class TestBaselines:
         ("mid", 7, list(BASELINES)),
     ])
     def test_rankings_of_the_baselines_that_can_run(self, reference, seed, kinds):
-        got = baseline_rankings(self.target, self.sources, self.cfg, reference, seed)
+        scored = score_sources(self.target, self.sources, self.cfg)
+        got = baseline_rankings(scored, self.sources, reference, seed)
         assert list(got) == kinds
         assert got == {kind: baseline_ranking(kind, self.target, self.sources, self.cfg,
                                               reference_name=reference, rng_seed=seed)
                        for kind in kinds}
         assert got["B4"] is None
 
-    def test_rankings_check_candidates(self):
+    def test_rankings_order_the_scored_candidates(self):
         alien = self.sources + [profile("alien", 10, [1.0, 2.0], extractor="other")]
-        with pytest.raises(MixedExtractors):
-            baseline_rankings(self.target, alien, self.cfg)
-        got = baseline_rankings(self.target, alien, self.cfg, allow_mixed_extractors=True)
+        scored = score_sources(self.target, alien, self.cfg, allow_mixed_extractors=True)
+        got = baseline_rankings(scored, alien)
         assert [len(ranking) for ranking in got.values() if ranking] == [4, 4]
+        by_distance = sorted(scored, key=lambda s: s.distance_value)
+        assert got["B5"] == [s.source_name for s in by_distance]
         with pytest.raises(MissingReference):
-            baseline_rankings(self.target, self.sources, self.cfg, reference_name="nope")
+            baseline_rankings(scored, alien, reference_name="nope")
 
 
 class TestMergeProfiles:

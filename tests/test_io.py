@@ -503,6 +503,17 @@ class TestRegistry:
         with pytest.raises(InvalidName):
             reg.load("../etc/passwd")
 
+    def test_name_ending_in_a_newline_is_invalid(self, tmp_path):
+        reg = ProfileRegistry.open(tmp_path / "reg")
+        reg.save(self.profile("ab"))
+        with pytest.raises(InvalidName):
+            reg.save(self.profile("ab\n"))
+        (reg.root / "ab.profile.json").rename(reg.root / "ab\n.profile.json")
+        with pytest.raises(InvalidName):
+            reg.load("ab\n")
+        with pytest.raises(InvalidName):
+            reg.load_all()
+
     def test_listing_sorted(self, tmp_path):
         reg = ProfileRegistry.open(tmp_path / "reg")
         for name in ("zebra", "apple", "mango"):
@@ -864,6 +875,21 @@ class TestSummaryCacheStatKeys:
         assert_same_profiles(reg.load_all(), expected)
         assert opened == racy_names and len(hashed) == len(racy_names)
         assert cache.stat().st_mtime_ns == written  # every hash matched: no rewrite
+
+    def test_touched_files_are_hashed_once_and_then_trusted(self, tmp_path, monkeypatch):
+        reg = self.registry(tmp_path)
+        settle(reg.root)
+        cold = reg.load_all()
+        for path in reg.root.glob("*.profile.json"):
+            stamp = path.stat()
+            os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns - 10**9))
+        settle(reg.root)
+        opened = self.reads(monkeypatch)
+        assert_same_profiles(reg.load_all(), cold)
+        assert opened == reg.names()
+        opened.clear()
+        assert_same_profiles(reg.load_all(), cold)
+        assert opened == []
 
     def test_in_place_rewrite_with_mtime_put_back_is_seen(self, tmp_path):
         reg = ProfileRegistry.open(tmp_path / "reg")

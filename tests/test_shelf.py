@@ -159,10 +159,11 @@ class TestRankingFromColumns:
             for sources in (from_list, from_shelf):
                 assert outcome(lambda: baseline_ranking(
                     base, target, sources, cfg, reference_name, 7, allow)) == want
-        assert (outcome(lambda: baseline_rankings(target, from_shelf, cfg, reference_name,
-                                                  7, allow))
-                == outcome(lambda: baseline_rankings(target, from_list, cfg,
-                                                     reference_name, 7, allow)))
+        rankings = [outcome(lambda: baseline_rankings(
+                        score_sources(target, sources, cfg, allow), sources,
+                        reference_name, 7))
+                    for sources in (from_list, from_shelf)]
+        assert rankings[0] == rankings[1]
 
         same_dim = [p for p in from_list if p.summary.dim == target.summary.dim]
         matrix = Shelf.of(same_dim).matrix(target.summary.dim)
