@@ -199,6 +199,12 @@ def cmd_merge(args) -> int:
 def cmd_simulate(args) -> int:
     from . import oracle  # only simulate trains; the other commands skip its import
     cfg = oracle.OracleConfig(epochs=args.epochs, learn_rate=args.learn_rate)
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    oracle.check_study_size(args.sources, args.targets)
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+
     world = oracle.default_world(args.seed, cfg, n_sources=args.sources,
                                  n_targets=args.targets)
     records = oracle.ground_truth(world, cfg)
@@ -207,8 +213,6 @@ def cmd_simulate(args) -> int:
     est = EstimatorConfig(distance=report.best_distance, k=report.best_k)
     study = oracle.run_study(world, cfg, est, records=records)
 
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     write_grid_csv(report, outdir / "grid.csv")
     oracle.write_study_files(study, outdir)
     print("seed,best_k,best_distance,mean_rho")

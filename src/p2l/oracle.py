@@ -16,15 +16,26 @@ stream derived from the world seed and the run's names, so results are
 independent of scheduling order. The runs onto one target train in lockstep,
 stacked on a leading run axis, and each still draws only from its own stream.
 Negative transfer is possible and intentionally not clamped away.
+
+Source models, and then the fits onto each target, are independent tasks.
+They run on up to one forked worker per CPU in the affinity mask, and
+in-process when one CPU is usable, the platform has no affinity mask, or the
+caller runs other Python threads (fork copies only the calling thread). The
+world and the models reach the workers through fork, never pickled, and
+outputs do not depend on the worker count. numpy's OpenBLAS quiesces its
+thread pool at fork; on Python >= 3.12 os.fork may still warn that the
+process is multi-threaded when OpenBLAS threads exist.
 """
 from __future__ import annotations
 
 import hashlib
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import ClassVar, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -263,6 +274,12 @@ N_GROUPS, MIN_ITEMS, MAX_ITEMS = 2, 240, 9600
 GROUP_SCALE, DOMAIN_SCALE, CLASS_SCALE, SPREAD = 2.0, 1.0, 1.0, 1.6
 
 
+def _check_world_size(n_sources: int, n_targets: int) -> None:
+    if n_sources < 1 or n_targets < 1:
+        raise BadSpec("a world needs at least one source and one target, "
+                      f"got {n_sources} and {n_targets}")
+
+
 def default_world_spec(seed: int, n_sources: int = 6, n_targets: int = 8) -> WorldSpec:
     """Random world layout: disjoint source and target domains in shared groups.
 
@@ -274,9 +291,7 @@ def default_world_spec(seed: int, n_sources: int = 6, n_targets: int = 8) -> Wor
     is in the wrong group for some targets, and the nearest source is
     sometimes the tiny one.
     """
-    if n_sources < 1 or n_targets < 1:
-        raise BadSpec("a world needs at least one source and one target, "
-                      f"got {n_sources} and {n_targets}")
+    _check_world_size(n_sources, n_targets)
     rng = _stream(seed, "worldspec")
     groups = []
     for _ in range(N_GROUPS):
@@ -513,6 +528,72 @@ def train_transfer(world: OracleWorld, source_name: str | None,
     return _fit_target(world, target_name, [source], cfg)[0]
 
 
+# -- task map -----------------------------------------------------------------------
+
+
+_task_fn: Callable | None = None  # set by _install in each worker, never in the caller
+
+
+def _worker_count() -> int:
+    """One worker per CPU in the affinity mask; 1 where the platform has no
+    mask or the caller runs other Python threads, which fork would not copy."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is None or threading.active_count() > 1:
+        return 1
+    return len(affinity(0))
+
+
+def _install(fn: Callable) -> None:
+    global _task_fn
+    _task_fn = fn
+
+
+def _run_installed(task):
+    return _task_fn(task)
+
+
+def _map(fn: Callable, tasks: Sequence, cost: Callable[..., int]) -> list:
+    """[fn(task) for task in tasks], on forked workers when more than one helps.
+
+    fn reaches the workers through fork, so it is never pickled and may close
+    over the world; only tasks and results cross the pipe. Tasks go out one at
+    a time, highest cost first, so the largest does not start last. A task
+    that raises re-raises here, and every worker has been reaped on return.
+    """
+    workers = min(_worker_count(), len(tasks))
+    if workers <= 1:
+        return list(map(fn, tasks))
+    import multiprocessing  # only a forking map loads it, not every importer of the oracle
+
+    order = sorted(range(len(tasks)), key=lambda i: -cost(tasks[i]))
+    pool = multiprocessing.get_context("fork").Pool(workers, _install, (fn,))
+    try:
+        done = pool.map(_run_installed, [tasks[i] for i in order], chunksize=1)
+        pool.close()
+    except BaseException:
+        pool.terminate()
+        raise
+    finally:
+        pool.join()
+    by_task = dict(zip(order, done))
+    return [by_task[i] for i in range(len(tasks))]
+
+
+def _train_models(world: OracleWorld, cfg: OracleConfig,
+                  pools: Sequence[tuple[Sequence[str], tuple]]) -> list[ModelParams]:
+    """_train_pooled_model of each (source names, stream tags) pair, mapped."""
+    return _map(lambda pool: _train_pooled_model(world, pool[0], cfg, *pool[1]), pools,
+                lambda pool: cfg.epochs * sum(world.domain(name).source_train.items
+                                              for name in pool[0]))
+
+
+def _fit_targets(world: OracleWorld, cfg: OracleConfig, targets: Sequence[str],
+                 sources: Sequence[tuple[str, ModelParams] | None]) -> list[list[float]]:
+    """_fit_target of each named target on the same source entries, mapped."""
+    return _map(lambda target: _fit_target(world, target, sources, cfg), targets,
+                lambda target: cfg.epochs * world.domain(target).target_train.items)
+
+
 def ground_truth(world: OracleWorld, cfg: OracleConfig) -> list[ImprovementRecord]:
     """Real improvements for every (target, source) pair in the world.
 
@@ -522,11 +603,11 @@ def ground_truth(world: OracleWorld, cfg: OracleConfig) -> list[ImprovementRecor
     RNG stream.
     """
     sources = world.source_names()
-    models = {name: _train_pooled_model(world, [name], cfg, "source", name)
-              for name in sources}
+    models = _train_models(world, cfg, [((name,), ("source", name)) for name in sources])
+    targets = world.target_names()
+    fits = _fit_targets(world, cfg, targets, [None, *zip(sources, models)])
     records = []
-    for target in world.target_names():
-        scratch, *perfs = _fit_target(world, target, [None, *models.items()], cfg)
+    for target, (scratch, *perfs) in zip(targets, fits):
         records.extend(ImprovementRecord(target, source, perf, scratch)
                        for source, perf in zip(sources, perfs))
     return records
@@ -564,6 +645,16 @@ class StudyReport:
     mean_picks: dict[str, float]
 
 
+def check_study_size(n_sources: int, n_targets: int) -> None:
+    """Refuse a study, or the default world it would run on, with too few
+    sources to calibrate or too few targets to compare; it trains nothing."""
+    _check_world_size(n_sources, n_targets)
+    if n_sources < 3:
+        raise BadSpec("study needs at least three source domains")
+    if n_targets < 2:
+        raise BadSpec("study needs at least two targets")
+
+
 def run_study(world: OracleWorld, cfg: OracleConfig,
               estimator_cfg: EstimatorConfig,
               records: Sequence[ImprovementRecord]) -> StudyReport:
@@ -575,10 +666,7 @@ def run_study(world: OracleWorld, cfg: OracleConfig,
     picks-to-best.
     """
     target_names = world.target_names()
-    if len(world.source_names()) < 3:
-        raise BadSpec("study needs at least three source domains")
-    if len(target_names) < 2:
-        raise BadSpec("study needs at least two targets")
+    check_study_size(len(world.source_names()), len(target_names))
     records = list(records)
     by_target = group_records_by_target(records)
     source_profiles, target_profiles = build_profiles(world)
@@ -664,18 +752,20 @@ def merged_source_study(world: OracleWorld, cfg: OracleConfig,
     ref_profile = next(p for p in source_profiles if p.name == reference)
     merged_profile = merge_profiles(source_profiles, name="merged")
 
-    ref_model = _train_pooled_model(world, [reference], cfg, "source", reference)
-    merged_model = _train_pooled_model(world, source_names, cfg, "pooled", "merged")
+    ref_model, merged_model = _train_models(
+        world, cfg, [((reference,), ("source", reference)),
+                     (source_names, ("pooled", "merged"))])
 
     # The target family spans every domain's target split, the reference's
     # own included, so divergence from the reference covers near to far.
+    targets = [d.spec.name for d in world.domains]
+    fits = _fit_targets(world, cfg, targets,
+                        [(reference, ref_model), ("merged", merged_model)])
     outcomes = []
-    for target in (d.spec.name for d in world.domains):
+    for target, (perf_ref, perf_merged) in zip(targets, fits):
         scored = score_sources(target_profiles[target],
                                [ref_profile, merged_profile], est)
         div = next(s.distance_value for s in scored if s.source_name == reference)
-        perf_ref, perf_merged = _fit_target(
-            world, target, [(reference, ref_model), ("merged", merged_model)], cfg)
         outcomes.append(MergedOutcome(
             target_name=target, divergence_from_reference=div,
             perf_reference=perf_ref, perf_merged=perf_merged,

@@ -773,6 +773,33 @@ class TestSimulateCommand:
         assert "at least one source and one target" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--sources", "2"], "study needs at least three source domains"),
+        (["--targets", "1"], "study needs at least two targets"),
+        (["--seed", "-1"], "--seed must be >= 0, got -1"),
+    ], ids=["two-sources", "one-target", "negative-seed"])
+    def test_unrunnable_study_exits_2_before_training(self, capsys, tmp_path,
+                                                      monkeypatch, argv, message):
+        monkeypatch.setattr(oracle, "ground_truth", self.no_training)
+        out = tmp_path / "study"  # the last of a repeated flag counts
+        code, stdout, err = run(capsys, "simulate", "--seed", "1", "--sources", "12",
+                                "--targets", "16", *argv, "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert message in err
+        assert not out.exists()
+
+    def test_out_under_a_file_exits_2_before_training(self, capsys, tmp_path,
+                                                      monkeypatch):
+        monkeypatch.setattr(oracle, "ground_truth", self.no_training)
+        (tmp_path / "afile").write_text("")
+        code, stdout, err = run(capsys, "simulate", "--seed", "1",
+                                "--out", str(tmp_path / "afile" / "sub"))
+        assert (code, stdout) == (2, "")
+        assert "Not a directory" in err
+
+    @staticmethod
+    def no_training(world, cfg):
+        raise AssertionError("simulate trained a study it then refused")
 
     def test_evaluate_prints_the_study_selections(self, capsys, tmp_path):
         """evaluate over a simulated world's profiles, at the study's own k and

@@ -1,3 +1,7 @@
+import multiprocessing
+import os
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -393,3 +397,104 @@ class TestStudies:
             assert (tmp_path / name).exists()
         header = (tmp_path / "ground_truth.csv").read_text().splitlines()[0]
         assert header == "target,source,perf_transfer,perf_scratch"
+
+
+def run_with_workers(monkeypatch, workers, fn, *args):
+    """fn(*args) with the oracle's task maps on the given worker count."""
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_worker_count", lambda: workers)
+        return fn(*args)
+
+
+def assert_no_children():
+    """Every child process has exited and been reaped."""
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestTaskMap:
+    def test_forked_workers_run_the_tasks_and_keep_task_order(self, monkeypatch):
+        parent = os.getpid()
+        tasks = [3, 9, 1, 7, 5]
+        # The lambda closes over a local: it reaches the workers through fork.
+        results = run_with_workers(monkeypatch, 2, oracle._map,
+                                   lambda t: (t, os.getpid()), tasks, lambda t: t)
+        assert [t for t, _ in results] == tasks
+        assert parent not in {pid for _, pid in results}
+        results = run_with_workers(monkeypatch, 1, oracle._map,
+                                   lambda t: (t, os.getpid()), tasks, lambda t: t)
+        assert results == [(t, parent) for t in tasks]
+        assert_no_children()
+
+    def test_worker_count_follows_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        assert oracle._worker_count() == 3
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert oracle._worker_count() == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert oracle._worker_count() == 1
+
+    def test_worker_count_is_one_beside_another_thread(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert oracle._worker_count() == 1
+        finally:
+            release.set()
+            thread.join()
+        assert oracle._worker_count() == 3
+
+
+def record_bits(records):
+    return [(r.target_name, r.source_name, r.perf_transfer.hex(), r.perf_scratch.hex())
+            for r in records]
+
+
+class TestParallelGroundTruth:
+    @pytest.mark.parametrize("world", [
+        lambda: oracle.default_world(1, n_sources=5, n_targets=4),
+        lambda: oracle.default_world(3, n_sources=2, n_targets=7),
+        lambda: oracle.default_world(4, n_sources=6, n_targets=1),
+        lambda: oracle.generate_world(2, two_cluster_spec(n_items=400)),  # sources only
+    ], ids=["5x4", "2x7", "6x1", "source-only"])
+    @pytest.mark.parametrize("workers", [2, 8])
+    def test_forked_equals_in_process_bit_for_bit(self, monkeypatch, world, workers):
+        world, cfg = world(), oracle.OracleConfig(epochs=3)
+        forked = run_with_workers(monkeypatch, workers, oracle.ground_truth, world, cfg)
+        alone = run_with_workers(monkeypatch, 1, oracle.ground_truth, world, cfg)
+        assert record_bits(forked) == record_bits(alone)
+        assert len(forked) == len(world.source_names()) * len(world.target_names())
+        assert_no_children()
+
+    def test_merged_study_forked_equals_in_process(self, monkeypatch):
+        cfg = oracle.OracleConfig(epochs=3)
+        world = oracle.default_world(2, cfg, n_sources=4, n_targets=3)
+        forked, alone = (run_with_workers(monkeypatch, w, oracle.merged_source_study,
+                                          world, cfg) for w in (2, 1))
+        assert ([(o.target_name, o.perf_reference.hex(), o.perf_merged.hex())
+                 for o in forked.outcomes]
+                == [(o.target_name, o.perf_reference.hex(), o.perf_merged.hex())
+                    for o in alone.outcomes])
+        assert_no_children()
+
+    @pytest.mark.parametrize("workers", [2, 1])
+    def test_a_failed_task_reraises_and_leaves_no_process(self, monkeypatch, workers):
+        world = oracle.default_world(1, n_sources=3, n_targets=4)
+        bad = world.target_names()[1]
+        fit = oracle._fit_target
+
+        def failing(world, target, sources, cfg):
+            if target == bad:
+                raise BadSpec(f"cannot fit {target}")
+            return fit(world, target, sources, cfg)
+
+        monkeypatch.setattr(oracle, "_fit_target", failing)
+        with pytest.raises(BadSpec, match=f"^cannot fit {bad}$"):
+            run_with_workers(monkeypatch, workers, oracle.ground_truth, world,
+                             oracle.OracleConfig(epochs=2))
+        assert_no_children()
