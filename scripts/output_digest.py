@@ -189,6 +189,11 @@ def refusals(tmp: Path) -> None:
     (tmp / "empty-line.csv").write_text(CSV_HEADER + "1,2,3\n\n4,5,6\n")
     (tmp / "inf.csv").write_text(CSV_HEADER + "1,2,3\n4,inf,6\n")
     truth = "sim7/ground_truth.csv"
+    lines = (tmp / truth).read_text().splitlines(keepends=True)
+    target, _, perfs = lines[1].split(",", 2)  # the first record names source ghost
+    (tmp / "ghost-truth.csv").write_text("".join(
+        [lines[0], f"{target},ghost,{perfs}", *lines[2:]]))
+    (tmp / "two-records.csv").write_text("".join(lines[:3]))
     for name, code, *argv in (
         ("profile-truncated", 2, "profile", "--input", "truncated.bin", "--name", "t"),
         ("profile-dim0", 2, "profile", "--input", "dim0.csv", "--name", "d"),
@@ -204,6 +209,12 @@ def refusals(tmp: Path) -> None:
         ("rank-target", 4, "rank", "--target", "ghost", "--k", "-1"),
         ("evaluate-reference", 4, "evaluate", "--truth", truth, "--k", "-1",
          "--reference", "ghost"),
+        ("calibrate-unknown-source", 4, "calibrate", "--truth", "ghost-truth.csv",
+         "--out", "grid-bad.csv"),
+        ("evaluate-unknown-source", 4, "evaluate", "--truth", "ghost-truth.csv",
+         "--k", "-1"),
+        ("calibrate-too-few", 2, "calibrate", "--truth", "two-records.csv",
+         "--out", "grid-bad.csv"),
     ):
         refuse(tmp, f"refuse-{name}", code, *argv, "--registry", "oracle")
     refuse(tmp, "refuse-simulate-learn-rate", 2, "simulate", "--seed", "1",

@@ -11,7 +11,7 @@ Evaluation compares every selection method on one target at a time
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -142,19 +142,16 @@ def tune_k(training_tasks: Sequence[TrainingTask],
     """Grid search (k, distance) maximizing mean Spearman rho over tasks.
 
     Each task pairs a target profile with ground-truth improvement records;
-    that task's candidate set is exactly the sources its records name.
-    The report's best_point() breaks grid ties toward smaller |k|, then kind
-    declaration order. A task's whole grid is one score matrix, ranked and
-    correlated in one _rank_correlations pass, bit-equal to per-cell np.corrcoef.
+    its candidates are the sources its records name, in record order, as
+    rows of the sources stacked once (a name may appear once). The report's
+    best_point() breaks grid ties toward smaller |k|, then kind declaration
+    order. A task's whole grid is one score matrix, ranked and correlated in
+    one _rank_correlations pass, bit-equal to per-cell np.corrcoef.
     """
     cfg = cfg if cfg is not None else EvaluationConfig()
     if not training_tasks:
         raise ValueError("need at least one training task")
-    pool: dict[str, DatasetProfile] = {}
-    for p in sources:
-        if p.name in pool:
-            raise DuplicateSourceName(f"duplicate source name {p.name!r}")
-        pool[p.name] = p
+    pool = Shelf.of(sources)
 
     ks = np.array(cfg.k_grid)
     task_rhos = {}
@@ -166,9 +163,9 @@ def tune_k(training_tasks: Sequence[TrainingTask],
             raise TooFewSources(
                 f"task {target.name!r} has {len(candidates)} sources, need >= 3")
         check_candidates(target, candidates)
-        z_logs = zscale(np.log([float(c.size) for c in candidates]))
-        summaries = [c.summary for c in candidates]
-        z_dists = np.array([zscale(distances(kind, target.summary, summaries, EPSILON))
+        z_logs = zscale(np.log([float(size) for size in candidates.sizes]))
+        matrix = candidates.matrix(target.summary.dim)
+        z_dists = np.array([zscale(distances(kind, target.summary, matrix, EPSILON))
                             for kind in cfg.distance_kinds])
         # One row per grid cell, in grid order: k-major, kind-minor.
         scores = (z_logs + ks[:, None, None] * z_dists).reshape(-1, len(candidates))
@@ -181,16 +178,20 @@ def tune_k(training_tasks: Sequence[TrainingTask],
         for i, (k, kind) in enumerate(cells)))
 
 
-def _candidates(task: str, records: Sequence[ImprovementRecord],
-                pool: Mapping[str, DatasetProfile]) -> list[DatasetProfile]:
-    """The pool profiles a task's records name, in record order."""
+def _candidates(task: str, records: Sequence[ImprovementRecord], pool: Shelf) -> Shelf:
+    """The pool rows a task's records name, in record order; a pool name may
+    appear once."""
+    rows: dict[str, int] = {}
+    for i, name in enumerate(pool.names):
+        if rows.setdefault(name, i) != i:
+            raise DuplicateSourceName(f"duplicate source name {name!r}")
     names = [r.source_name for r in records]
     if len(set(names)) != len(names):
         raise DuplicateSourceName(f"task {task!r} names a source twice")
     for n in names:
-        if n not in pool:
+        if n not in rows:
             raise UnknownSource(f"task {task!r} references unknown source {n!r}")
-    return [pool[n] for n in names]
+    return pool.take([rows[n] for n in names])
 
 
 def picks_to_best(ranking: Sequence[str], best_true: str) -> int:
@@ -218,20 +219,21 @@ class MethodOutcome:
 
 
 def compare_methods(target: DatasetProfile, records: Sequence[ImprovementRecord],
-                    pool: Mapping[str, DatasetProfile], cfg: EstimatorConfig,
+                    pool: Sequence[DatasetProfile], cfg: EstimatorConfig,
                     reference_name: str | None = None, rng_seed: int | None = None,
                     allow_mixed_extractors: bool = False,
                     ) -> tuple[list[ScoredSource], dict[str, MethodOutcome]]:
     """Run every selection method on one target and score it against its records.
 
     The records are the target's, as group_records_by_target gives them; the
-    candidates are the pool sources they name, in record order. Methods run
+    candidates are the pool sources they name, in record order, and a pool
+    name may appear once. A list pool is stacked into a Shelf. Methods run
     in the order P2L, then baseline_rankings', which order P2L's scored
     candidates: they are checked and measured once. A method's perf is its pick's
     perf_transfer, perf_scratch for no transfer (B4). Returns P2L's scored
     candidates and each method's outcome keyed by method.
     """
-    candidates = Shelf.of(_candidates(target.name, records, pool))
+    candidates = _candidates(target.name, records, Shelf.of(pool))
     scored = score_sources(target, candidates, cfg,
                            allow_mixed_extractors=allow_mixed_extractors)
     rankings = {"P2L": [s.source_name for s in scored],

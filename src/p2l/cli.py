@@ -148,8 +148,8 @@ def _read_truth(path):
 def _tasks(registry: ProfileRegistry, grouped):
     """The registry's target profile for each truth group, and its sources."""
     tasks = [(registry.load(name), recs) for name, recs in grouped.items()]
-    sources = [p for p in registry.load_all() if p.role == "source"]
-    return tasks, sources
+    shelf = registry.load_all()
+    return tasks, shelf.take([i for i, role in enumerate(shelf.roles) if role == "source"])
 
 
 def cmd_calibrate(args) -> int:
@@ -172,11 +172,10 @@ def cmd_evaluate(args) -> int:
     cfg = _estimator_config(args)
     grouped = _read_truth(args.truth)
     tasks, sources = _tasks(ProfileRegistry.open(args.registry), grouped)
-    pool = {p.name: p for p in sources}
     rows = []
     for target, recs in tasks:
         _, outcomes = compare_methods(
-            target, recs, pool, cfg, reference_name=args.reference,
+            target, recs, sources, cfg, reference_name=args.reference,
             rng_seed=args.seed, allow_mixed_extractors=args.allow_mixed_extractors)
         rows.extend(selection_row(target.name, o) for o in outcomes.values())
     print(SELECTIONS_HEADER)

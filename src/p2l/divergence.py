@@ -10,12 +10,10 @@ Five candidates, natural log throughout:
 
 KL/JSD/CHI2 treat summaries as probability vectors and need strictly positive
 input; pass ``epsilon`` to smooth both arguments first, or smooth upstream.
-EUC/CITYBLOCK never smooth. ``distances`` is the one implementation, over a
-whole candidate list or matrix at once; ``distance`` is its one-row case.
+EUC/CITYBLOCK never smooth. ``distances`` is the one implementation, over an
+N x d matrix of candidates at once; ``distance`` is its one-row case.
 """
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -30,24 +28,17 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[..., None])[:, 0, 0]
 
 
-def distances(kind: DivergenceKind | str, p: SummaryVector,
-              qs: Sequence[SummaryVector] | np.ndarray,
+def distances(kind: DivergenceKind | str, p: SummaryVector, qs: np.ndarray,
               epsilon: float | None = None) -> np.ndarray:
-    """D(p, q) >= 0 for each q in qs, p being the target by convention. qs is
-    a list of summaries, stacked here into one N x d array, or that array
-    itself (Shelf.matrix); p is smoothed once."""
+    """D(p, q) >= 0 for each row q of qs, p being the target by convention.
+    qs is one N x d array, such as Shelf.matrix(d); p is smoothed once."""
     kind = DivergenceKind(kind)
-    if isinstance(qs, np.ndarray):
-        if qs.ndim != 2:
-            raise DimensionMismatch(f"expected an N x {p.dim} matrix, got shape {qs.shape}")
-        if qs.shape[1] != p.dim:
-            raise DimensionMismatch(f"summary dims differ: {p.dim} vs {qs.shape[1]}")
-        qv = np.asarray(qs, dtype=np.float64)
-    else:
-        for q in qs:
-            if q.dim != p.dim:
-                raise DimensionMismatch(f"summary dims differ: {p.dim} vs {q.dim}")
-        qv = np.array([q.values for q in qs], dtype=np.float64).reshape(len(qs), p.dim)
+    if not isinstance(qs, np.ndarray) or qs.ndim != 2:
+        raise DimensionMismatch(f"expected an N x {p.dim} array, got "
+                                f"{getattr(qs, 'shape', type(qs).__name__)}")
+    if qs.shape[1] != p.dim:
+        raise DimensionMismatch(f"summary dims differ: {p.dim} vs {qs.shape[1]}")
+    qv = np.asarray(qs, dtype=np.float64)
     pv = p.values
 
     if kind in PROBABILITY_KINDS:
@@ -77,4 +68,4 @@ def distances(kind: DivergenceKind | str, p: SummaryVector,
 def distance(kind: DivergenceKind | str, p: SummaryVector, q: SummaryVector,
              epsilon: float | None = None) -> float:
     """D(p, q) >= 0 for the requested kind: the one-row case of distances."""
-    return float(distances(kind, p, [q], epsilon)[0])
+    return float(distances(kind, p, q.values[None], epsilon)[0])

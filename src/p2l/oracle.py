@@ -53,6 +53,7 @@ from .core import (
     EmbeddingMatrix,
     EstimatorConfig,
     ImprovementRecord,
+    Shelf,
     Summarizer,
 )
 from .errors import BadSpec, UnknownName
@@ -83,6 +84,7 @@ TARGET_FRACTION = 0.1  # share of partition 3 that trains each target
 HIDDEN_DIM = 8  # width of the trainer's representation layer
 FINETUNE_MULTIPLIER = 0.1  # representation layer's share of the learn rate in a fine-tune
 FEATURE_DIM = 16  # feature width of the default world
+SPREAD = 1.6  # std of a domain's items around their class centroid
 EMBED_DIM = 32  # width of the reference extractor's embeddings
 
 
@@ -113,7 +115,6 @@ class DomainSpec:
     name: str
     n_items: int
     centroids: np.ndarray  # (n_classes, feature_dim)
-    spread: float = 1.0
 
     def __post_init__(self):
         arr = _frozen(np.array(self.centroids, dtype=np.float64, copy=True))
@@ -121,9 +122,6 @@ class DomainSpec:
             raise BadSpec(f"domain {self.name!r}: centroids must be "
                           f"(n_classes, feature_dim), got {arr.shape}")
         object.__setattr__(self, "centroids", arr)
-        if not (math.isfinite(self.spread) and self.spread > 0.0):
-            raise BadSpec(f"domain {self.name!r}: spread must be a finite value > 0, "
-                          f"got {self.spread!r}")
 
     @property
     def n_classes(self) -> int:
@@ -201,6 +199,17 @@ class OracleWorld:
     def _by_name(self) -> dict[str, DomainData]:
         return {d.spec.name: d for d in self.domains}
 
+    @cached_property
+    def _profiles(self) -> tuple[list[DatasetProfile], dict[str, DatasetProfile]]:
+        """build_profiles' profiles, embedded and summarized once per world."""
+        def profile(data: DomainData, split: SplitData, role: str) -> DatasetProfile:
+            return profile_from_matrix(data.spec.name, embed_split(self, split),
+                                       Summarizer.mean(), role=role)
+        sources = [profile(d, d.source_train, "source")
+                   for d in self.domains[:self.spec.n_sources]]
+        targets = {d.spec.name: profile(d, d.target_train, "target") for d in self.domains}
+        return sources, targets
+
     def domain(self, name: str) -> DomainData:
         try:
             return self._by_name[name]
@@ -242,7 +251,7 @@ def generate_world(seed: int, spec: WorldSpec) -> OracleWorld:
                           "empty target split")
         rng = _stream(seed, "domain", dom.name)
         labels = np.arange(dom.n_items) % dom.n_classes
-        x = dom.centroids[labels] + dom.spread * rng.standard_normal(
+        x = dom.centroids[labels] + SPREAD * rng.standard_normal(
             (dom.n_items, spec.feature_dim))
         perm = rng.permutation(dom.n_items)
         x, labels = x[perm], labels[perm]
@@ -271,7 +280,7 @@ def generate_world(seed: int, spec: WorldSpec) -> OracleWorld:
 
 # Shape of the default world; default_world_spec's docstring says how each acts.
 N_GROUPS, MIN_ITEMS, MAX_ITEMS = 2, 240, 9600
-GROUP_SCALE, DOMAIN_SCALE, CLASS_SCALE, SPREAD = 2.0, 1.0, 1.0, 1.6
+GROUP_SCALE, DOMAIN_SCALE, CLASS_SCALE = 2.0, 1.0, 1.0
 
 
 def _check_world_size(n_sources: int, n_targets: int) -> None:
@@ -321,7 +330,7 @@ def default_world_spec(seed: int, n_sources: int = 6, n_targets: int = 8) -> Wor
         jitter = rng.uniform(0.3, DOMAIN_SCALE)
         centroids = anchors + rng.normal(0.0, jitter, anchors.shape)
         domains.append(DomainSpec(name=f"dom{i:02d}", n_items=int(sizes[i]),
-                                  centroids=centroids, spread=SPREAD))
+                                  centroids=centroids))
     return WorldSpec(domains=tuple(domains), n_sources=n_sources)
 
 
@@ -342,20 +351,11 @@ def build_profiles(world: OracleWorld,
     """Source profiles (from source-train splits) and per-name target profiles.
 
     Target profiles exist for every domain since every domain carries a
-    target split.
+    target split. The world builds them once; each call returns a fresh
+    list and dict of them.
     """
-    sources = []
-    for name in world.source_names():
-        data = world.domain(name)
-        sources.append(profile_from_matrix(
-            name, embed_split(world, data.source_train), Summarizer.mean(),
-            role="source"))
-    targets = {}
-    for data in world.domains:
-        targets[data.spec.name] = profile_from_matrix(
-            data.spec.name, embed_split(world, data.target_train),
-            Summarizer.mean(), role="target")
-    return sources, targets
+    sources, targets = world._profiles
+    return list(sources), dict(targets)
 
 
 # -- tiny trainer ---------------------------------------------------------------------
@@ -660,17 +660,23 @@ def run_study(world: OracleWorld, cfg: OracleConfig,
               records: Sequence[ImprovementRecord]) -> StudyReport:
     """Score every target against every source and compare selection methods.
 
-    The records are ground_truth(world, cfg). Emits per-target rank
-    correlation between scores and improvements, and each method's (P2L, B1,
-    B4, B5) outcome per target, mean accuracy, top-1 hit rate and
-    picks-to-best.
+    The records are ground_truth(world, cfg), for every target of the world
+    and no other. Emits per-target rank correlation between scores and
+    improvements, and each method's (P2L, B1, B4, B5) outcome per target,
+    mean accuracy, top-1 hit rate and picks-to-best.
     """
     target_names = world.target_names()
     check_study_size(len(world.source_names()), len(target_names))
     records = list(records)
     by_target = group_records_by_target(records)
+    foreign = [t for t in by_target if t not in target_names]
+    if foreign:
+        raise UnknownName(f"records name {foreign[0]!r}, which is not a target of the world")
+    missing = [t for t in target_names if t not in by_target]
+    if missing:
+        raise BadSpec(f"the records hold no run onto target {missing[0]!r}")
     source_profiles, target_profiles = build_profiles(world)
-    pool = {p.name: p for p in source_profiles}
+    pool = Shelf.of(source_profiles)
 
     per_target_rho: dict[str, float] = {}
     outcomes: dict[str, dict[str, MethodOutcome]] = {}

@@ -294,9 +294,8 @@ class TestTuneK:
             candidates = [pool[r.source_name] for r in records]
             z_logs = zscale(np.log([float(c.size) for c in candidates]))
             improvements = np.array([r.improvement for r in records])
-            z_dists = {kind: zscale(distances(kind, target.summary,
-                                              [c.summary for c in candidates],
-                                              EPSILON))
+            matrix = np.array([c.summary.values for c in candidates])
+            z_dists = {kind: zscale(distances(kind, target.summary, matrix, EPSILON))
                        for kind in cfg.distance_kinds}
             for g in report.grid:
                 got = g.task_rho[target.name]
@@ -334,9 +333,9 @@ class MethodTask:
 
     def setup_method(self):
         self.target = profile("t", 10, [1.0, 1.0], role="target")
-        self.pool = {p.name: p for p in (profile("big", 1_000_000, [4.0, 0.2]),
-                                         profile("near", 100, [1.05, 1.0]),
-                                         profile("mid", 10_000, [1.3, 0.9]))}
+        self.pool = [profile("big", 1_000_000, [4.0, 0.2]),
+                     profile("near", 100, [1.05, 1.0]),
+                     profile("mid", 10_000, [1.3, 0.9])]
 
     def outcomes(self, perfs, scratch=0.25, k=-1.0, **opts):
         records = [ImprovementRecord("t", name, perf, scratch)

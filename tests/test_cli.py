@@ -549,6 +549,27 @@ class TestCalibrateAndEvaluate:
                          str(tmp_path / "g.csv"))
         assert code == 4
 
+    def test_calibrate_and_evaluate_build_no_profile_from_the_shelf(
+            self, capsys, tmp_path, registry_dir, monkeypatch):
+        """Both read the registry's sources as shelf columns, cold and warm."""
+        world = oracle_registry(registry_dir, 3, 4, 3)
+        rng = np.random.default_rng(0)
+        truth = tmp_path / "truth.csv"
+        write_improvements_csv(truth, [
+            ImprovementRecord(t, s, float(rng.uniform(0.3, 0.9)), 0.25)
+            for t in world.target_names() for s in world.source_names()])
+        built = []
+        getitem = Shelf.__getitem__
+        monkeypatch.setattr(Shelf, "__getitem__",
+                            lambda self, i: built.append(i) or getitem(self, i))
+        for _ in ("cold", "warm"):
+            assert run(capsys, "calibrate", "--truth", str(truth), "--registry",
+                       registry_dir, "--out", str(tmp_path / "g.csv"))[0] == 0
+            assert run(capsys, "evaluate", "--truth", str(truth), "--registry",
+                       registry_dir, "--k", "-1")[0] == 0
+        assert (Path(registry_dir) / CACHE_NAME).exists()
+        assert built == []
+
     def test_evaluate_unknown_source_exits_4(self, capsys, tmp_path,
                                              registry_dir):
         truth = seed_truth(tmp_path, registry_dir)
@@ -796,6 +817,18 @@ class TestSimulateCommand:
                                 "--out", str(tmp_path / "afile" / "sub"))
         assert (code, stdout) == (2, "")
         assert "Not a directory" in err
+
+    def test_simulate_builds_each_profile_once(self, capsys, tmp_path, monkeypatch):
+        # 12 source-train splits and the target-train split of all 28 domains
+        built = []
+        profile_from_matrix = oracle.profile_from_matrix
+        monkeypatch.setattr(oracle, "profile_from_matrix",
+                            lambda name, *a, **kw: built.append(name)
+                            or profile_from_matrix(name, *a, **kw))
+        code, _, _ = run(capsys, "simulate", "--seed", "1", "--sources", "12",
+                         "--targets", "16", "--epochs", "1", "--out",
+                         str(tmp_path / "study"))
+        assert (code, len(built)) == (0, 40)
 
     @staticmethod
     def no_training(world, cfg):

@@ -20,6 +20,11 @@ def summary(values):
                          summarizer=Summarizer.mean())
 
 
+def stacked(summaries):
+    """The summaries' vectors as the N x d array distances takes."""
+    return np.array([q.values for q in summaries])
+
+
 def positive_summaries(dim, count, seed):
     rng = np.random.default_rng(seed)
     return [summary(rng.uniform(0.05, 1.0, dim)) for _ in range(count)]
@@ -157,7 +162,7 @@ class TestBatchedKernel:
     def test_bit_exact_with_epsilon(self, kind):
         p, qs = self.shelf()
         eps = 1e-6
-        got = distances(kind, p, qs, epsilon=eps)
+        got = distances(kind, p, stacked(qs), epsilon=eps)
         if kind in (DivergenceKind.EUC, DivergenceKind.CITYBLOCK):
             ref = [per_pair_reference(kind, p.values, q.values) for q in qs]
         else:
@@ -169,20 +174,27 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_bit_exact_without_epsilon(self, kind):
         p, qs = self.shelf(floor=0.01)
-        got = distances(kind, p, qs)
+        got = distances(kind, p, stacked(qs))
         assert got.tolist() == [per_pair_reference(kind, p.values, q.values) for q in qs]
         assert [distance(kind, p, q) for q in qs[:5]] == got[:5].tolist()
 
     def test_validation(self):
         p, qs = self.shelf(n=3, dim=4, floor=0.01)
-        with pytest.raises(DimensionMismatch):
-            distances("KL", p, qs + [summary([1.0, 2.0])], epsilon=1e-6)
+        with pytest.raises(DimensionMismatch, match="summary dims differ: 4 vs 2"):
+            distances("KL", p, np.ones((3, 2)), epsilon=1e-6)
         with pytest.raises(NonPositiveComponent):
-            distances("KL", p, qs + [summary([1.0, 0.0, 1.0, 1.0])])
+            distances("KL", p, stacked(qs + [summary([1.0, 0.0, 1.0, 1.0])]))
         for bad in (0.0, -1e-6, float("nan"), float("inf")):
             with pytest.raises(NonPositiveEpsilon):
-                distances("JSD", p, qs, epsilon=bad)
+                distances("JSD", p, stacked(qs), epsilon=bad)
         # L1/L2 kinds never smooth, so epsilon is not consulted.
-        assert distances("EUC", p, qs, epsilon=-1.0).tolist() == \
-            distances("EUC", p, qs).tolist()
-        assert distances("CHI2", p, []).shape == (0,)
+        assert distances("EUC", p, stacked(qs), epsilon=-1.0).tolist() == \
+            distances("EUC", p, stacked(qs)).tolist()
+        assert distances("CHI2", p, np.empty((0, 4))).shape == (0,)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_only_an_n_by_d_array_is_taken(self, kind):
+        p, qs = self.shelf(n=3, dim=4, floor=0.01)
+        for bad in (qs, [q.values for q in qs], qs[0].values, stacked(qs)[None], ()):
+            with pytest.raises(DimensionMismatch, match="expected an N x 4 array"):
+                distances(kind, p, bad, epsilon=1e-6)

@@ -8,21 +8,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from p2l import oracle
-from p2l.core import EPSILON, DivergenceKind, EstimatorConfig
+from p2l.core import EPSILON, DivergenceKind, EstimatorConfig, ImprovementRecord
 from p2l.divergence import distances
 from p2l.errors import BadSpec, UnknownName
 from p2l.estimator import merge_profiles
 
 
-def two_cluster_spec(feature_dim=8, n_items=400, gap=8.0, n_classes=5,
-                     spread=1.6, seed=0):
+def two_cluster_spec(feature_dim=8, n_items=400, gap=8.0, n_classes=5, seed=0):
     """Two well-separated domains of overlapping Gaussian classes."""
     rng = np.random.default_rng(seed)
     a = rng.normal(0.0, 1.0, (n_classes, feature_dim))
     b = a + gap
     return oracle.WorldSpec(domains=(
-        oracle.DomainSpec("aaa", n_items, a, spread=spread),
-        oracle.DomainSpec("bbb", n_items, b, spread=spread),
+        oracle.DomainSpec("aaa", n_items, a),
+        oracle.DomainSpec("bbb", n_items, b),
     ))
 
 
@@ -66,14 +65,6 @@ class TestWorldGeneration:
             oracle.WorldSpec(domains=(spec.domains[0],
                                       oracle.DomainSpec("c", 100, np.zeros((2, 4)))))
 
-    @pytest.mark.parametrize("spread", [0.0, -1.0, float("nan"), float("inf"),
-                                        float("-inf")])
-    def test_spread_must_be_finite_and_positive(self, spread):
-        # A NaN or infinite spread would fill the domain's features with NaN,
-        # and train_transfer would report an accuracy measured on them.
-        with pytest.raises(BadSpec, match="spread must be a finite value > 0"):
-            oracle.DomainSpec("c", 100, np.zeros((2, 8)), spread=spread)
-
     def test_unknown_domain(self):
         world = oracle.generate_world(1, two_cluster_spec())
         with pytest.raises(UnknownName):
@@ -93,7 +84,8 @@ class TestWorldGeneration:
             b_src = sources[1]
             a_resample = targets["aaa"]
             d_ab, d_aa = distances(est.distance, a_resample.summary,
-                                   [b_src.summary, a_src.summary], EPSILON)
+                                   np.array([b_src.summary.values, a_src.summary.values]),
+                                   EPSILON)
             wins += d_ab > 2.0 * d_aa
         assert wins >= 5
 
@@ -300,9 +292,8 @@ class TestTransferRuns:
         cfg = oracle.OracleConfig(epochs=10)
         perfs = {n: [] for n in sizes}
         for seed in range(1, 6):
-            domains = [oracle.DomainSpec(f"src{n}", n, centroids, spread=1.6)
-                       for n in sizes]
-            domains.append(oracle.DomainSpec("tgt", 2000, centroids, spread=1.6))
+            domains = [oracle.DomainSpec(f"src{n}", n, centroids) for n in sizes]
+            domains.append(oracle.DomainSpec("tgt", 2000, centroids))
             spec = oracle.WorldSpec(domains=tuple(domains), n_sources=3)
             world = oracle.generate_world(seed, spec)
             for n in sizes:
@@ -334,6 +325,46 @@ class TestStudies:
             ours = perf[(t, study.selections["P2L"][t])]
             assert study.outcomes[t]["B4"].gain_vs_p2l == pytest.approx(
                 (ours - scratch[t]) / scratch[t])
+
+    def test_run_study_refuses_records_of_other_targets(self, monkeypatch):
+        # A 3x2 world's targets are dom03 and dom04; the study scores nothing
+        # unless its records cover exactly those.
+        cfg = oracle.OracleConfig(epochs=1)
+        world = oracle.default_world(1, cfg, n_sources=3, n_targets=2)
+        records = oracle.ground_truth(world, cfg)
+        monkeypatch.setattr(oracle, "compare_methods", self.no_scoring)
+        est = EstimatorConfig()
+        with pytest.raises(BadSpec, match="no run onto target 'dom03'"):
+            oracle.run_study(world, cfg, est,
+                             [r for r in records if r.target_name != "dom03"])
+        ghosts = [ImprovementRecord("ghost", s, 0.5, 0.4)
+                  for s in world.source_names()]
+        with pytest.raises(UnknownName, match="'ghost', which is not a target"):
+            oracle.run_study(world, cfg, est, records + ghosts)
+        with pytest.raises(UnknownName, match="'dom00', which is not a target"):
+            oracle.run_study(world, cfg, est,
+                             [r for r in records if r.target_name != "dom04"]
+                             + [ImprovementRecord("dom00", "dom01", 0.5, 0.4)])
+
+    @staticmethod
+    def no_scoring(*args, **kwargs):
+        raise AssertionError("run_study scored records it then refused")
+
+    def test_profiles_are_built_once_per_world(self, monkeypatch):
+        built = []
+        profile_from_matrix = oracle.profile_from_matrix
+        monkeypatch.setattr(oracle, "profile_from_matrix",
+                            lambda name, *a, **kw: built.append(name)
+                            or profile_from_matrix(name, *a, **kw))
+        world = oracle.default_world(1, n_sources=3, n_targets=2)
+        sources, targets = oracle.build_profiles(world)
+        assert built == ["dom00", "dom01", "dom02"] + [d.spec.name for d in world.domains]
+        sources.append(sources[0])
+        targets.clear()
+        again, targets = oracle.build_profiles(world)
+        assert len(built) == 8
+        assert [p.name for p in again] == ["dom00", "dom01", "dom02"]
+        assert list(targets) == [d.spec.name for d in world.domains]
 
     def test_equal_sizes_shared_anchor_source_wins_selection(self):
         # one source shares the target's centroids; sizes equal, so both the

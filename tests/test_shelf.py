@@ -1,5 +1,6 @@
-"""Shelf: profiles by column. Its row checks, its Sequence view, and rankings
-read from its columns against rankings of the same profiles as a list."""
+"""Shelf: profiles by column. Its row checks, its Sequence view, and rankings,
+calibrations and method comparisons read from its columns against the same
+of the profiles as a list."""
 import random
 
 import numpy as np
@@ -7,22 +8,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from p2l.calibrate import EvaluationConfig, compare_methods, tune_k
 from p2l.core import (
     EPSILON,
     L1_TOL,
     DatasetProfile,
     DivergenceKind,
     EstimatorConfig,
+    ImprovementRecord,
     Shelf,
     Summarizer,
     SummaryVector,
 )
-from p2l.divergence import distances
+from p2l.divergence import distance, distances
 from p2l.errors import (
     DimensionMismatch,
     DuplicateSourceName,
     EmptyCandidates,
     MixedExtractors,
+    TooFewSources,
+    UnknownSource,
 )
 from p2l.estimator import (
     BASELINES,
@@ -109,9 +114,14 @@ def reference_check(target, sources, allow_mixed_extractors):
                 "within one extractor's feature space")
 
 
+def stacked(sources):
+    """The summaries of these checked sources as the N x d array distances takes."""
+    return np.array([s.summary.values for s in sources])
+
+
 def reference_scores(target, sources, cfg, allow):
     reference_check(target, sources, allow)
-    dists = distances(cfg.distance, target.summary, [s.summary for s in sources], EPSILON)
+    dists = distances(cfg.distance, target.summary, stacked(sources), EPSILON)
     return score_table([s.name for s in sources], [float(s.size) for s in sources],
                        dists, cfg.k)
 
@@ -128,8 +138,8 @@ def reference_baseline(kind, target, sources, cfg, reference_name, seed, allow):
         ordered = sorted(names)
         random.Random(seed).shuffle(ordered)
         return ordered
-    dists = dict(zip(names, distances(cfg.distance, target.summary,
-                                      [s.summary for s in sources], EPSILON)))
+    dists = dict(zip(names, distances(cfg.distance, target.summary, stacked(sources),
+                                      EPSILON)))
     return [s.name for s in sorted(sources, key=lambda s: (dists[s.name], -s.size, s.name))]
 
 
@@ -165,14 +175,15 @@ class TestRankingFromColumns:
                     for sources in (from_list, from_shelf)]
         assert rankings[0] == rankings[1]
 
+        # Each row of the shelf's matrix is measured as its one-row case is.
         same_dim = [p for p in from_list if p.summary.dim == target.summary.dim]
         matrix = Shelf.of(same_dim).matrix(target.summary.dim)
-        listed = [p.summary for p in same_dim]
         for epsilon in (None, EPSILON):
             assert (outcome(lambda: distances(kind, target.summary, matrix,
                                               epsilon).tobytes())
-                    == outcome(lambda: distances(kind, target.summary, listed,
-                                                 epsilon).tobytes()))
+                    == outcome(lambda: np.array(
+                        [distance(kind, target.summary, p.summary, epsilon)
+                         for p in same_dim], dtype=np.float64).tobytes()))
 
     def test_first_bad_candidate_is_refused(self):
         target = make("t", [1.0, 1.0], role="target")
@@ -185,6 +196,82 @@ class TestRankingFromColumns:
         shelf = Shelf.of([make("a", [1.0, 2.0]), make("b", [1.0, 2.0, 3.0])])
         with pytest.raises(DimensionMismatch, match="summary dims differ: 2 vs 3"):
             shelf.matrix(2)
+
+
+# -- calibration and evaluation pools, as a list or as a shelf ----------------------
+
+@st.composite
+def pool_problems(draw):
+    """Training tasks over a pool of distinct sources, with at most one bad
+    input: a record naming an unknown source, or one pool name given twice.
+    A task may name fewer than three sources, which tune_k refuses."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 8))
+    pool = [make(f"s{i}", rng.gamma(1.0, 1.0, 4) + 0.01, size=draw(st.integers(1, 50)))
+            for i in range(n)]
+    tasks = []
+    for t in range(draw(st.integers(1, 3))):
+        named = draw(st.lists(st.sampled_from([p.name for p in pool]), min_size=1,
+                              unique=True))
+        tasks.append((make(f"t{t}", rng.gamma(1.0, 1.0, 4) + 0.01, role="target"),
+                      [ImprovementRecord(f"t{t}", name, draw(st.floats(0.05, 1.0)), 0.5)
+                       for name in named]))
+    bad = draw(st.sampled_from(["none", "none", "unknown", "repeat"]))
+    if bad == "unknown":
+        target, records = tasks[-1]
+        records.append(ImprovementRecord(target.name, "ghost", 0.5, 0.5))
+    elif bad == "repeat":
+        pool.insert(draw(st.integers(0, n)),
+                    make(draw(st.sampled_from(pool)).name, rng.gamma(1.0, 1.0, 4) + 0.01))
+    return tasks, pool
+
+
+def grid_bytes(report):
+    return [(np.float64(g.k).tobytes(), g.distance,
+             [(name, np.float64(rho).tobytes()) for name, rho in g.task_rho.items()])
+            for g in report.grid]
+
+
+class TestPoolsFromColumns:
+    @settings(max_examples=200, deadline=None)
+    @given(pool_problems(), st.sampled_from(list(DivergenceKind)),
+           st.sampled_from([-1.0, -0.5, 0.0]))
+    def test_list_and_shelf_pools_agree(self, problem, kind, k):
+        tasks, pool = problem
+        forms = (pool, Shelf.of(pool), pool[::-1], Shelf.of(pool[::-1]))
+        grid = EvaluationConfig(k_grid=(-2.0, -1.0, 0.0), distance_kinds=(kind,))
+        tuned = [outcome(lambda: grid_bytes(tune_k(tasks, form, grid))) for form in forms]
+        assert tuned[1:] == tuned[:1] * 3
+        cfg = EstimatorConfig(distance=kind, k=k)
+        for target, records in tasks:
+            def compared(form):
+                scored, outcomes = compare_methods(
+                    target, records, form, cfg, reference_name=records[0].source_name,
+                    rng_seed=7)
+                return rows_bytes(scored), outcomes
+            got = [outcome(lambda: compared(form)) for form in forms]
+            assert got[1:] == got[:1] * 3
+            names = [p.name for p in pool]
+            valid = len(set(names)) == len(names) and all(
+                r.source_name in names for r in records)
+            assert isinstance(got[0][0], type) != valid  # refused iff bad
+
+    def test_refusals_name_the_bad_input(self):
+        pool = [make(f"s{i}", [1.0 + i, 2.0]) for i in range(3)]
+        target = make("t", [1.0, 1.0], role="target")
+        records = [ImprovementRecord("t", p.name, 0.5, 0.4) for p in pool]
+        cfg = EstimatorConfig()
+        for form in (pool, Shelf.of(pool)):
+            with pytest.raises(UnknownSource, match="unknown source 'ghost'"):
+                tune_k([(target, records + [ImprovementRecord("t", "ghost", 0.5, 0.4)])],
+                       form)
+            with pytest.raises(TooFewSources, match="has 2 sources, need >= 3"):
+                tune_k([(target, records[:2])], form)
+        for form in (pool + pool[1:2], Shelf.of(pool + pool[1:2])):
+            with pytest.raises(DuplicateSourceName, match="duplicate source name 's1'"):
+                tune_k([(target, records)], form)
+            with pytest.raises(DuplicateSourceName, match="duplicate source name 's1'"):
+                compare_methods(target, records, form, cfg)
 
 
 # -- the shelf's own checks ----------------------------------------------------------
