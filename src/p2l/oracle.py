@@ -13,18 +13,21 @@ Fine-tuning replaces the head and trains it at the full learn rate while the
 representation layer moves at FINETUNE_MULTIPLIER times it. Everything is a
 pure function of (seed, configs): each training run draws from its own RNG
 stream derived from the world seed and the run's names, so results are
-independent of scheduling order. The runs onto one target train in lockstep,
-stacked on a leading run axis, and each still draws only from its own stream.
-Negative transfer is possible and intentionally not clamped away.
+independent of scheduling order. Runs train in lockstep, stacked on a leading
+run axis, by one trainer (sgd_train): the source models of one class count
+together, each on its own source rows, and then the runs onto one target.
+Each run still draws only from its own stream, and its weights are bit for
+bit those it gets when trained alone. Negative transfer is possible and
+intentionally not clamped away.
 
-Source models, and then the fits onto each target, are independent tasks.
-They run on up to one forked worker per CPU in the affinity mask, and
+The source-model groups, and then the fits onto each target, are independent
+tasks. They run on up to one forked worker per CPU in the affinity mask, and
 in-process when one CPU is usable, the platform has no affinity mask, or the
 caller runs other Python threads (fork copies only the calling thread). The
-world and the models reach the workers through fork, never pickled, and
-outputs do not depend on the worker count. numpy's OpenBLAS quiesces its
-thread pool at fork; on Python >= 3.12 os.fork may still warn that the
-process is multi-threaded when OpenBLAS threads exist.
+world and the models reach the workers through fork, never pickled. Outputs
+depend on neither the worker count nor the BLAS thread count. numpy's
+OpenBLAS quiesces its thread pool at fork; on Python >= 3.12 os.fork may
+still warn that the process is multi-threaded when OpenBLAS threads exist.
 """
 from __future__ import annotations
 
@@ -379,6 +382,21 @@ class ModelParams:
                    w2=np.concatenate([p.w2 for p in runs]),
                    b2=np.concatenate([p.b2 for p in runs]))
 
+    def flat(self) -> np.ndarray:
+        """A copy of each run's weights as one row: w1, b1, w2 and b2 in turn."""
+        return np.concatenate([w.reshape(len(w), -1)
+                               for w in (self.w1, self.b1, self.w2, self.b2)], axis=1)
+
+    def views(self, flat: np.ndarray) -> ModelParams:
+        """Views of runs laid out in the rows of flat as flat() lays out these
+        runs; flat may hold any number of rows."""
+        fields, at = [], 0
+        for w in (self.w1, self.b1, self.w2, self.b2):
+            size = math.prod(w.shape[1:])
+            fields.append(flat[:, at:at + size].reshape(len(flat), *w.shape[1:]))
+            at += size
+        return ModelParams(*fields)
+
 
 def init_params(rng: np.random.Generator, in_dim: int, hidden_dim: int,
                 n_classes: int) -> ModelParams:
@@ -394,54 +412,110 @@ def init_params(rng: np.random.Generator, in_dim: int, hidden_dim: int,
 def loss_and_grads(params: ModelParams, x: np.ndarray, y: np.ndarray,
                    ) -> tuple[float, ModelParams]:
     """Mean softmax cross-entropy of one run (R = 1) and its analytic gradients."""
-    shifted, denom, grads = _softmax_grads(params, x[None], y[None])
+    grads = params.views(np.empty_like(params.flat()))
+    shifted, denom = _softmax_grads(params, x[None], y[None], grads)
     log_probs = shifted[0] - np.log(denom[0])
     return -float(log_probs[np.arange(x.shape[0]), y].mean()), grads
 
 
 def _softmax_grads(params: ModelParams, x: np.ndarray, y: np.ndarray,
-                   ) -> tuple[np.ndarray, np.ndarray, ModelParams]:
-    """Max-shifted logits, softmax denominators and loss gradients of R runs,
-    run r on the batch x[r] (m, in_dim), y[r] (m,); sgd_train needs only the
-    gradients, loss_and_grads adds the loss from the rest."""
+                   grads: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Max-shifted logits and softmax denominators of R runs, run r on the
+    batch x[r] (m, in_dim), y[r] (m,), with the loss gradients written into
+    grads; sgd_train needs only the gradients, loss_and_grads adds the loss
+    from the rest."""
     m = y.shape[1]
     h = x @ params.w1 + params.b1[:, None]
     logits = h @ params.w2 + params.b2[:, None]
-    shifted = logits - logits.max(axis=2, keepdims=True)
+    # A max is exact in any order; over the leading axis of a class-major copy
+    # it is a few whole-array maxima instead of one tiny reduction per row.
+    peak = np.maximum.reduce(np.ascontiguousarray(logits.transpose(2, 0, 1)))
+    shifted = logits - peak[..., None]
     exp = np.exp(shifted)
     denom = exp.sum(axis=2, keepdims=True)
     g = exp / denom
     g.reshape(-1)[np.arange(0, g.size, g.shape[2]) + y.reshape(-1)] -= 1.0  # true class
     g /= m
     dh = g @ params.w2.swapaxes(1, 2)
-    grads = ModelParams(w1=x.swapaxes(1, 2) @ dh, b1=dh.sum(axis=1),
-                        w2=h.swapaxes(1, 2) @ g, b2=g.sum(axis=1))
-    return shifted, denom, grads
+    np.matmul(x.swapaxes(1, 2), dh, out=grads.w1)
+    np.add.reduce(dh, axis=1, out=grads.b1)
+    np.matmul(h.swapaxes(1, 2), g, out=grads.w2)
+    np.add.reduce(g, axis=1, out=grads.b2)
+    return shifted, denom
 
 
 def sgd_train(params: ModelParams, x: np.ndarray, y: np.ndarray,
               rngs: Sequence[np.random.Generator], learn_rate: float, epochs: int,
-              batch: int, rep_scale: float | Sequence[float] = 1.0) -> ModelParams:
-    """Plain mini-batch gradient descent of R runs on one split, in lockstep
-    and in place; no momentum, fixed budget.
+              batch: int, rep_scale: float | Sequence[float] = 1.0,
+              rows: Sequence[range] | None = None) -> ModelParams:
+    """Plain mini-batch gradient descent of R runs, in lockstep and in place;
+    no momentum, fixed budget.
 
-    Run r draws each epoch's order from its own rngs[r] and moves its
-    representation layer at rep_scale[r] times the learn rate (a single
-    rep_scale serves every run); every head moves at the full rate. Each
-    run's weights come out bit for bit as if it had trained alone.
+    Run r trains on the rows rows[r] of the stacked split x, y (every run on
+    all of it when rows is None), draws each epoch's order from its own
+    rngs[r] when that epoch starts, and moves its representation layer at
+    rep_scale[r] times the learn rate (a single rep_scale serves every run);
+    every head moves at the full rate. Each run's weights come out bit for
+    bit as if it had trained alone.
+
+    The runs train sorted by row count, largest first, so the runs still
+    training at any step are a leading slice of the stacked weights. Each
+    run's weights are one row of a matrix, so a step updates a slice of its
+    rows with one multiply and one subtract. Each epoch's order goes into a
+    buffer of row indices that holds step t's batch of every run at slot
+    t mod (the longest epoch's steps), so a step gathers its rows with one
+    take. Runs whose batches differ in length at a step (a short last batch
+    of an epoch) step apart.
     """
-    n = x.shape[0]
-    rep_rates = learn_rate * np.broadcast_to(rep_scale, (len(rngs),))
-    w1_rates, b1_rates = rep_rates[:, None, None], rep_rates[:, None]
-    for _ in range(epochs):
-        order = np.stack([rng.permutation(n) for rng in rngs])
-        for start in range(0, n, batch):
-            idx = order[:, start:start + batch]
-            _, _, g = _softmax_grads(params, x.take(idx, axis=0), y.take(idx))
-            params.w1 -= w1_rates * g.w1
-            params.b1 -= b1_rates * g.b1
-            params.w2 -= learn_rate * g.w2
-            params.b2 -= learn_rate * g.b2
+    n_runs = len(rngs)
+    if rows is None:
+        rows = [range(x.shape[0])] * n_runs
+    by_size = np.argsort([-len(r) for r in rows], kind="stable")
+    sizes = [len(rows[r]) for r in by_size]
+    firsts = np.array([rows[r].start for r in by_size])[:, None]
+    rngs = [rngs[r] for r in by_size]
+    # Every run's weights, and each weight's learn rate, as one row.
+    flat = params.flat()[by_size]
+    rates = np.full_like(flat, learn_rate)
+    rates[:, :params.w1[0].size + params.b1[0].size] = (
+        learn_rate * np.broadcast_to(rep_scale, (n_runs,)))[by_size, None]
+    lockstep = {}  # (first run, end run) -> its weights, rates and gradients
+    # Cohorts: runs of one row count, which start their epochs at the same steps.
+    cuts = [r for r in range(1, n_runs) if sizes[r] != sizes[r - 1]]
+    cohorts = [(a, b, sizes[a], -(-sizes[a] // batch))
+               for a, b in zip([0, *cuts], [*cuts, n_runs]) if sizes[a]]
+    period = cohorts[0][3] if cohorts else 0
+    width = period * batch
+    order = np.empty((n_runs, width), dtype=np.intp)
+    for t in range(epochs * period):
+        slot = t % period
+        segments = []  # [first run, end run, batch length], runs in lockstep
+        for a, b, n, steps in cohorts:
+            if t >= epochs * steps:
+                break  # this cohort and every smaller one are done
+            step = t % steps
+            if step == 0:
+                at = (slot * batch + np.arange(n)) % width
+                order[a:b, at] = firsts[a:b] + np.stack([rng.permutation(n)
+                                                         for rng in rngs[a:b]])
+            m = min(batch, n - step * batch)
+            if segments and segments[-1][2] == m:
+                segments[-1][1] = b
+            else:
+                segments.append([a, b, m])
+        lo = slot * batch
+        for a, b, m in segments:
+            if (a, b) not in lockstep:
+                grads = np.empty_like(flat[a:b])
+                lockstep[a, b] = (flat[a:b], rates[a:b], grads, params.views(flat[a:b]),
+                                  params.views(grads))
+            weights, weight_rates, grads, weight_views, grad_views = lockstep[a, b]
+            idx = order[a:b, lo:lo + m]
+            _softmax_grads(weight_views, x.take(idx, axis=0), y.take(idx), grad_views)
+            weights -= weight_rates * grads
+    trained = params.views(flat)
+    for field in ("w1", "b1", "w2", "b2"):
+        getattr(params, field)[by_size] = getattr(trained, field)
     return params
 
 
@@ -457,26 +531,6 @@ def accuracy(params: ModelParams, x: np.ndarray, y: np.ndarray) -> list[float]:
 
 
 # -- transfer runs --------------------------------------------------------------------
-
-
-def _train_pooled_model(world: OracleWorld, source_names: Sequence[str],
-                        cfg: OracleConfig, *tags) -> ModelParams:
-    """One model over the union of the named source-train splits.
-
-    Labels are offset per domain so the pooled model classifies the combined
-    label space. ``tags`` name the RNG stream: ("source", name) for one source.
-    """
-    xs, ys, offset = [], [], 0
-    for name in source_names:
-        data = world.domain(name)
-        xs.append(data.source_train.x)
-        ys.append(data.source_train.y + offset)
-        offset += data.spec.n_classes
-    x = np.concatenate(xs)
-    y = np.concatenate(ys)
-    rng = _stream(world.seed, *tags)
-    params = init_params(rng, world.spec.feature_dim, HIDDEN_DIM, offset)
-    return sgd_train(params, x, y, [rng], cfg.learn_rate, cfg.epochs, cfg.batch)
 
 
 def _fit_target(world: OracleWorld, target_name: str,
@@ -523,8 +577,8 @@ def train_transfer(world: OracleWorld, source_name: str | None,
     world.domain(target_name)
     source = None
     if source_name is not None:
-        source = (source_name, _train_pooled_model(world, [source_name], cfg,
-                                                   "source", source_name))
+        model, = _train_models(world, cfg, [((source_name,), ("source", source_name))])
+        source = (source_name, model)
     return _fit_target(world, target_name, [source], cfg)[0]
 
 
@@ -581,10 +635,47 @@ def _map(fn: Callable, tasks: Sequence, cost: Callable[..., int]) -> list:
 
 def _train_models(world: OracleWorld, cfg: OracleConfig,
                   pools: Sequence[tuple[Sequence[str], tuple]]) -> list[ModelParams]:
-    """_train_pooled_model of each (source names, stream tags) pair, mapped."""
-    return _map(lambda pool: _train_pooled_model(world, pool[0], cfg, *pool[1]), pools,
-                lambda pool: cfg.epochs * sum(world.domain(name).source_train.items
-                                              for name in pool[0]))
+    """One model per (source names, stream tags) pool, in pool order.
+
+    A pool's model trains on the union of its sources' source-train splits,
+    with labels offset per domain so it classifies the combined label space,
+    from a fresh initialization on the stream tags: ("source", name) for one
+    source. Pools of one class count (head width) train in one lockstep
+    sgd_train call, each on its own rows of the group's stacked split; the
+    groups are mapped.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, (names, _) in enumerate(pools):
+        width = sum(world.domain(name).spec.n_classes for name in names)
+        groups.setdefault(width, []).append(i)
+
+    def train(group: list[int]) -> list[ModelParams]:
+        xs, ys, rows, rngs, starts, end = [], [], [], [], [], 0
+        for i in group:
+            names, tags = pools[i]
+            first, offset = end, 0
+            for name in names:
+                data = world.domain(name)
+                xs.append(data.source_train.x)
+                ys.append(data.source_train.y + offset)
+                offset += data.spec.n_classes
+                end += data.source_train.items
+            rows.append(range(first, end))
+            rngs.append(_stream(world.seed, *tags))
+            starts.append(init_params(rngs[-1], world.spec.feature_dim, HIDDEN_DIM, offset))
+        params = sgd_train(ModelParams.concat(starts), np.concatenate(xs),
+                           np.concatenate(ys), rngs, cfg.learn_rate, cfg.epochs,
+                           cfg.batch, rows=rows)
+        trained = params.flat()
+        return [params.views(trained[r:r + 1]) for r in range(len(group))]
+
+    trained = _map(train, list(groups.values()),
+                   lambda group: cfg.epochs * sum(world.domain(name).source_train.items
+                                                  for i in group for name in pools[i][0]))
+    models = {}
+    for group, group_models in zip(groups.values(), trained):
+        models.update(zip(group, group_models))
+    return [models[i] for i in range(len(pools))]
 
 
 def _fit_targets(world: OracleWorld, cfg: OracleConfig, targets: Sequence[str],

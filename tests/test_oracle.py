@@ -215,6 +215,53 @@ class TestStackedTrainer:
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes(), (field, r)
 
+    @settings(max_examples=150, deadline=None)
+    @given(runs=st.lists(st.tuples(st.one_of(st.integers(1, 89), st.sampled_from([5, 32])),
+                                   st.sampled_from([1.0, 0.1, 0.0, 0.37])),
+                         min_size=1, max_size=9),
+           d=st.integers(1, 19), hidden=st.integers(1, 9), classes=st.integers(1, 7),
+           batch=st.integers(1, 39), epochs=st.integers(0, 3),
+           learn_rate=st.sampled_from([0.1, 0.05, 0.3]), seed=st.integers(0, 2**32 - 1))
+    # below the batch, a whole number of batches, equal lengths, a short last batch
+    @example(runs=[(5, 1.0), (64, 0.1), (5, 0.1), (70, 1.0), (1, 0.37)], d=3, hidden=2,
+             classes=3, batch=32, epochs=3, learn_rate=0.1, seed=2)
+    @example(runs=[(8, 1.0), (8, 0.1)], d=1, hidden=3, classes=2, batch=3, epochs=2,
+             learn_rate=0.3, seed=5)
+    def test_runs_on_their_own_rows_match_runs_alone_bit_for_bit(
+            self, runs, d, hidden, classes, batch, epochs, learn_rate, seed):
+        """Runs of different row counts, each on its own rows of one stacked
+        split, train in one call; every weight has the float64 bits of the same
+        run trained alone on its rows from the same stream."""
+        sizes = [n for n, _ in runs]
+        rep_scales = [s for _, s in runs]
+        data_rng = np.random.default_rng(seed)
+        x = data_rng.normal(0.0, 2.0, (sum(sizes), d))
+        y = data_rng.integers(0, classes, sum(sizes))
+        ends = np.cumsum(sizes)
+        rows = [range(end - n, end) for n, end in zip(sizes, ends)]
+
+        def stream(r):
+            return np.random.default_rng([seed, r])
+
+        rngs = [stream(r) for r in range(len(runs))]
+        starts = [oracle.init_params(rng, d, hidden, classes) for rng in rngs]
+        stacked = oracle.sgd_train(oracle.ModelParams.concat(starts), x, y, rngs,
+                                   learn_rate, epochs, batch, rep_scales, rows=rows)
+        for r, (run_rows, rep_scale) in enumerate(zip(rows, rep_scales)):
+            rng = stream(r)
+            start = oracle.init_params(rng, d, hidden, classes)
+            alone = oracle.ModelParams(w1=start.w1[0], b1=start.b1[0],
+                                       w2=start.w2[0], b2=start.b2[0])
+            reference_sgd_train(alone, x[run_rows.start:run_rows.stop],
+                                y[run_rows.start:run_rows.stop], rng, learn_rate,
+                                epochs, batch, rep_scale)
+            for field in ("w1", "b1", "w2", "b2"):
+                got = getattr(stacked, field)[r]
+                want = getattr(alone, field)
+                assert got.dtype == want.dtype == np.float64
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (field, r)
+
     def test_one_rep_scale_serves_every_run(self):
         rng = np.random.default_rng(3)
         x = rng.normal(0.0, 1.0, (10, 4))
@@ -484,6 +531,68 @@ class TestTaskMap:
 def record_bits(records):
     return [(r.target_name, r.source_name, r.perf_transfer.hex(), r.perf_scratch.hex())
             for r in records]
+
+
+def pool_trained_alone(world, cfg, names, tags):
+    """A pool's model trained on its own by the reference loop: the union of
+    its sources' splits, labels offset per domain, on the stream tags."""
+    x = np.concatenate([world.domain(n).source_train.x for n in names])
+    offsets = np.cumsum([0] + [world.domain(n).spec.n_classes for n in names])
+    y = np.concatenate([world.domain(n).source_train.y + o
+                        for n, o in zip(names, offsets)])
+    rng = oracle._stream(world.seed, *tags)
+    start = oracle.init_params(rng, world.spec.feature_dim, oracle.HIDDEN_DIM,
+                               int(offsets[-1]))
+    alone = oracle.ModelParams(w1=start.w1[0], b1=start.b1[0],
+                               w2=start.w2[0], b2=start.b2[0])
+    return reference_sgd_train(alone, x, y, rng, cfg.learn_rate, cfg.epochs,
+                               cfg.batch, 1.0)
+
+
+class TestSourceModels:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pools_of_mixed_class_counts_match_pools_alone(self, monkeypatch, workers):
+        cfg = oracle.OracleConfig(epochs=3)
+        world = oracle.default_world(2, cfg, n_sources=4, n_targets=3)
+        sources = world.source_names()
+        assert [world.domain(n).spec.n_classes for n in sources] == [5, 8, 5, 8]
+        pools = [((n,), ("source", n)) for n in sources]
+        pools += [
+            (sources, ("pooled", "merged")),               # the merged study's pool
+            ((sources[0],), ("replicate", sources[0], 1)),  # rows equal to dom00's
+            (sources[:2], ("pooled", "front")),             # 13 classes, like ...
+            (sources[2:], ("pooled", "back")),              # ... this one
+        ]
+        models = run_with_workers(monkeypatch, workers, oracle._train_models,
+                                  world, cfg, pools)
+        assert len(models) == len(pools)
+        for (names, tags), model in zip(pools, models):
+            alone = pool_trained_alone(world, cfg, names, tags)
+            for field in ("w1", "b1", "w2", "b2"):
+                got = getattr(model, field)
+                assert got.shape[0] == 1
+                assert got[0].tobytes() == getattr(alone, field).tobytes(), (tags, field)
+        assert_no_children()
+
+    @pytest.mark.parametrize("workers", [2, 1])
+    def test_a_failed_source_task_reraises_and_leaves_no_process(self, monkeypatch,
+                                                                 workers):
+        world = oracle.default_world(1, n_sources=3, n_targets=4)
+        # two class counts, so two source tasks and, on two workers, a pool
+        assert {world.domain(n).spec.n_classes for n in world.source_names()} == {7, 8}
+        bad = world.source_names()[1]
+        stream = oracle._stream
+
+        def failing(seed, *tags):
+            if tags == ("source", bad):
+                raise BadSpec(f"cannot train {bad}")
+            return stream(seed, *tags)
+
+        monkeypatch.setattr(oracle, "_stream", failing)
+        with pytest.raises(BadSpec, match=f"^cannot train {bad}$"):
+            run_with_workers(monkeypatch, workers, oracle.ground_truth, world,
+                             oracle.OracleConfig(epochs=2))
+        assert_no_children()
 
 
 class TestParallelGroundTruth:
