@@ -48,7 +48,7 @@ SELECTIONS_HEADER = "target,method,selection,perf,gain_vs_p2l,picks_to_best"
 
 @dataclass(frozen=True)
 class EvaluationConfig:
-    """Calibration grid: k values and distance kinds."""
+    """Calibration grid: distinct finite k values and distinct distance kinds."""
 
     k_grid: tuple[float, ...] = DEFAULT_K_GRID
     distance_kinds: tuple[DivergenceKind, ...] = tuple(DivergenceKind)
@@ -57,6 +57,8 @@ class EvaluationConfig:
         k_grid = tuple(float(k) for k in self.k_grid)
         if not k_grid or not np.all(np.isfinite(k_grid)):
             raise ValueError("k grid must be a nonempty list of finite values")
+        if len(set(k_grid)) != len(k_grid):
+            raise ValueError(f"k grid repeats values: {len(set(k_grid))} distinct of {len(k_grid)}")
         kinds = tuple(DivergenceKind(k) for k in self.distance_kinds)
         if len(set(kinds)) != len(kinds) or not kinds:
             raise ValueError("distance_kinds must be a nonempty set of distinct kinds")

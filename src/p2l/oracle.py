@@ -206,8 +206,8 @@ class OracleWorld:
     def _profiles(self) -> tuple[list[DatasetProfile], dict[str, DatasetProfile]]:
         """build_profiles' profiles, embedded and summarized once per world."""
         def profile(data: DomainData, split: SplitData, role: str) -> DatasetProfile:
-            return profile_from_matrix(data.spec.name, embed_split(self, split),
-                                       Summarizer.mean(), role=role)
+            matrix = EmbeddingMatrix(self.extractor(split.x), self.extractor.extractor_id)
+            return profile_from_matrix(data.spec.name, matrix, Summarizer.mean(), role=role)
         sources = [profile(d, d.source_train, "source")
                    for d in self.domains[:self.spec.n_sources]]
         targets = {d.spec.name: profile(d, d.target_train, "target") for d in self.domains}
@@ -316,11 +316,7 @@ def default_world_spec(seed: int, n_sources: int = 6, n_targets: int = 8) -> Wor
     sizes = np.empty(n_domains, dtype=int)
     source_sizes = np.geomspace(MIN_ITEMS, MAX_ITEMS, n_sources).astype(int)
     for g in range(N_GROUPS):
-        members = [i for i in range(n_sources) if i % N_GROUPS == g]
-        ranks = [g + j * N_GROUPS for j in range(len(members))]
-        rng.shuffle(ranks)
-        for i, rank in zip(members, ranks):
-            sizes[i] = source_sizes[rank]
+        sizes[g:n_sources:N_GROUPS] = rng.permutation(source_sizes[g::N_GROUPS])
     target_sizes = np.geomspace(MIN_ITEMS, MAX_ITEMS, n_targets).astype(int)
     target_sizes = target_sizes[rng.permutation(n_targets)]
     sizes[n_sources:] = target_sizes
@@ -343,10 +339,6 @@ def default_world(seed: int, cfg: OracleConfig | None = None,
 
 
 # -- profiles ------------------------------------------------------------------------
-
-
-def embed_split(world: OracleWorld, split: SplitData) -> EmbeddingMatrix:
-    return EmbeddingMatrix(world.extractor(split.x), world.extractor.extractor_id)
 
 
 def build_profiles(world: OracleWorld,
@@ -708,12 +700,20 @@ def calibration_tasks(world: OracleWorld,
                       records: Sequence[ImprovementRecord],
                       ) -> tuple[list[tuple[DatasetProfile, list[ImprovementRecord]]],
                                  list[DatasetProfile]]:
-    """(target profile, its records) pairs plus the source pool, in world order."""
-    sources, targets = build_profiles(world)
+    """(target profile, its records) for every world target, in world order,
+    plus the source pool: the tasks calibration tunes on and run_study scores.
+    Refuses records of a target outside the world (UnknownName), then a world
+    target without records (BadSpec), before it builds a profile."""
+    target_names = world.target_names()
     by_target = group_records_by_target(records)
-    tasks = [(targets[name], by_target[name]) for name in world.target_names()
-             if name in by_target]
-    return tasks, sources
+    foreign = [t for t in by_target if t not in target_names]
+    if foreign:
+        raise UnknownName(f"records name {foreign[0]!r}, which is not a target of the world")
+    missing = [t for t in target_names if t not in by_target]
+    if missing:
+        raise BadSpec(f"the records hold no run onto target {missing[0]!r}")
+    sources, targets = build_profiles(world)
+    return [(targets[name], by_target[name]) for name in target_names], sources
 
 
 # -- studies ------------------------------------------------------------------------
@@ -752,31 +752,23 @@ def run_study(world: OracleWorld, cfg: OracleConfig,
     """Score every target against every source and compare selection methods.
 
     The records are ground_truth(world, cfg), for every target of the world
-    and no other. Emits per-target rank correlation between scores and
-    improvements, and each method's (P2L, B1, B4, B5) outcome per target,
-    mean accuracy, top-1 hit rate and picks-to-best.
+    and no other; the tasks are calibration_tasks', which refuses any other
+    records before a profile is built. Emits per-target rank correlation
+    between scores and improvements, and each method's (P2L, B1, B4, B5)
+    outcome per target, mean accuracy, top-1 hit rate and picks-to-best.
     """
     target_names = world.target_names()
     check_study_size(len(world.source_names()), len(target_names))
     records = list(records)
-    by_target = group_records_by_target(records)
-    foreign = [t for t in by_target if t not in target_names]
-    if foreign:
-        raise UnknownName(f"records name {foreign[0]!r}, which is not a target of the world")
-    missing = [t for t in target_names if t not in by_target]
-    if missing:
-        raise BadSpec(f"the records hold no run onto target {missing[0]!r}")
-    source_profiles, target_profiles = build_profiles(world)
-    pool = Shelf.of(source_profiles)
+    tasks, sources = calibration_tasks(world, records)
+    pool = Shelf.of(sources)
 
     per_target_rho: dict[str, float] = {}
     outcomes: dict[str, dict[str, MethodOutcome]] = {}
-    for target in target_names:
-        recs = by_target[target]
-        scored, outcomes[target] = compare_methods(
-            target_profiles[target], recs, pool, estimator_cfg)
+    for target, recs in tasks:
+        scored, outcomes[target.name] = compare_methods(target, recs, pool, estimator_cfg)
         escore = {s.source_name: s.score for s in scored}
-        per_target_rho[target] = float(spearman_or_zero(
+        per_target_rho[target.name] = float(spearman_or_zero(
             [[escore[r.source_name] for r in recs]], [r.improvement for r in recs])[0])
 
     first = outcomes[target_names[0]]

@@ -234,6 +234,12 @@ class TestTuneK:
         with pytest.raises(ValueError):
             tune_k([(target, records)], sources, EvaluationConfig(k_grid=(bad, -1.0)))
 
+    @pytest.mark.parametrize("grid", [(-1.0, 0.0, -1.0), (0.0, -0.0)])
+    def test_repeated_k_refused(self, grid):
+        # A repeated k would write the same grid cells twice.
+        with pytest.raises(ValueError, match="k grid repeats values"):
+            EvaluationConfig(k_grid=grid)
+
     def test_grid_covers_default(self):
         assert DEFAULT_K_GRID[0] == -3.0
         assert DEFAULT_K_GRID[-1] == 0.0

@@ -618,6 +618,17 @@ class TestCalibrateAndEvaluate:
         assert out == ""
         assert err == f"p2l: error: bad grid spec {grid!r}\n"
 
+    def test_calibrate_grid_finer_than_rounding_exits_2_before_reading(self, capsys,
+                                                                      tmp_path):
+        # Steps below the grid's 12-decimal rounding repeat k: 51 values, 6 distinct.
+        root = tmp_path / "registry"
+        code, out, err = run(capsys, "calibrate", "--truth", str(tmp_path / "missing.csv"),
+                             "--registry", str(root), "--out", str(tmp_path / "g.csv"),
+                             "--grid=0:5e-12:1e-13", "--kinds", "KL")
+        assert (code, out) == (2, "")
+        assert err == "p2l: error: k grid repeats values: 6 distinct of 51\n"
+        assert not root.exists() and not (tmp_path / "g.csv").exists()
+
     def test_calibrate_notes_per_task_rho(self, capsys, tmp_path):
         registry_dir = tmp_path / "registry"
         world = oracle_registry(registry_dir, 7, 4, 4)

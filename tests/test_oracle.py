@@ -397,6 +397,43 @@ class TestStudies:
     def no_scoring(*args, **kwargs):
         raise AssertionError("run_study scored records it then refused")
 
+    @staticmethod
+    def no_profiles(*args, **kwargs):
+        raise AssertionError("profiles were built for records that are then refused")
+
+    @pytest.mark.parametrize("drop, extra, error, message", [
+        ("dom03", [], BadSpec, "the records hold no run onto target 'dom03'"),
+        (None, [("ghost", "dom00")], UnknownName,
+         "records name 'ghost', which is not a target of the world"),
+        ("dom04", [("dom00", "dom01")], UnknownName,
+         "records name 'dom00', which is not a target of the world"),
+    ], ids=["missing", "foreign", "foreign-and-missing"])
+    def test_calibration_tasks_refuses_as_run_study_does(self, monkeypatch, drop,
+                                                         extra, error, message):
+        # Calibration tunes on exactly the tasks the study scores, so both
+        # refuse the same records, and before any profile is built.
+        cfg = oracle.OracleConfig(epochs=1)
+        world = oracle.default_world(1, cfg, n_sources=3, n_targets=2)
+        records = [r for r in oracle.ground_truth(world, cfg) if r.target_name != drop]
+        records += [ImprovementRecord(t, s, 0.5, 0.4) for t, s in extra]
+        monkeypatch.setattr(oracle, "build_profiles", self.no_profiles)
+        with pytest.raises(error) as refused:
+            oracle.calibration_tasks(world, records)
+        assert str(refused.value) == message
+        with pytest.raises(error) as study_refused:
+            oracle.run_study(world, cfg, EstimatorConfig(), records)
+        assert str(study_refused.value) == message
+
+    def test_calibration_tasks_are_every_target_in_world_order(self):
+        cfg = oracle.OracleConfig(epochs=1)
+        world = oracle.default_world(1, cfg, n_sources=3, n_targets=2)
+        records = oracle.ground_truth(world, cfg)
+        tasks, sources = oracle.calibration_tasks(world, records[::-1])
+        assert [t.name for t, _ in tasks] == world.target_names() == ["dom03", "dom04"]
+        assert [p.name for p in sources] == world.source_names()
+        for target, recs in tasks:
+            assert recs == [r for r in records[::-1] if r.target_name == target.name]
+
     def test_profiles_are_built_once_per_world(self, monkeypatch):
         built = []
         profile_from_matrix = oracle.profile_from_matrix
