@@ -146,9 +146,13 @@ def _read_truth(path):
 
 
 def _tasks(registry: ProfileRegistry, grouped):
-    """The registry's target profile for each truth group, and its sources."""
-    tasks = [(registry.load(name), recs) for name, recs in grouped.items()]
+    """Each truth group's target profile, as a row of the loaded shelf, and the sources."""
+    present = set(registry.names())
+    for name in grouped:
+        if name not in present:  # refused before loading: NotFound, or InvalidName
+            registry.load(name)
     shelf = registry.load_all()
+    tasks = [(shelf[shelf.names.index(name)], recs) for name, recs in grouped.items()]
     return tasks, shelf.take([i for i, role in enumerate(shelf.roles) if role == "source"])
 
 

@@ -45,6 +45,10 @@ from .errors import (
 )
 
 CSV_HEADER_RE = re.compile(r"^# p2l-embeddings v1 dim=(\d+) extractor=(\S+)\s*$")
+# Values (rows x dim) from which forked chunks parse a CSV faster than one
+# process. 2-vCPU VM, 40 alternating reads per side of 64-wide files, forked vs
+# in-process medians: 43.5 vs 38.6 ms at 100,000 values, 46.8 vs 56.0 at 120,000.
+_FORK_CSV_VALUES = 120_000
 BIN_MAGIC = b"P2LE"
 BIN_VERSION = 1
 _BIN_HEAD = struct.Struct("<4sIIQB")  # magic, version, dim, count, id length
@@ -94,26 +98,32 @@ def read_embeddings_csv(path) -> EmbeddingMatrix:
     """Header '# p2l-embeddings v1 dim=<d> extractor=<id>' then one row per line,
     each field read as float() reads it.
 
-    numpy's C parser reads the rows. A file it refuses, or one on which it
-    could part from the line rule (not UTF-8, a bad header, no rows, an empty
-    line, a value that is not finite), is read again by the line parser,
-    which then gives the answer and every refusal."""
+    numpy's C parser reads the rows, a file of _FORK_CSV_VALUES values or
+    more as fork.worker_count() contiguous chunks of lines on forked workers.
+    A file it refuses, or one on which it could part from the line rule (not
+    UTF-8, a bad header, no rows, an empty line, a value that is not finite),
+    is read again by the line parser, which gives the answer and every refusal."""
     path = Path(path)
     values = None
     try:
         # Universal newlines, as the line parser's text-mode iteration reads them.
-        header, _, body = path.read_text(encoding="utf-8").partition("\n")
+        header, *lines = path.read_text(encoding="utf-8").split("\n")
         m = CSV_HEADER_RE.match(header)
         dim = int(m.group(1)) if m else 0
-        lines = body.split("\n")
-        if lines[-1] == "":
+        if lines and lines[-1] == "":
             lines.pop()  # the newline that ends the last row
         if dim >= 1 and lines and "" not in lines:
-            values = np.loadtxt(lines, delimiter=",", dtype=np.float64,
-                                comments=None, ndmin=2)
+            from . import fork  # here, so that commands reading no CSV skip its import
+            n = len(lines)
+            k = min(fork.worker_count(), n) if n * dim >= _FORK_CSV_VALUES else 1
+            chunks = [lines[n * c // k:n * (c + 1) // k] for c in range(k)]
+            parts = fork.fork_map(lambda chunk: np.loadtxt(
+                chunk, delimiter=",", dtype=np.float64, comments=None, ndmin=2), chunks, len)
+            if all(part.shape == (len(chunk), dim) for part, chunk in zip(parts, chunks)):
+                values = np.concatenate(parts) if k > 1 else parts[0]
     except ValueError:  # not UTF-8, or a field numpy does not read
         pass
-    if values is not None and values.shape == (len(lines), dim) and np.isfinite(values).all():
+    if values is not None and np.isfinite(values).all():
         return EmbeddingMatrix(values, m.group(2))
     return _read_embeddings_csv_lines(path)
 

@@ -21,24 +21,18 @@ bit those it gets when trained alone. Negative transfer is possible and
 intentionally not clamped away.
 
 The source-model groups, and then the fits onto each target, are independent
-tasks. They run on up to one forked worker per CPU in the affinity mask, and
-in-process when one CPU is usable, the platform has no affinity mask, or the
-caller runs other Python threads (fork copies only the calling thread). The
-world and the models reach the workers through fork, never pickled. Outputs
-depend on neither the worker count nor the BLAS thread count. numpy's
-OpenBLAS quiesces its thread pool at fork; on Python >= 3.12 os.fork may
-still warn that the process is multi-threaded when OpenBLAS threads exist.
+tasks mapped by fork.fork_map, so the world and the models reach its workers
+through fork, never pickled. Outputs depend on neither the worker count nor
+the BLAS thread count.
 """
 from __future__ import annotations
 
 import hashlib
 import math
-import os
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, ClassVar, Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -61,6 +55,7 @@ from .core import (
 )
 from .errors import BadSpec, UnknownName
 from .estimator import merge_profiles, score_sources
+from .fork import fork_map
 from .io import fmt, group_records_by_target, write_improvements_csv, write_lines
 from .summarize import profile_from_matrix
 
@@ -574,57 +569,6 @@ def train_transfer(world: OracleWorld, source_name: str | None,
     return _fit_target(world, target_name, [source], cfg)[0]
 
 
-# -- task map -----------------------------------------------------------------------
-
-
-_task_fn: Callable | None = None  # set by _install in each worker, never in the caller
-
-
-def _worker_count() -> int:
-    """One worker per CPU in the affinity mask; 1 where the platform has no
-    mask or the caller runs other Python threads, which fork would not copy."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    if affinity is None or threading.active_count() > 1:
-        return 1
-    return len(affinity(0))
-
-
-def _install(fn: Callable) -> None:
-    global _task_fn
-    _task_fn = fn
-
-
-def _run_installed(task):
-    return _task_fn(task)
-
-
-def _map(fn: Callable, tasks: Sequence, cost: Callable[..., int]) -> list:
-    """[fn(task) for task in tasks], on forked workers when more than one helps.
-
-    fn reaches the workers through fork, so it is never pickled and may close
-    over the world; only tasks and results cross the pipe. Tasks go out one at
-    a time, highest cost first, so the largest does not start last. A task
-    that raises re-raises here, and every worker has been reaped on return.
-    """
-    workers = min(_worker_count(), len(tasks))
-    if workers <= 1:
-        return list(map(fn, tasks))
-    import multiprocessing  # only a forking map loads it, not every importer of the oracle
-
-    order = sorted(range(len(tasks)), key=lambda i: -cost(tasks[i]))
-    pool = multiprocessing.get_context("fork").Pool(workers, _install, (fn,))
-    try:
-        done = pool.map(_run_installed, [tasks[i] for i in order], chunksize=1)
-        pool.close()
-    except BaseException:
-        pool.terminate()
-        raise
-    finally:
-        pool.join()
-    by_task = dict(zip(order, done))
-    return [by_task[i] for i in range(len(tasks))]
-
-
 def _train_models(world: OracleWorld, cfg: OracleConfig,
                   pools: Sequence[tuple[Sequence[str], tuple]]) -> list[ModelParams]:
     """One model per (source names, stream tags) pool, in pool order.
@@ -661,9 +605,8 @@ def _train_models(world: OracleWorld, cfg: OracleConfig,
         trained = params.flat()
         return [params.views(trained[r:r + 1]) for r in range(len(group))]
 
-    trained = _map(train, list(groups.values()),
-                   lambda group: cfg.epochs * sum(world.domain(name).source_train.items
-                                                  for i in group for name in pools[i][0]))
+    trained = fork_map(train, list(groups.values()), lambda group: cfg.epochs * sum(
+        world.domain(name).source_train.items for i in group for name in pools[i][0]))
     models = {}
     for group, group_models in zip(groups.values(), trained):
         models.update(zip(group, group_models))
@@ -673,8 +616,8 @@ def _train_models(world: OracleWorld, cfg: OracleConfig,
 def _fit_targets(world: OracleWorld, cfg: OracleConfig, targets: Sequence[str],
                  sources: Sequence[tuple[str, ModelParams] | None]) -> list[list[float]]:
     """_fit_target of each named target on the same source entries, mapped."""
-    return _map(lambda target: _fit_target(world, target, sources, cfg), targets,
-                lambda target: cfg.epochs * world.domain(target).target_train.items)
+    return fork_map(lambda target: _fit_target(world, target, sources, cfg), targets,
+                    lambda target: cfg.epochs * world.domain(target).target_train.items)
 
 
 def ground_truth(world: OracleWorld, cfg: OracleConfig) -> list[ImprovementRecord]:

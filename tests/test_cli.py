@@ -549,9 +549,11 @@ class TestCalibrateAndEvaluate:
                          str(tmp_path / "g.csv"))
         assert code == 4
 
-    def test_calibrate_and_evaluate_build_no_profile_from_the_shelf(
+    def test_calibrate_and_evaluate_build_no_source_profile_from_the_shelf(
             self, capsys, tmp_path, registry_dir, monkeypatch):
-        """Both read the registry's sources as shelf columns, cold and warm."""
+        """Both read the registry's sources as shelf columns, cold and warm,
+        and each truth target's profile once from its shelf row, never from
+        its file again."""
         world = oracle_registry(registry_dir, 3, 4, 3)
         rng = np.random.default_rng(0)
         truth = tmp_path / "truth.csv"
@@ -561,14 +563,30 @@ class TestCalibrateAndEvaluate:
         built = []
         getitem = Shelf.__getitem__
         monkeypatch.setattr(Shelf, "__getitem__",
-                            lambda self, i: built.append(i) or getitem(self, i))
+                            lambda self, i: built.append(self.names[i]) or getitem(self, i))
+        monkeypatch.setattr(ProfileRegistry, "load", lambda self, name: pytest.fail(
+            f"{name} read from its file"))
         for _ in ("cold", "warm"):
             assert run(capsys, "calibrate", "--truth", str(truth), "--registry",
                        registry_dir, "--out", str(tmp_path / "g.csv"))[0] == 0
             assert run(capsys, "evaluate", "--truth", str(truth), "--registry",
                        registry_dir, "--k", "-1")[0] == 0
         assert (Path(registry_dir) / CACHE_NAME).exists()
-        assert built == []
+        assert built == world.target_names() * 4
+
+    @pytest.mark.parametrize("command", [["calibrate", "--out", "{out}"],
+                                         ["evaluate", "--k", "0"]])
+    def test_truth_target_without_a_profile_exits_4_before_loading(
+            self, capsys, tmp_path, registry_dir, command):
+        truth = seed_truth(tmp_path, registry_dir)
+        (Path(registry_dir) / "tprof.profile.json").unlink()
+        argv = [arg.format(out=tmp_path / "g.csv") for arg in command]
+        code, out, err = run(capsys, *argv, "--truth", str(truth),
+                             "--registry", registry_dir)
+        assert (code, out) == (4, "")
+        assert err == f"p2l: error: no profile named 'tprof' in {registry_dir}\n"
+        assert CACHE_NAME not in os.listdir(registry_dir)
+        assert not (tmp_path / "g.csv").exists()
 
     def test_evaluate_unknown_source_exits_4(self, capsys, tmp_path,
                                              registry_dir):

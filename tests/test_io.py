@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import p2l
+import p2l.fork
 from p2l.core import DatasetProfile, EmbeddingMatrix, Summarizer, SummaryVector
 from p2l.errors import (
     BadHeader,
@@ -338,6 +339,60 @@ class TestCsvFastPath:
         with pytest.raises(RaggedRow):
             read_embeddings_csv(path)
         assert calls == [path]
+
+
+def chunked(m):
+    """Make read_embeddings_csv cut every file into chunks for 3 forked workers."""
+    m.setattr(p2l.io, "_FORK_CSV_VALUES", 0)
+    m.setattr(p2l.fork, "worker_count", lambda: 3)
+
+
+class TestCsvChunks:
+    """Cut into chunks of lines parsed by forked workers, read_embeddings_csv
+    still gives exactly what the line parser gives."""
+
+    @pytest.mark.filterwarnings("error::UserWarning")
+    @settings(max_examples=100, deadline=None)  # each example forks up to 3 workers
+    @given(data=csv_files())
+    def test_same_as_the_line_parser(self, data):
+        with tempfile.TemporaryDirectory() as name, pytest.MonkeyPatch.context() as m:
+            chunked(m)
+            path = Path(name) / "emb.csv"
+            path.write_bytes(data)
+            assert csv_outcome(read_embeddings_csv, path) == \
+                csv_outcome(_read_embeddings_csv_lines, path)
+
+    @pytest.mark.filterwarnings("error::UserWarning")
+    @pytest.mark.parametrize("last,want", [
+        (b"1,2,3\n", (RaggedRow, 10)), (b"1,inf\n", (NonFiniteValue, 10)),
+        (b"\n1,2\n", (RaggedRow, 10)), (b"1,\xff\n", (UnicodeDecodeError, None)),
+    ], ids=["ragged", "inf", "empty-line", "not-utf8"])
+    def test_refusal_in_the_last_chunk(self, tmp_path, monkeypatch, last, want):
+        chunked(monkeypatch)
+        path = tmp_path / "emb.csv"
+        path.write_bytes(HEAD_DIM2.encode() + b"1,2\n" * 8 + last)  # 9 or 10 rows
+        got = csv_outcome(read_embeddings_csv, path)
+        assert got == csv_outcome(_read_embeddings_csv_lines, path)
+        assert (got[0], got[2]) == want
+
+    def test_plain_file_is_read_in_chunks_never_by_the_line_parser(self, tmp_path,
+                                                                   monkeypatch):
+        chunked(monkeypatch)
+        shares, fork_map = [], p2l.fork.fork_map
+
+        def spy(fn, tasks, cost):
+            shares.append([len(task) for task in tasks])
+            return fork_map(fn, tasks, cost)
+
+        def refuse(path):
+            raise AssertionError("line parser called on a plain file")
+        monkeypatch.setattr(p2l.fork, "fork_map", spy)
+        monkeypatch.setattr("p2l.io._read_embeddings_csv_lines", refuse)
+        m = random_matrix(3, n=40, d=7)
+        write_embeddings_csv(tmp_path / "emb.csv", m)
+        assert read_embeddings_csv(tmp_path / "emb.csv").values.tobytes() == \
+            m.values.tobytes()
+        assert shares == [[13, 13, 14]]
 
 
 class TestEmbeddingsBin:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from p2l import oracle
+from p2l import fork, oracle
 from p2l.core import EPSILON, DivergenceKind, EstimatorConfig, ImprovementRecord
 from p2l.divergence import distances
 from p2l.errors import BadSpec, UnknownName
@@ -517,7 +517,7 @@ class TestStudies:
 def run_with_workers(monkeypatch, workers, fn, *args):
     """fn(*args) with the oracle's task maps on the given worker count."""
     with monkeypatch.context() as m:
-        m.setattr(oracle, "_worker_count", lambda: workers)
+        m.setattr(fork, "worker_count", lambda: workers)
         return fn(*args)
 
 
@@ -533,11 +533,11 @@ class TestTaskMap:
         parent = os.getpid()
         tasks = [3, 9, 1, 7, 5]
         # The lambda closes over a local: it reaches the workers through fork.
-        results = run_with_workers(monkeypatch, 2, oracle._map,
+        results = run_with_workers(monkeypatch, 2, fork.fork_map,
                                    lambda t: (t, os.getpid()), tasks, lambda t: t)
         assert [t for t, _ in results] == tasks
         assert parent not in {pid for _, pid in results}
-        results = run_with_workers(monkeypatch, 1, oracle._map,
+        results = run_with_workers(monkeypatch, 1, fork.fork_map,
                                    lambda t: (t, os.getpid()), tasks, lambda t: t)
         assert results == [(t, parent) for t in tasks]
         assert_no_children()
@@ -545,11 +545,11 @@ class TestTaskMap:
     def test_worker_count_follows_the_affinity_mask(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
                             raising=False)
-        assert oracle._worker_count() == 3
+        assert fork.worker_count() == 3
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert oracle._worker_count() == 1
+        assert fork.worker_count() == 1
         monkeypatch.delattr(os, "sched_getaffinity")
-        assert oracle._worker_count() == 1
+        assert fork.worker_count() == 1
 
     def test_worker_count_is_one_beside_another_thread(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
@@ -558,11 +558,11 @@ class TestTaskMap:
         thread = threading.Thread(target=release.wait)
         thread.start()
         try:
-            assert oracle._worker_count() == 1
+            assert fork.worker_count() == 1
         finally:
             release.set()
             thread.join()
-        assert oracle._worker_count() == 3
+        assert fork.worker_count() == 3
 
 
 def record_bits(records):
