@@ -14,7 +14,19 @@ import os
 import sys
 from pathlib import Path
 
-from .calibrate import (
+# OpenBLAS reads OPENBLAS_THREAD_TIMEOUT once, as it loads: an idle worker
+# thread spins 2**N cycles before it sleeps, N = 28 (about 0.1 s) by default.
+# It spins after the library starts, after each fork and after each threaded
+# call, and a cold command pays for it in CPU and, on a busy host, in wall
+# time. The spin sets only when a thread sleeps, never a result; the thread
+# count stays the user's. Cold `rank` and `simulate` times over N = 4..28 are
+# in BENCH_23.json. Set only before numpy loads and when the user has not.
+BLAS_IDLE_SPIN = "22"
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", BLAS_IDLE_SPIN)
+
+# The package modules below import numpy, so they come after the setting.
+from .calibrate import (  # noqa: E402
     DEFAULT_K_GRID,
     SELECTIONS_HEADER,
     EvaluationConfig,
@@ -106,18 +118,29 @@ def _target_file(text: str):
                                Summarizer.mean(), role="target")
 
 
+def _shelf_with(registry: ProfileRegistry, names: list[str]):
+    """The registry's loaded shelf, and the profile of each of names as a row
+    of it. A name with no profile file is refused before loading: NotFound,
+    or InvalidName."""
+    present = set(registry.names())
+    for name in names:
+        if name not in present:
+            registry.load(name)
+    shelf = registry.load_all()
+    return shelf, [shelf[shelf.names.index(name)] for name in names]
+
+
 def cmd_rank(args) -> int:
     cfg = _estimator_config(args)
     if not args.baselines and (args.reference is not None or args.seed is not None):
         raise ValueError("--reference and --seed only set baselines; pass --baselines")
     target = _target_file(args.target)
-    registry = ProfileRegistry.open(args.registry)
-    own_name = None
-    if target is None:
-        target, own_name = registry.load(args.target), args.target
-    shelf = registry.load_all()
+    own = [] if target is not None else [args.target]
+    shelf, rows = _shelf_with(ProfileRegistry.open(args.registry), own)
+    if own:
+        target = rows[0]
     candidates = shelf.take([i for i, (name, role) in enumerate(zip(shelf.names, shelf.roles))
-                             if role == "source" and name != own_name])
+                             if role == "source" and name not in own])
     scored = score_sources(target, candidates, cfg,
                            allow_mixed_extractors=args.allow_mixed_extractors)
     picks = {}
@@ -147,12 +170,8 @@ def _read_truth(path):
 
 def _tasks(registry: ProfileRegistry, grouped):
     """Each truth group's target profile, as a row of the loaded shelf, and the sources."""
-    present = set(registry.names())
-    for name in grouped:
-        if name not in present:  # refused before loading: NotFound, or InvalidName
-            registry.load(name)
-    shelf = registry.load_all()
-    tasks = [(shelf[shelf.names.index(name)], recs) for name, recs in grouped.items()]
+    shelf, targets = _shelf_with(registry, list(grouped))
+    tasks = list(zip(targets, grouped.values()))
     return tasks, shelf.take([i for i, role in enumerate(shelf.roles) if role == "source"])
 
 

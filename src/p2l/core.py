@@ -50,6 +50,13 @@ def check_epsilon(epsilon: float) -> None:
         raise NonPositiveEpsilon(f"epsilon must be a finite value > 0, got {epsilon!r}")
 
 
+def _owned(values, dtype) -> np.ndarray:
+    """values as an array of dtype that no caller can write: a copy, unless
+    it is read-only already."""
+    arr = np.asarray(values, dtype=dtype)
+    return arr.copy() if arr.flags.writeable else arr
+
+
 def _readonly_1d(values) -> np.ndarray:
     arr = np.array(values, dtype=np.float64, copy=True)
     if arr.ndim != 1:
@@ -107,7 +114,7 @@ class EmbeddingMatrix:
     extractor_id: str
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=np.float64, copy=True)
+        arr = _owned(self.values, np.float64)
         if arr.ndim != 2:
             raise EmptyMatrix(f"embedding matrix must be 2-d, got shape {arr.shape}")
         n, d = arr.shape
@@ -185,13 +192,6 @@ class DatasetProfile:
         object.__setattr__(self, "size", int(self.size))
         if self.role not in ("source", "target"):
             raise ValueError(f"role must be 'source' or 'target', got {self.role!r}")
-
-
-def _owned(values, dtype) -> np.ndarray:
-    """values as an array of dtype that no caller can write: a copy, unless
-    it is read-only already."""
-    arr = np.asarray(values, dtype=dtype)
-    return arr.copy() if arr.flags.writeable else arr
 
 
 def _parses(label) -> bool:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import select
 import threading
 from typing import Callable, Sequence
 
@@ -21,8 +22,10 @@ def worker_count() -> int:
 def fork_map(fn: Callable, tasks: Sequence, cost: Callable[..., int]) -> list:
     """[fn(task) for task in tasks] on a forked child per share of tasks, or in-process
     for one worker or task. Tasks go largest cost first to the least-loaded of
-    worker_count() shares. A child's exception re-raises here; a child that dies
-    unanswered raises ChildProcessError with its exit status. All are reaped."""
+    worker_count() shares. Every child's pipe is waited on at once, so the first
+    child to fail is seen as it fails: its exception re-raises here, and a child
+    that dies unanswered raises ChildProcessError with its exit status. All are
+    reaped."""
     workers = min(worker_count(), len(tasks))
     if workers <= 1:
         return [fn(task) for task in tasks]
@@ -31,28 +34,36 @@ def fork_map(fn: Callable, tasks: Sequence, cost: Callable[..., int]) -> list:
         least = loads.index(min(loads))
         shares[least].append(i)
         loads[least] += cost(tasks[i])
-    pids, pipes, results = [], [], {}
+    fds, pids, answers, results = [], {}, {}, {}  # pids and answers by the pipe's read end
     try:
         for share in shares:
             r, w = os.pipe()
-            pipes.append(os.fdopen(r, "rb"))
+            fds.append(r)
             with os.fdopen(w, "wb") as pipe:  # closed here, so a dead child reads as EOF
                 if (pid := os.fork()) == 0:
                     _child(fn, [tasks[i] for i in share], pipe)
-            pids.append(pid)
-        for share, answer in zip(shares, [pipe.read() for pipe in pipes]):
-            code = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
-            pid = pids.pop(0)
-            if code != 0:
-                raise ChildProcessError(f"forked worker {pid} exited with status {code}")
-            ok, out = pickle.loads(answer)
-            if not ok:
-                raise out
-            results.update(zip(share, out))
+            pids[r], answers[r] = pid, []
+        poller = select.poll()
+        for r in fds:
+            poller.register(r, select.POLLIN)
+        while pids:
+            for r, _ in poller.poll():
+                if data := os.read(r, 1 << 20):
+                    answers[r].append(data)
+                    continue
+                poller.unregister(r)  # EOF: the child has answered, or died
+                code = os.waitstatus_to_exitcode(os.waitpid(pids[r], 0)[1])
+                pid = pids.pop(r)
+                if code != 0:
+                    raise ChildProcessError(f"forked worker {pid} exited with status {code}")
+                ok, out = pickle.loads(b"".join(answers[r]))
+                if not ok:
+                    raise out
+                results.update(zip(shares[fds.index(r)], out))
     finally:
-        for pipe in pipes:
-            pipe.close()
-        for pid in pids:
+        for r in fds:
+            os.close(r)
+        for pid in pids.values():
             os.kill(pid, 9)  # SIGKILL, without the ~1 ms import of the signal module
             os.waitpid(pid, 0)
     return [results[i] for i in range(len(tasks))]

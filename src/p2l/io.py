@@ -6,7 +6,6 @@ profiles are correctness-dominant and use decimal JSON text that round-trips
 """
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import math
@@ -94,6 +93,13 @@ def _atomic_write(path: Path, write: Callable[[BinaryIO], object],
 
 # -- embedding matrices ---------------------------------------------------------
 
+def _matrix(values: np.ndarray, extractor_id: str) -> EmbeddingMatrix:
+    """The matrix of values, a float64 array fresh from a reader that no one
+    else holds: made read-only, the matrix keeps it rather than a copy."""
+    values.flags.writeable = False
+    return EmbeddingMatrix(values, extractor_id)
+
+
 def read_embeddings_csv(path) -> EmbeddingMatrix:
     """Header '# p2l-embeddings v1 dim=<d> extractor=<id>' then one row per line,
     each field read as float() reads it.
@@ -124,7 +130,7 @@ def read_embeddings_csv(path) -> EmbeddingMatrix:
     except ValueError:  # not UTF-8, or a field numpy does not read
         pass
     if values is not None and np.isfinite(values).all():
-        return EmbeddingMatrix(values, m.group(2))
+        return _matrix(values, m.group(2))
     return _read_embeddings_csv_lines(path)
 
 
@@ -153,7 +159,7 @@ def _read_embeddings_csv_lines(path: Path) -> EmbeddingMatrix:
             rows.append(row)
     if not rows:
         raise EmptyMatrix(f"{path}: no data rows")
-    return EmbeddingMatrix(np.array(rows, dtype=np.float64), extractor_id)
+    return _matrix(np.array(rows, dtype=np.float64), extractor_id)
 
 
 def write_embeddings_csv(path, matrix: EmbeddingMatrix) -> None:
@@ -194,7 +200,7 @@ def read_embeddings_bin(path) -> EmbeddingMatrix:
     if len(data) > expected:
         raise TruncatedFile(f"{len(data) - expected} trailing bytes after payload")
     values = np.frombuffer(data, dtype="<f4", count=count * dim, offset=offset)
-    return EmbeddingMatrix(values.astype(np.float64).reshape(count, dim), extractor_id)
+    return _matrix(values.astype(np.float64).reshape(count, dim), extractor_id)
 
 
 def write_embeddings_bin(path, matrix: EmbeddingMatrix) -> None:
@@ -434,6 +440,7 @@ class ProfileRegistry:
             # A plain string path: a Path object per file costs as much as its stat.
             if i is None or not (_NAME_RE.fullmatch(name) and _unchanged(
                     os.path.join(root, name + PROFILE_SUFFIX), stat, written)):
+                import hashlib  # here: a load the cache vouches for whole skips loading OpenSSL
                 st, data = self._read(name)
                 digest, read_stat = hashlib.sha256(data).hexdigest(), _stat_key(st)
                 stale |= (digest, read_stat) != (sha, stat)

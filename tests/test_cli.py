@@ -219,6 +219,36 @@ class TestRankCommand:
             assert abs(s - (a + (-1.0) * b)) < 1e-12
         assert scores == sorted(scores, reverse=True)
 
+    def test_registry_target_is_its_shelf_row(self, capsys, tmp_path, registry_dir,
+                                              monkeypatch):
+        """A --target naming a registry profile ranks as the embeddings file it
+        was profiled from does, cold and warm, and its file is read only by the
+        shelf's load."""
+        target = seed_registry(tmp_path, registry_dir)
+        assert main(["profile", "--input", str(target), "--name", "tprof",
+                     "--role", "target", "--registry", registry_dir]) == 0
+        argv = ["rank", "--registry", registry_dir, "--k", "-1", "--baselines",
+                "--reference", "mid", "--seed", "3"]
+        code, want, _ = run(capsys, *argv, "--target", str(target))
+        assert code == 0 and len(want.splitlines()) == 8
+        monkeypatch.setattr(ProfileRegistry, "load", lambda self, name: pytest.fail(
+            f"{name} read from its file"))
+        (Path(registry_dir) / CACHE_NAME).unlink()
+        for _ in ("cold", "warm"):
+            assert run(capsys, *argv, "--target", "tprof") == (0, want, "")
+
+    @pytest.mark.parametrize("name, code, message", [
+        ("ghost", 4, "no profile named 'ghost' in {root}"),
+        ("bad.name", 2, "profile name 'bad.name' is not filesystem-safe"),
+    ])
+    def test_registry_target_without_a_profile_is_refused_before_loading(
+            self, capsys, tmp_path, registry_dir, name, code, message):
+        seed_registry(tmp_path, registry_dir)
+        assert run(capsys, "rank", "--registry", registry_dir, "--k", "-1",
+                   "--target", name) == (
+            code, "", f"p2l: error: {message.format(root=registry_dir)}\n")
+        assert CACHE_NAME not in os.listdir(registry_dir)
+
     def test_rank_k_zero_orders_by_size(self, capsys, tmp_path, registry_dir):
         target = seed_registry(tmp_path, registry_dir)
         code, out, _ = run(capsys, "rank", "--target", str(target), "--registry",
@@ -910,17 +940,21 @@ class TestFixedSettings:
 
 class TestImports:
     @staticmethod
-    def loaded_by_cli_import(module):
-        """Whether a fresh interpreter holds module after `import p2l.cli`."""
+    def fresh(code, **env):
+        """The stdout of code run by a fresh interpreter on this p2l; env sets
+        environment variables, or unsets those given as None."""
         src = str(Path(p2l.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
+            filter(None, [src, os.environ.get("PYTHONPATH")])), **env)
         result = subprocess.run(
-            [sys.executable, "-c",
-             f"import sys, p2l.cli; sys.exit({module!r} in sys.modules)"],
-            env=env, timeout=60)
-        assert result.returncode in (0, 1)
-        return result.returncode == 1
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+            env={key: value for key, value in env.items() if value is not None})
+        assert result.returncode == 0, result.stderr
+        return result.stdout
+
+    def loaded_by_cli_import(self, module):
+        """Whether a fresh interpreter holds module after `import p2l.cli`."""
+        return self.fresh(f"import sys, p2l.cli; print({module!r} in sys.modules)") == "True\n"
 
     def test_cli_import_does_not_load_scipy(self):
         assert not self.loaded_by_cli_import("scipy")
@@ -929,6 +963,113 @@ class TestImports:
         # Only simulate trains, so rank, profile and calibrate skip its import.
         assert not self.loaded_by_cli_import("p2l.oracle")
         assert self.loaded_by_cli_import("p2l.io")
+
+    def test_package_import_loads_no_submodule_and_no_numpy(self):
+        code = ("import sys, p2l\n"
+                "print([m for m in sys.modules if m.startswith(('p2l.', 'numpy'))])")
+        assert self.fresh(code) == "[]\n"
+
+    # The submodule each public name is defined in.
+    SOURCES = {
+        "core": ["CalibrationReport", "DatasetProfile", "DivergenceKind",
+                 "EmbeddingMatrix", "EstimatorConfig", "GridPoint", "ImprovementRecord",
+                 "ScoredSource", "Shelf", "Summarizer", "SummaryVector"],
+        "calibrate": ["DEFAULT_K_GRID", "EvaluationConfig", "picks_to_best",
+                      "spearman_rho", "tune_k"],
+        "divergence": ["distance", "distances"],
+        "estimator": ["baseline_ranking", "baseline_rankings", "check_candidates",
+                      "merge_profiles", "score_sources", "score_table", "zscale"],
+        "io": ["ProfileRegistry", "read_embeddings_bin", "read_embeddings_csv"],
+        "summarize": ["profile_from_matrix", "smooth", "summarize"],
+    }
+
+    @pytest.mark.parametrize("first", ["package", "cli"])
+    def test_every_public_name_is_its_submodules_object(self, first):
+        """Whether the package or a submodule is imported first: with
+        p2l.cli first, the import system has bound the submodule
+        p2l.summarize to the package before the name is asked for."""
+        assert sorted(p2l.__all__) == sorted(sum(self.SOURCES.values(), []))
+        code = ("import importlib, sys\n"
+                f"import {'p2l' if first == 'package' else 'p2l.cli'}\n"
+                "import p2l\n"
+                "listed = set(dir(p2l))\n"
+                f"for module, names in {self.SOURCES!r}.items():\n"
+                "    for name in names:\n"
+                "        defined = vars(importlib.import_module(f'p2l.{module}'))[name]\n"
+                "        assert name in listed and getattr(p2l, name) is defined, name\n"
+                "from p2l import summarize\n"
+                "print(summarize is sys.modules['p2l.summarize'].summarize)\n")
+        assert self.fresh(code) == "True\n"
+
+    def test_an_unknown_name_raises_attribute_error(self):
+        code = ("import p2l\n"
+                "try:\n"
+                "    p2l.no_such_name\n"
+                "except AttributeError as exc:\n"
+                "    print(exc)\n"
+                "print(hasattr(p2l, 'no_such_name'))\n")
+        assert self.fresh(code) == "module 'p2l' has no attribute 'no_such_name'\nFalse\n"
+
+    SPIN = "import os, p2l.cli; print(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))"
+
+    def test_cli_import_sets_a_short_blas_idle_spin(self):
+        from p2l.cli import BLAS_IDLE_SPIN
+        assert 4 <= int(BLAS_IDLE_SPIN) < 28  # OpenBLAS's range, below its default
+        assert self.fresh(self.SPIN, OPENBLAS_THREAD_TIMEOUT=None) == f"{BLAS_IDLE_SPIN}\n"
+
+    def test_cli_import_keeps_the_users_blas_idle_spin(self):
+        assert self.fresh(self.SPIN, OPENBLAS_THREAD_TIMEOUT="28") == "28\n"
+
+    def test_cli_import_after_numpy_sets_nothing(self):
+        code = "import numpy\n" + self.SPIN
+        assert self.fresh(code, OPENBLAS_THREAD_TIMEOUT=None) == "None\n"
+
+    def test_python_m_p2l_cli_sets_the_spin_before_numpy_loads(self):
+        """`python -m p2l.cli` runs cli.py as __main__ after importing the
+        package; numpy must still load after the setting."""
+        code = ("import os, runpy, sys\n"
+                "class Watch:\n"
+                "    def find_spec(self, name, path=None, target=None):\n"
+                "        if name == 'numpy':\n"
+                "            sys.stderr.write(f\"{os.environ.get('OPENBLAS_THREAD_TIMEOUT')}\\n\")\n"
+                "sys.meta_path.insert(0, Watch())\n"
+                "sys.argv = ['p2l', '--help']\n"
+                "sys.stderr = sys.stdout\n"
+                "try:\n"
+                "    runpy.run_module('p2l.cli', run_name='__main__', alter_sys=True)\n"
+                "except SystemExit as exc:\n"
+                "    assert exc.code == 0\n")
+        from p2l.cli import BLAS_IDLE_SPIN
+        out = self.fresh(code, OPENBLAS_THREAD_TIMEOUT=None)
+        assert out.splitlines()[0] == BLAS_IDLE_SPIN
+
+    def test_warm_commands_load_no_openssl(self, tmp_path):
+        """rank, calibrate and profile on a registry whose summary cache vouches
+        for every file hash nothing, so they load _hashlib only if a bare
+        interpreter does."""
+        registry = tmp_path / "registry"
+        truth = seed_truth(tmp_path, str(registry))
+        probe, latest = tmp_path / "clock-probe", max(
+            p.stat().st_ctime_ns for p in registry.iterdir())
+        while True:  # until a file written next is strictly newer than every profile
+            probe.write_bytes(b"")
+            if probe.stat().st_mtime_ns > latest:
+                break
+        argv = {
+            "rank": ["rank", "--target", str(tmp_path / "target.csv"), "--k", "-1"],
+            "calibrate": ["calibrate", "--truth", str(truth), "--out",
+                          str(tmp_path / "grid.csv")],
+            "profile": ["profile", "--input", str(tmp_path / "target.csv"),
+                        "--name", "fresh"],
+        }
+        assert main(argv["rank"] + ["--registry", str(registry)]) == 0  # writes the cache
+        code = ("import sys\n"
+                "from p2l.cli import main\n"
+                f"for argv in {list(argv.values())!r}:\n"
+                f"    assert main(argv + ['--registry', {str(registry)!r}]) == 0, argv\n"
+                "print('_hashlib' in sys.modules)\n")
+        bare = self.fresh("import sys; print('_hashlib' in sys.modules)")
+        assert self.fresh(code).splitlines()[-1] == bare.strip()
 
 
 class TestEnvRegistry:

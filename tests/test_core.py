@@ -46,6 +46,17 @@ class TestEmbeddingMatrix:
         with pytest.raises(ValueError):
             m.values[0, 0] = 5.0
 
+    def test_a_writable_array_is_copied_and_a_read_only_one_kept(self):
+        writable = np.ones((2, 3))
+        assert not np.shares_memory(EmbeddingMatrix(writable, "ext").values, writable)
+        assert writable.flags.writeable
+        frozen = np.ones((2, 3))
+        frozen.flags.writeable = False
+        assert EmbeddingMatrix(frozen, "ext").values is frozen
+        single = np.ones((2, 3), dtype=np.float32)
+        single.flags.writeable = False
+        assert EmbeddingMatrix(single, "ext").values.dtype == np.float64
+
 
 class TestSummaryVector:
     def test_normalized_must_sum_to_one(self):

@@ -76,6 +76,30 @@ class TestForkMap:
             on_workers(monkeypatch, workers, task, [3, 9, 7, 1])
         assert_no_child_left()
 
+    @pytest.mark.parametrize("failure", ["raise", "die"])
+    def test_a_late_share_fails_while_the_first_blocks(self, monkeypatch, alarm, failure):
+        """Every child's pipe is watched at once: the third share's failure is
+        seen while the first still runs, which is then killed and reaped."""
+        def short_alarm(signum, frame):
+            raise TimeoutError("the third share's failure was not seen in 5 s")
+        signal.signal(signal.SIGALRM, short_alarm)
+        signal.alarm(5)
+
+        def task(t):
+            if t == 3:  # the largest cost: the first share
+                signal.pause()
+            if t == 1:  # the smallest: the third share
+                if failure == "die":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise BadSpec("third share")
+            return t
+
+        expected = ((ChildProcessError, r"exited with status -9$") if failure == "die"
+                    else (BadSpec, "^third share$"))
+        with pytest.raises(expected[0], match=expected[1]):
+            on_workers(monkeypatch, 3, task, [1, 2, 3])
+        assert_no_child_left()
+
     def test_an_interrupted_map_kills_and_reaps_every_worker(self, monkeypatch, alarm):
         def interrupt(signum, frame):
             raise KeyboardInterrupt
