@@ -8,11 +8,17 @@ registry, so a refused input leaves the registry as it was.
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import math
 import os
 import sys
 from pathlib import Path
+
+# A fresh process: one that has not loaded numpy yet (`python -m p2l.cli` and
+# the `p2l` console script). Library callers, scripts/ and test and benchmark
+# hosts load numpy first, and the two start-up settings below leave them be.
+_FRESH_PROCESS = "numpy" not in sys.modules
 
 # OpenBLAS reads OPENBLAS_THREAD_TIMEOUT once, as it loads: an idle worker
 # thread spins 2**N cycles before it sleeps, N = 28 (about 0.1 s) by default.
@@ -22,10 +28,20 @@ from pathlib import Path
 # count stays the user's. Cold `rank` and `simulate` times over N = 4..28 are
 # in BENCH_23.json. Set only before numpy loads and when the user has not.
 BLAS_IDLE_SPIN = "22"
-if "numpy" not in sys.modules:
-    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", BLAS_IDLE_SPIN)
 
-# The package modules below import numpy, so they come after the setting.
+# The imports below leave about 22,000 objects (numpy's and p2l's) that live
+# until exit, and the cyclic collector would walk every one of them on each
+# full pass, at exit too. A fresh process imports with the collector off, then
+# freezes what the imports made (gc.freeze: never examined, never collected),
+# so a command collects only what it allocates itself, and so do its forked
+# workers. The collector sets only when cyclic garbage is freed, never a
+# value. A caller that turned it off finds it off.
+_COLLECTING = gc.isenabled()
+if _FRESH_PROCESS:
+    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", BLAS_IDLE_SPIN)
+    gc.disable()
+
+# The package modules below import numpy, so they come after the settings.
 from .calibrate import (  # noqa: E402
     DEFAULT_K_GRID,
     SELECTIONS_HEADER,
@@ -46,6 +62,11 @@ from .io import (
     sniff_and_read_embeddings,
 )
 from .summarize import profile_from_matrix
+
+if _FRESH_PROCESS:
+    gc.freeze()
+    if _COLLECTING:
+        gc.enable()
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -122,10 +143,11 @@ def _shelf_with(registry: ProfileRegistry, names: list[str]):
     """The registry's loaded shelf, and the profile of each of names as a row
     of it. A name with no profile file is refused before loading: NotFound,
     or InvalidName."""
-    present = set(registry.names())
-    for name in names:
-        if name not in present:
-            registry.load(name)
+    if names:  # load_all lists the registry again; a file target names none
+        present = set(registry.names())
+        for name in names:
+            if name not in present:
+                registry.load(name)
     shelf = registry.load_all()
     return shelf, [shelf[shelf.names.index(name)] for name in names]
 

@@ -131,6 +131,13 @@ class EmbeddingMatrix:
             raise ValueError(f"extractor id {eid!r} holds a comma, a double quote "
                              "or a non-printable character")
 
+    @classmethod
+    def adopt(cls, values: np.ndarray, extractor_id: str) -> "EmbeddingMatrix":
+        """The matrix of values, a fresh float64 array that no one else holds
+        (a reader's or an extractor's): made read-only, it is kept, not copied."""
+        values.flags.writeable = False
+        return cls(values, extractor_id)
+
     @property
     def items(self) -> int:
         return self.values.shape[0]

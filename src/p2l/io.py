@@ -93,13 +93,6 @@ def _atomic_write(path: Path, write: Callable[[BinaryIO], object],
 
 # -- embedding matrices ---------------------------------------------------------
 
-def _matrix(values: np.ndarray, extractor_id: str) -> EmbeddingMatrix:
-    """The matrix of values, a float64 array fresh from a reader that no one
-    else holds: made read-only, the matrix keeps it rather than a copy."""
-    values.flags.writeable = False
-    return EmbeddingMatrix(values, extractor_id)
-
-
 def read_embeddings_csv(path) -> EmbeddingMatrix:
     """Header '# p2l-embeddings v1 dim=<d> extractor=<id>' then one row per line,
     each field read as float() reads it.
@@ -110,7 +103,6 @@ def read_embeddings_csv(path) -> EmbeddingMatrix:
     UTF-8, a bad header, no rows, an empty line, a value that is not finite),
     is read again by the line parser, which gives the answer and every refusal."""
     path = Path(path)
-    values = None
     try:
         # Universal newlines, as the line parser's text-mode iteration reads them.
         header, *lines = path.read_text(encoding="utf-8").split("\n")
@@ -127,10 +119,9 @@ def read_embeddings_csv(path) -> EmbeddingMatrix:
                 chunk, delimiter=",", dtype=np.float64, comments=None, ndmin=2), chunks, len)
             if all(part.shape == (len(chunk), dim) for part, chunk in zip(parts, chunks)):
                 values = np.concatenate(parts) if k > 1 else parts[0]
-    except ValueError:  # not UTF-8, or a field numpy does not read
+                return EmbeddingMatrix.adopt(values, m.group(2))
+    except (ValueError, NonFiniteValue):  # not UTF-8, a field numpy refuses, not finite
         pass
-    if values is not None and np.isfinite(values).all():
-        return _matrix(values, m.group(2))
     return _read_embeddings_csv_lines(path)
 
 
@@ -159,7 +150,7 @@ def _read_embeddings_csv_lines(path: Path) -> EmbeddingMatrix:
             rows.append(row)
     if not rows:
         raise EmptyMatrix(f"{path}: no data rows")
-    return _matrix(np.array(rows, dtype=np.float64), extractor_id)
+    return EmbeddingMatrix.adopt(np.array(rows, dtype=np.float64), extractor_id)
 
 
 def write_embeddings_csv(path, matrix: EmbeddingMatrix) -> None:
@@ -200,7 +191,7 @@ def read_embeddings_bin(path) -> EmbeddingMatrix:
     if len(data) > expected:
         raise TruncatedFile(f"{len(data) - expected} trailing bytes after payload")
     values = np.frombuffer(data, dtype="<f4", count=count * dim, offset=offset)
-    return _matrix(values.astype(np.float64).reshape(count, dim), extractor_id)
+    return EmbeddingMatrix.adopt(values.astype(np.float64).reshape(count, dim), extractor_id)
 
 
 def write_embeddings_bin(path, matrix: EmbeddingMatrix) -> None:

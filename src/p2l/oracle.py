@@ -201,7 +201,8 @@ class OracleWorld:
     def _profiles(self) -> tuple[list[DatasetProfile], dict[str, DatasetProfile]]:
         """build_profiles' profiles, embedded and summarized once per world."""
         def profile(data: DomainData, split: SplitData, role: str) -> DatasetProfile:
-            matrix = EmbeddingMatrix(self.extractor(split.x), self.extractor.extractor_id)
+            matrix = EmbeddingMatrix.adopt(self.extractor(split.x),
+                                           self.extractor.extractor_id)
             return profile_from_matrix(data.spec.name, matrix, Summarizer.mean(), role=role)
         sources = [profile(d, d.source_train, "source")
                    for d in self.domains[:self.spec.n_sources]]

@@ -237,6 +237,19 @@ class TestRankCommand:
         for _ in ("cold", "warm"):
             assert run(capsys, *argv, "--target", "tprof") == (0, want, "")
 
+    def test_file_target_lists_the_registry_once(self, capsys, tmp_path, registry_dir,
+                                                 monkeypatch):
+        """With an embeddings file as --target there is no registry name to
+        check, so only the shelf's load lists the profile files."""
+        target = seed_registry(tmp_path, registry_dir)
+        calls, names = [], ProfileRegistry.names
+        monkeypatch.setattr(ProfileRegistry, "names",
+                            lambda self: calls.append(1) or names(self))
+        code, out, _ = run(capsys, "rank", "--registry", registry_dir, "--k", "-1",
+                           "--target", str(target))
+        assert code == 0 and len(out.splitlines()) == 4
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("name, code, message", [
         ("ghost", 4, "no profile named 'ghost' in {root}"),
         ("bad.name", 2, "profile name 'bad.name' is not filesystem-safe"),
@@ -1042,6 +1055,34 @@ class TestImports:
         from p2l.cli import BLAS_IDLE_SPIN
         out = self.fresh(code, OPENBLAS_THREAD_TIMEOUT=None)
         assert out.splitlines()[0] == BLAS_IDLE_SPIN
+
+    FROZEN = "import gc, p2l.cli; print(gc.isenabled(), gc.get_freeze_count() > 0)"
+
+    def test_cli_import_freezes_the_import_time_heap(self):
+        assert self.fresh(self.FROZEN) == "True True\n"
+
+    def test_cli_import_after_numpy_leaves_the_collector_be(self):
+        code = ("import gc, numpy\n"
+                "before = gc.get_threshold()\n"
+                "import p2l.cli\n"
+                "print(gc.isenabled(), gc.get_freeze_count(), gc.get_threshold() == before)")
+        assert self.fresh(code) == "True 0 True\n"
+
+    def test_cli_import_keeps_a_collector_turned_off(self):
+        assert self.fresh("import gc; gc.disable()\n" + self.FROZEN) == "False True\n"
+
+    def test_python_m_p2l_cli_freezes_the_import_time_heap(self):
+        """`python -m p2l.cli` runs cli.py as __main__ after importing the package."""
+        code = ("import gc, runpy, sys\n"
+                "sys.argv = ['p2l', '--help']\n"
+                "sys.stdout = sys.stderr\n"
+                "try:\n"
+                "    runpy.run_module('p2l.cli', run_name='__main__', alter_sys=True)\n"
+                "except SystemExit as exc:\n"
+                "    assert exc.code == 0\n"
+                "sys.stdout = sys.__stdout__\n"
+                "print(gc.isenabled(), gc.get_freeze_count() > 0)\n")
+        assert self.fresh(code) == "True True\n"
 
     def test_warm_commands_load_no_openssl(self, tmp_path):
         """rank, calibrate and profile on a registry whose summary cache vouches

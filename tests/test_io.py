@@ -394,6 +394,19 @@ class TestCsvChunks:
             m.values.tobytes()
         assert shares == [[13, 13, 14]]
 
+    def test_plain_file_is_checked_for_finite_values_once(self, tmp_path, monkeypatch):
+        """The matrix checks the values it is given; the reader checks none."""
+        chunked(monkeypatch)
+        monkeypatch.setattr(p2l.fork, "worker_count", lambda: 2)
+        m = random_matrix(3, n=40, d=7)
+        write_embeddings_csv(tmp_path / "emb.csv", m)
+        calls, isfinite = [], np.isfinite
+        monkeypatch.setattr(np, "isfinite",
+                            lambda *a, **kw: calls.append(1) or isfinite(*a, **kw))
+        assert read_embeddings_csv(tmp_path / "emb.csv").values.tobytes() == \
+            m.values.tobytes()
+        assert len(calls) == 1
+
 
 class TestEmbeddingsBin:
     def test_round_trip_widened(self, tmp_path):

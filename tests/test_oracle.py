@@ -450,6 +450,20 @@ class TestStudies:
         assert [p.name for p in again] == ["dom00", "dom01", "dom02"]
         assert list(targets) == [d.spec.name for d in world.domains]
 
+    def test_profiles_keep_the_extractors_arrays_uncopied(self, monkeypatch):
+        extracted, matrices = [], []
+        extract = oracle.ReferenceExtractor.__call__
+        profile_from_matrix = oracle.profile_from_matrix
+        monkeypatch.setattr(oracle.ReferenceExtractor, "__call__",
+                            lambda self, x: extracted.append(extract(self, x)) or extracted[-1])
+        monkeypatch.setattr(oracle, "profile_from_matrix",
+                            lambda name, matrix, *a, **kw: matrices.append(matrix)
+                            or profile_from_matrix(name, matrix, *a, **kw))
+        oracle.build_profiles(oracle.default_world(1, n_sources=3, n_targets=2))
+        assert len(matrices) == len(extracted) == 8
+        for matrix, values in zip(matrices, extracted):
+            assert np.shares_memory(matrix.values, values)
+
     def test_equal_sizes_shared_anchor_source_wins_selection(self):
         # one source shares the target's centroids; sizes equal, so both the
         # estimator and the least-divergent baseline should pick it
