@@ -10,8 +10,10 @@ outputs. Every rank, calibrate and evaluate command runs twice, first without
 the registry's summary cache and then with the cache the first run left; the
 script exits non-zero if the two runs print differently. Last come commands
 that must fail: each must exit with its documented code, print nothing on
-stdout and write no file, and only its stderr is shown. Takes no options;
-see README for comparing a change with its parent.
+stdout and write no file, and only its stderr is shown. Takes no options.
+Its one line on stderr is the environment key that tests/data/output_digest.txt
+starts with; see README for refreshing that file and for comparing a change
+with its parent.
 """
 import hashlib
 import os
@@ -217,11 +219,23 @@ def refusals(tmp: Path) -> None:
          "--out", "grid-bad.csv"),
     ):
         refuse(tmp, f"refuse-{name}", code, *argv, "--registry", "oracle")
-    refuse(tmp, "refuse-simulate-learn-rate", 2, "simulate", "--seed", "1",
-           "--out", "sim-nan", "--learn-rate", "nan")
+    refuse(tmp, "refuse-simulate-epochs", 2, "simulate", "--seed", "1",
+           "--out", "sim-bad", "--epochs", "-1")
+
+
+def environment_key() -> str:
+    """numpy's version and the SIMD targets it dispatches to on this CPU: a
+    vectorized exp or log may round its last bit differently elsewhere."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    targets = [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
+    return f"# numpy {np.__version__}; dispatch {','.join(targets) or 'none'}"
 
 
 def main() -> None:
+    print(environment_key(), file=sys.stderr)
     with tempfile.TemporaryDirectory() as name:
         tmp = Path(name)
         simulate(tmp)

@@ -15,7 +15,7 @@ from p2l.core import EstimatorConfig
 
 
 def run_seed(seed, args):
-    cfg = oracle.OracleConfig(epochs=args.epochs, learn_rate=args.learn_rate)
+    cfg = oracle.OracleConfig(epochs=args.epochs)
     world = oracle.default_world(seed, cfg, n_sources=args.sources,
                                  n_targets=args.targets)
     records = oracle.ground_truth(world, cfg)
@@ -35,7 +35,6 @@ def main():
     parser.add_argument("--sources", type=int, default=6)
     parser.add_argument("--targets", type=int, default=8)
     parser.add_argument("--epochs", type=int, default=10)
-    parser.add_argument("--learn-rate", type=float, default=0.1)
     args = parser.parse_args()
 
     rows = []

@@ -242,7 +242,7 @@ def cmd_merge(args) -> int:
 
 def cmd_simulate(args) -> int:
     from . import oracle  # only simulate trains; the other commands skip its import
-    cfg = oracle.OracleConfig(epochs=args.epochs, learn_rate=args.learn_rate)
+    cfg = oracle.OracleConfig(epochs=args.epochs)
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
     oracle.check_study_size(args.sources, args.targets)
@@ -332,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--targets", type=int, default=8)
     p.add_argument("--out", required=True)
     p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--learn-rate", type=float, default=0.1)
     p.set_defaults(func=cmd_simulate)
 
     return parser

@@ -80,6 +80,7 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 TARGET_FRACTION = 0.1  # share of partition 3 that trains each target
 HIDDEN_DIM = 8  # width of the trainer's representation layer
+LEARN_RATE = 0.1  # SGD step size of every source, scratch and fine-tune run
 FINETUNE_MULTIPLIER = 0.1  # representation layer's share of the learn rate in a fine-tune
 FEATURE_DIM = 16  # feature width of the default world
 SPREAD = 1.6  # std of a domain's items around their class centroid
@@ -90,13 +91,10 @@ EMBED_DIM = 32  # width of the reference extractor's embeddings
 class OracleConfig:
     """Trainer hyperparameters; source, fine-tune and scratch runs all train epochs."""
 
-    learn_rate: float = 0.1
     epochs: int = 10
     batch: ClassVar[int] = 32  # mini-batch size
 
     def __post_init__(self):
-        if not (math.isfinite(self.learn_rate) and self.learn_rate > 0.0):
-            raise ValueError(f"learn_rate must be finite and > 0, got {self.learn_rate}")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
 
@@ -550,7 +548,7 @@ def _fit_target(world: OracleWorld, target_name: str,
             rep_scale.append(FINETUNE_MULTIPLIER)
         rngs.append(rng)
     params = sgd_train(ModelParams.concat(runs), data.target_train.x,
-                       data.target_train.y, rngs, cfg.learn_rate, cfg.epochs,
+                       data.target_train.y, rngs, LEARN_RATE, cfg.epochs,
                        cfg.batch, rep_scale)
     return accuracy(params, data.target_val.x, data.target_val.y)
 
@@ -601,7 +599,7 @@ def _train_models(world: OracleWorld, cfg: OracleConfig,
             rngs.append(_stream(world.seed, *tags))
             starts.append(init_params(rngs[-1], world.spec.feature_dim, HIDDEN_DIM, offset))
         params = sgd_train(ModelParams.concat(starts), np.concatenate(xs),
-                           np.concatenate(ys), rngs, cfg.learn_rate, cfg.epochs,
+                           np.concatenate(ys), rngs, LEARN_RATE, cfg.epochs,
                            cfg.batch, rows=rows)
         trained = params.flat()
         return [params.views(trained[r:r + 1]) for r in range(len(group))]

@@ -59,6 +59,11 @@ class TestSpearman:
     def test_reversal(self):
         assert spearman_rho([1, 2, 3, 4], [4, 3, 2, 1]) == pytest.approx(-1.0)
 
+    def test_two_observations(self):
+        # The fewest a rank correlation takes; corrcoef rounds it short of -1.
+        assert spearman_rho([1, 2], [2, 1]) == pytest.approx(
+            np.corrcoef([1.0, 2.0], [2.0, 1.0])[0, 1], abs=1e-15)
+
     def test_adjacent_swap_closed_form(self):
         a = [1, 2, 3, 4, 5]
         b = [1, 2, 3, 5, 4]

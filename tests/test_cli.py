@@ -2,6 +2,7 @@ import codecs
 import csv
 import errno
 import hashlib
+import inspect
 import io as stdlib_io
 import json
 import os
@@ -16,7 +17,7 @@ import pytest
 import p2l
 from p2l import oracle
 from p2l.calibrate import tune_k
-from p2l.cli import main
+from p2l.cli import build_parser, main
 from p2l.core import EmbeddingMatrix, Shelf
 from p2l.io import CACHE_NAME, ProfileRegistry, _write_summary_cache, fmt, \
     write_embeddings_bin, write_embeddings_csv, write_improvements_csv
@@ -667,6 +668,16 @@ class TestCalibrateAndEvaluate:
         ks = [float(row[0]) for row in parse_csv(grid_out.read_text())[1:]]
         assert ks == [0.0, 0.35, 0.7]
 
+    def test_calibrate_one_point_grid(self, capsys, tmp_path, registry_dir):
+        truth = seed_truth(tmp_path, registry_dir)
+        grid_out = tmp_path / "grid.csv"
+        code, _, _ = run(capsys, "calibrate", "--truth", str(truth), "--registry",
+                         registry_dir, "--out", str(grid_out), "--grid=-1:-1:0.25")
+        assert code == 0
+        rows = parse_csv(grid_out.read_text())[1:]
+        assert len(rows) == 5  # one k, every distance kind
+        assert {float(row[0]) for row in rows} == {-1.0}
+
     @pytest.mark.parametrize("grid", ["0:inf:1", "-inf:0:1", "nan:0:0.5", "0:1:nan",
                                       "-1e308:1e308:1", "1:2", "0:1:0.5:2", "0:x:1"])
     def test_calibrate_non_finite_grid_exits_2(self, capsys, tmp_path, registry_dir,
@@ -844,15 +855,23 @@ class TestSimulateCommand:
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    @pytest.mark.parametrize("rate", ["nan", "inf", "-inf", "0"])
-    def test_learn_rate_not_finite_and_positive_exits_2(self, capsys, tmp_path, rate):
+    def test_seed_0_runs(self, capsys, tmp_path):
         out = tmp_path / "study"
-        code, stdout, err = run(capsys, "simulate", "--seed", "1", "--sources", "3",
-                                "--targets", "2", "--epochs", "1",
-                                f"--learn-rate={rate}", "--out", str(out))
-        assert (code, stdout) == (2, "")
-        assert "learn_rate must be finite and > 0" in err
-        assert not out.exists()
+        code, stdout, _ = run(capsys, "simulate", "--seed", "0", "--sources", "3",
+                              "--targets", "2", "--epochs", "1", "--out", str(out))
+        assert code == 0
+        assert stdout.splitlines()[1].startswith("0,")
+        assert sorted(p.name for p in out.iterdir()) == [
+            "grid.csv", "ground_truth.csv", "methods.csv", "per_target.csv",
+            "selections.csv", "summary.txt"]
+
+    def test_parser_defaults_are_the_library_defaults(self):
+        # cli.py imports the oracle lazily, so it restates these defaults.
+        args = build_parser().parse_args(["simulate", "--seed", "1", "--out", "x"])
+        spec = inspect.signature(oracle.default_world_spec).parameters
+        assert args.epochs == oracle.OracleConfig().epochs
+        assert args.sources == spec["n_sources"].default
+        assert args.targets == spec["n_targets"].default
 
     @pytest.mark.parametrize("flag", ["--sources", "--targets"])
     @pytest.mark.parametrize("count", ["0", "-1"])
@@ -870,7 +889,8 @@ class TestSimulateCommand:
         (["--sources", "2"], "study needs at least three source domains"),
         (["--targets", "1"], "study needs at least two targets"),
         (["--seed", "-1"], "--seed must be >= 0, got -1"),
-    ], ids=["two-sources", "one-target", "negative-seed"])
+        (["--epochs", "-1"], "epochs must be >= 0"),
+    ], ids=["two-sources", "one-target", "negative-seed", "negative-epochs"])
     def test_unrunnable_study_exits_2_before_training(self, capsys, tmp_path,
                                                       monkeypatch, argv, message):
         monkeypatch.setattr(oracle, "ground_truth", self.no_training)
@@ -935,10 +955,12 @@ class TestFixedSettings:
         ["calibrate", "--truth", "t.csv", "--out", "g.csv", "--epsilon", "1e-3"],
         ["simulate", "--feature-dim", "8"],
         ["simulate", "--embed-dim", "8"],
+        ["simulate", "--learn-rate", "0.1"],
     ], ids=["rank-epsilon", "evaluate-epsilon", "calibrate-epsilon",
-            "simulate-feature-dim", "simulate-embed-dim"])
+            "simulate-feature-dim", "simulate-embed-dim", "simulate-learn-rate"])
     def test_flag_of_a_fixed_setting_exits_2(self, capsys, tmp_path, argv):
-        """The smoothing weight and the simulated world's widths are constants."""
+        """The smoothing weight, the oracle's learn rate and the simulated
+        world's widths are constants."""
         command, *rest = argv
         extra = (["--seed", "1", "--sources", "3", "--targets", "2", "--epochs", "1",
                   "--out", str(tmp_path / "study")] if command == "simulate"

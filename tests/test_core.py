@@ -123,6 +123,11 @@ class TestEstimatorConfig:
         cfg = EstimatorConfig(distance="CITYBLOCK", k=-1.0)
         assert cfg.distance is DivergenceKind.CITYBLOCK
 
+    def test_default_is_kl_at_minus_one(self):
+        # The merged-source study scores with this default.
+        cfg = EstimatorConfig()
+        assert (cfg.distance, cfg.k) == (DivergenceKind.KL, -1.0)
+
 
 class TestScoredSource:
     def test_identity_rederivable_from_fields(self):

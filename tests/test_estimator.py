@@ -305,6 +305,18 @@ class TestMergeProfiles:
         np.testing.assert_allclose(merged.summary.values, concat.summary.values,
                                    atol=1e-12)
 
+    def test_merge_of_a_merge_equals_the_flat_merge(self):
+        rng = np.random.default_rng(3)
+        a, b, c = (profile_from_matrix(name, EmbeddingMatrix(rng.uniform(0.1, 4.0, (n, 5)), "ext"))
+                   for name, n in (("a", 3), ("b", 11), ("c", 7)))
+        nested = merge_profiles([merge_profiles([a, b], "ab"), c], "abc")
+        flat = merge_profiles([a, b, c], "abc")
+        assert nested.size == flat.size == 21
+        np.testing.assert_allclose(nested.summary.raw_mean, flat.summary.raw_mean,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(nested.summary.values, flat.summary.values,
+                                   rtol=0, atol=1e-12)
+
 
 class TestRankingInvariances:
     @given(st.integers(2, 12), st.integers(0, 2 ** 31 - 1),

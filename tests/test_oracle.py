@@ -289,6 +289,11 @@ class TestTransferRuns:
         s2 = oracle.train_transfer(world, None, "bbb", cfg)
         assert s1 == s2
 
+    def test_learn_rate_is_a_constant(self):
+        assert oracle.LEARN_RATE == 0.1
+        with pytest.raises(TypeError):
+            oracle.OracleConfig(learn_rate=0.1)
+
     def test_self_transfer_usually_helps(self):
         cfg = oracle.OracleConfig(epochs=30)
         wins = 0
@@ -596,7 +601,7 @@ def pool_trained_alone(world, cfg, names, tags):
                                int(offsets[-1]))
     alone = oracle.ModelParams(w1=start.w1[0], b1=start.b1[0],
                                w2=start.w2[0], b2=start.b2[0])
-    return reference_sgd_train(alone, x, y, rng, cfg.learn_rate, cfg.epochs,
+    return reference_sgd_train(alone, x, y, rng, oracle.LEARN_RATE, cfg.epochs,
                                cfg.batch, 1.0)
 
 

@@ -4,10 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import p2l
 from p2l.io import CACHE_NAME
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+DIGEST_REFERENCE = Path(__file__).resolve().parent / "data" / "output_digest.txt"
 
 
 def run_script(name, *args):
@@ -54,3 +57,14 @@ def test_output_digest_deletes_the_cache_p2l_keeps():
     # The script spells the name out so that it also runs on older checkouts.
     text = (SCRIPTS / "output_digest.py").read_text()
     assert f'\nCACHE_NAME = "{CACHE_NAME}"\n' in text
+
+
+def test_output_digest_matches_the_reference():
+    # A change that alters an output on purpose refreshes the reference (README).
+    result = run_script("output_digest.py")
+    assert result.returncode == 0, result.stderr
+    key, lines = result.stderr.rstrip("\n"), result.stdout.splitlines()
+    recorded, *expected = DIGEST_REFERENCE.read_text().splitlines()
+    if key != recorded:
+        pytest.skip(f"reference recorded under {recorded!r}, this run is {key!r}")
+    assert lines == expected
