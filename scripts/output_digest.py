@@ -146,6 +146,16 @@ def profile_files(tmp: Path) -> None:
     show_files("profiles", (tmp / "profiles").glob("*.profile.json"))
 
 
+def wide_csv(tmp: Path) -> None:
+    """profile of a 2,000x64 CSV: io._FORK_CSV_VALUES or more values, so that
+    on more than one CPU the file is parsed in chunks on forked workers."""
+    write_embeddings_csv(tmp / "wide.csv", EmbeddingMatrix(
+        np.random.default_rng(1).gamma(2.0, 1.0, (2000, 64)), "ext"))
+    p2l(tmp, "profile-wide", "profile", "--registry", "wide",
+        "--input", "wide.csv", "--name", "wide")
+    show_files("wide", (tmp / "wide").glob("*.profile.json"))
+
+
 CSV_HEADER = "# p2l-embeddings v1 dim=3 extractor=ext\n"
 
 
@@ -243,6 +253,7 @@ def main() -> None:
         shelf_registry(tmp)
         registry_commands(tmp)
         profile_files(tmp)
+        wide_csv(tmp)
         unusual_csvs(tmp)
         studies(tmp)
         refusals(tmp)

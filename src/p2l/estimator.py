@@ -52,8 +52,6 @@ def zscale(values) -> np.ndarray:
         raise ValueError("zscale needs a nonempty 1-d list")
     if not np.all(np.isfinite(arr)):
         raise ValueError("zscale input must be finite")
-    if arr.size == 1:
-        return np.zeros(1)
     sigma = float(arr.std())
     if sigma <= 1e-12 * float(np.abs(arr).max()):
         return np.zeros_like(arr)

@@ -604,7 +604,7 @@ def _train_models(world: OracleWorld, cfg: OracleConfig,
         trained = params.flat()
         return [params.views(trained[r:r + 1]) for r in range(len(group))]
 
-    trained = fork_map(train, list(groups.values()), lambda group: cfg.epochs * sum(
+    trained = fork_map(train, list(groups.values()), lambda group: sum(
         world.domain(name).source_train.items for i in group for name in pools[i][0]))
     models = {}
     for group, group_models in zip(groups.values(), trained):
@@ -616,7 +616,7 @@ def _fit_targets(world: OracleWorld, cfg: OracleConfig, targets: Sequence[str],
                  sources: Sequence[tuple[str, ModelParams] | None]) -> list[list[float]]:
     """_fit_target of each named target on the same source entries, mapped."""
     return fork_map(lambda target: _fit_target(world, target, sources, cfg), targets,
-                    lambda target: cfg.epochs * world.domain(target).target_train.items)
+                    lambda target: world.domain(target).target_train.items)
 
 
 def ground_truth(world: OracleWorld, cfg: OracleConfig) -> list[ImprovementRecord]:

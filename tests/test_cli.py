@@ -679,7 +679,8 @@ class TestCalibrateAndEvaluate:
         assert {float(row[0]) for row in rows} == {-1.0}
 
     @pytest.mark.parametrize("grid", ["0:inf:1", "-inf:0:1", "nan:0:0.5", "0:1:nan",
-                                      "-1e308:1e308:1", "1:2", "0:1:0.5:2", "0:x:1"])
+                                      "-1e308:1e308:1", "0:1e300:1e-10", "1:2", "0:1:0.5:2",
+                                      "0:x:1"])
     def test_calibrate_non_finite_grid_exits_2(self, capsys, tmp_path, registry_dir,
                                                grid):
         truth = seed_truth(tmp_path, registry_dir)
@@ -1003,38 +1004,6 @@ class TestImports:
         code = ("import sys, p2l\n"
                 "print([m for m in sys.modules if m.startswith(('p2l.', 'numpy'))])")
         assert self.fresh(code) == "[]\n"
-
-    # The submodule each public name is defined in.
-    SOURCES = {
-        "core": ["CalibrationReport", "DatasetProfile", "DivergenceKind",
-                 "EmbeddingMatrix", "EstimatorConfig", "GridPoint", "ImprovementRecord",
-                 "ScoredSource", "Shelf", "Summarizer", "SummaryVector"],
-        "calibrate": ["DEFAULT_K_GRID", "EvaluationConfig", "picks_to_best",
-                      "spearman_rho", "tune_k"],
-        "divergence": ["distance", "distances"],
-        "estimator": ["baseline_ranking", "baseline_rankings", "check_candidates",
-                      "merge_profiles", "score_sources", "score_table", "zscale"],
-        "io": ["ProfileRegistry", "read_embeddings_bin", "read_embeddings_csv"],
-        "summarize": ["profile_from_matrix", "smooth", "summarize"],
-    }
-
-    @pytest.mark.parametrize("first", ["package", "cli"])
-    def test_every_public_name_is_its_submodules_object(self, first):
-        """Whether the package or a submodule is imported first: with
-        p2l.cli first, the import system has bound the submodule
-        p2l.summarize to the package before the name is asked for."""
-        assert sorted(p2l.__all__) == sorted(sum(self.SOURCES.values(), []))
-        code = ("import importlib, sys\n"
-                f"import {'p2l' if first == 'package' else 'p2l.cli'}\n"
-                "import p2l\n"
-                "listed = set(dir(p2l))\n"
-                f"for module, names in {self.SOURCES!r}.items():\n"
-                "    for name in names:\n"
-                "        defined = vars(importlib.import_module(f'p2l.{module}'))[name]\n"
-                "        assert name in listed and getattr(p2l, name) is defined, name\n"
-                "from p2l import summarize\n"
-                "print(summarize is sys.modules['p2l.summarize'].summarize)\n")
-        assert self.fresh(code) == "True\n"
 
     def test_an_unknown_name_raises_attribute_error(self):
         code = ("import p2l\n"

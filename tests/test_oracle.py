@@ -678,6 +678,21 @@ class TestParallelGroundTruth:
                     for o in alone.outcomes])
         assert_no_children()
 
+    def test_every_fork_cost_is_positive_at_zero_epochs(self, monkeypatch):
+        """Costs of 0 would deal every task to the first share and fork
+        workers with nothing to do."""
+        costs = []
+
+        def spy(fn, tasks, cost):
+            costs.extend(cost(task) for task in tasks)
+            return [fn(task) for task in tasks]
+
+        monkeypatch.setattr(oracle, "fork_map", spy)
+        world = oracle.default_world(1, n_sources=5, n_targets=4)
+        oracle.ground_truth(world, oracle.OracleConfig(epochs=0))
+        assert len(costs) == 2 + 4  # two class counts among the sources, four targets
+        assert all(cost > 0 for cost in costs), costs
+
     @pytest.mark.parametrize("workers", [2, 1])
     def test_a_failed_task_reraises_and_leaves_no_process(self, monkeypatch, workers):
         world = oracle.default_world(1, n_sources=3, n_targets=4)
