@@ -2,8 +2,9 @@
 """Merged-pool versus single-reference source experiment.
 
 Pools every source domain into one training set, trains one model on it and
-one on the reference source alone, fine-tunes both on a family of targets
-ordered by divergence from the reference, and reports who wins where.
+one on the reference source (the largest) alone, fine-tunes both on a family
+of targets ordered by divergence from the reference, and reports who wins
+where.
 """
 import argparse
 
@@ -16,8 +17,6 @@ def main():
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])
     parser.add_argument("--sources", type=int, default=6)
     parser.add_argument("--targets", type=int, default=8)
-    parser.add_argument("--reference", default=None,
-                        help="reference source name (default: largest source)")
     parser.add_argument("--out", default=None,
                         help="CSV path prefix; one file per seed")
     args = parser.parse_args()
@@ -26,8 +25,7 @@ def main():
     for seed in args.seeds:
         world = oracle.default_world(seed, cfg, n_sources=args.sources,
                                      n_targets=args.targets)
-        report = oracle.merged_source_study(world, cfg,
-                                            reference_name=args.reference)
+        report = oracle.merged_source_study(world, cfg)
         if args.out:
             write_merged_csv(report, f"{args.out}.seed{seed}.csv")
         half = len(report.outcomes) // 2

@@ -11,7 +11,7 @@ Evaluation compares every selection method on one target at a time
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -42,8 +42,6 @@ from .io import fmt, write_lines
 DEFAULT_K_GRID: tuple[float, ...] = tuple(round(-3.0 + 0.05 * i, 2) for i in range(61))
 
 TrainingTask = tuple[DatasetProfile, Sequence[ImprovementRecord]]
-
-SELECTIONS_HEADER = "target,method,selection,perf,gain_vs_p2l,picks_to_best"
 
 
 @dataclass(frozen=True)
@@ -256,12 +254,16 @@ def compare_methods(target: DatasetProfile, records: Sequence[ImprovementRecord]
     return scored, outcomes
 
 
-def selection_row(target_name: str, outcome: MethodOutcome) -> str:
-    """One SELECTIONS_HEADER row; an absent selection or position is empty."""
-    chosen = "" if outcome.selection is None else outcome.selection
-    pick = "" if outcome.picks_to_best is None else outcome.picks_to_best
-    return (f"{target_name},{outcome.method},{chosen},{fmt(outcome.perf)},"
-            f"{fmt(outcome.gain_vs_p2l)},{pick}")
+def selection_lines(outcomes: Mapping[str, Mapping[str, MethodOutcome]]) -> Iterator[str]:
+    """The selections table of target -> method -> outcome: its header, then
+    one row per target and method in that order; an absent selection or
+    position is empty."""
+    yield "target,method,selection,perf,gain_vs_p2l,picks_to_best"
+    for target, by_method in outcomes.items():
+        for o in by_method.values():
+            chosen = "" if o.selection is None else o.selection
+            pick = "" if o.picks_to_best is None else o.picks_to_best
+            yield f"{target},{o.method},{chosen},{fmt(o.perf)},{fmt(o.gain_vs_p2l)},{pick}"
 
 
 def write_grid_csv(report: CalibrationReport, path) -> None:

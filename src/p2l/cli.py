@@ -44,10 +44,9 @@ if _FRESH_PROCESS:
 # The package modules below import numpy, so they come after the settings.
 from .calibrate import (  # noqa: E402
     DEFAULT_K_GRID,
-    SELECTIONS_HEADER,
     EvaluationConfig,
     compare_methods,
-    selection_row,
+    selection_lines,
     tune_k,
     write_grid_csv,
 )
@@ -217,15 +216,13 @@ def cmd_evaluate(args) -> int:
     cfg = _estimator_config(args)
     grouped = _read_truth(args.truth)
     tasks, sources = _tasks(ProfileRegistry.open(args.registry), grouped)
-    rows = []
+    outcomes = {}
     for target, recs in tasks:
-        _, outcomes = compare_methods(
+        _, outcomes[target.name] = compare_methods(
             target, recs, sources, cfg, reference_name=args.reference,
             rng_seed=args.seed, allow_mixed_extractors=args.allow_mixed_extractors)
-        rows.extend(selection_row(target.name, o) for o in outcomes.values())
-    print(SELECTIONS_HEADER)
-    for row in rows:
-        print(row)
+    for line in selection_lines(outcomes):
+        print(line)
     return EXIT_OK
 
 

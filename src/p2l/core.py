@@ -85,7 +85,7 @@ class Summarizer:
         return cls("mean", 0.0)
 
     @classmethod
-    def trimmed(cls, fraction: float = 0.1) -> "Summarizer":
+    def trimmed(cls, fraction: float) -> "Summarizer":
         return cls("trimmed_mean", float(fraction))
 
     def label(self) -> str:

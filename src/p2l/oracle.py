@@ -37,11 +37,10 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .calibrate import (
-    SELECTIONS_HEADER,
     MethodOutcome,
     best_source,
     compare_methods,
-    selection_row,
+    selection_lines,
     spearman_or_zero,
 )
 from .core import (
@@ -663,19 +662,44 @@ def calibration_tasks(world: OracleWorld,
 
 @dataclass
 class StudyReport:
-    """Per-pair ground truth plus per-method selection quality."""
+    """What a study measures; the method tables derive from the outcomes."""
 
     seed: int
     estimator: EstimatorConfig
     records: list[ImprovementRecord]
     per_target_rho: dict[str, float]
-    mean_rho: float
     outcomes: dict[str, dict[str, MethodOutcome]]  # target -> method -> outcome
-    selections: dict[str, dict[str, str | None]]  # method -> target -> source
-    mean_accuracy: dict[str, float]
-    hit_rate: dict[str, float]
-    picks: dict[str, dict[str, int]]              # method -> target -> position
-    mean_picks: dict[str, float]
+
+    @property
+    def mean_rho(self) -> float:
+        return float(np.mean(list(self.per_target_rho.values())))
+
+    @property
+    def selections(self) -> dict[str, dict[str, str | None]]:
+        """method -> target -> source; None for no transfer (B4)."""
+        return {m: {t: o[m].selection for t, o in self.outcomes.items()}
+                for m in next(iter(self.outcomes.values()))}
+
+    @property
+    def mean_accuracy(self) -> dict[str, float]:
+        return {m: float(np.mean([o[m].perf for o in self.outcomes.values()]))
+                for m in next(iter(self.outcomes.values()))}
+
+    @property
+    def picks(self) -> dict[str, dict[str, int]]:
+        """method -> target -> position, for the methods that rank (not B4)."""
+        first = next(iter(self.outcomes.values()))
+        return {m: {t: o[m].picks_to_best for t, o in self.outcomes.items()}
+                for m, outcome in first.items() if outcome.picks_to_best is not None}
+
+    @property
+    def hit_rate(self) -> dict[str, float]:
+        return {m: float(np.mean([p == 1 for p in picks.values()]))
+                for m, picks in self.picks.items()}
+
+    @property
+    def mean_picks(self) -> dict[str, float]:
+        return {m: float(np.mean(list(picks.values()))) for m, picks in self.picks.items()}
 
 
 def check_study_size(n_sources: int, n_targets: int) -> None:
@@ -697,10 +721,9 @@ def run_study(world: OracleWorld, cfg: OracleConfig,
     and no other; the tasks are calibration_tasks', which refuses any other
     records before a profile is built. Emits per-target rank correlation
     between scores and improvements, and each method's (P2L, B1, B4, B5)
-    outcome per target, mean accuracy, top-1 hit rate and picks-to-best.
+    outcome per target, from which the report derives its method tables.
     """
-    target_names = world.target_names()
-    check_study_size(len(world.source_names()), len(target_names))
+    check_study_size(len(world.source_names()), len(world.target_names()))
     records = list(records)
     tasks, sources = calibration_tasks(world, records)
     pool = Shelf.of(sources)
@@ -712,23 +735,8 @@ def run_study(world: OracleWorld, cfg: OracleConfig,
         escore = {s.source_name: s.score for s in scored}
         per_target_rho[target.name] = float(spearman_or_zero(
             [[escore[r.source_name] for r in recs]], [r.improvement for r in recs])[0])
-
-    first = outcomes[target_names[0]]
-    methods = list(first)
-    ranked = [m for m in methods if first[m].picks_to_best is not None]
-    picks = {m: {t: outcomes[t][m].picks_to_best for t in target_names} for m in ranked}
-    return StudyReport(
-        seed=world.seed, estimator=estimator_cfg, records=records,
-        per_target_rho=per_target_rho,
-        mean_rho=float(np.mean(list(per_target_rho.values()))),
-        outcomes=outcomes,
-        selections={m: {t: outcomes[t][m].selection for t in target_names}
-                    for m in methods},
-        mean_accuracy={m: float(np.mean([outcomes[t][m].perf for t in target_names]))
-                       for m in methods},
-        hit_rate={m: float(np.mean([p == 1 for p in picks[m].values()])) for m in ranked},
-        picks=picks,
-        mean_picks={m: float(np.mean(list(picks[m].values()))) for m in ranked})
+    return StudyReport(seed=world.seed, estimator=estimator_cfg, records=records,
+                       per_target_rho=per_target_rho, outcomes=outcomes)
 
 
 @dataclass(frozen=True)
@@ -750,33 +758,29 @@ class MergedOutcome:
 @dataclass
 class MergedStudyReport:
     seed: int
-    reference_name: str
     reference_profile: DatasetProfile
     merged_profile: DatasetProfile
     outcomes: list[MergedOutcome]  # ascending divergence from the reference
 
+    @property
+    def reference_name(self) -> str:
+        return self.reference_profile.name
 
-def merged_source_study(world: OracleWorld, cfg: OracleConfig,
-                        reference_name: str | None = None) -> MergedStudyReport:
+
+def merged_source_study(world: OracleWorld, cfg: OracleConfig) -> MergedStudyReport:
     """Does pooling every source beat the single reference source?
 
     Trains one model on the union of all source domains and one on the
     reference domain alone, fine-tunes both on every target, and reports
     wins ordered by the target's divergence from the reference. Merging
     grows size but also grows divergence, so the reference tends to keep
-    near targets while the merged model takes far ones. The reference
-    defaults to the largest source.
+    near targets while the merged model takes far ones. The reference is
+    the largest source.
     """
     source_names = world.source_names()
-    if reference_name is None:
-        reference = max(source_names,
-                        key=lambda n: (world.domain(n).source_train.items, n))
-    else:
-        reference = reference_name
-    if reference not in source_names:
-        raise UnknownName(f"reference {reference!r} is not a source domain")
     if len(source_names) < 3:
         raise BadSpec("merged study needs the reference plus at least two others")
+    reference = max(source_names, key=lambda n: (world.domain(n).source_train.items, n))
     est = EstimatorConfig()
 
     source_profiles, target_profiles = build_profiles(world)
@@ -802,8 +806,7 @@ def merged_source_study(world: OracleWorld, cfg: OracleConfig,
             perf_reference=perf_ref, perf_merged=perf_merged,
             predicted=scored[0].source_name))
     outcomes.sort(key=lambda o: (o.divergence_from_reference, o.target_name))
-    return MergedStudyReport(seed=world.seed, reference_name=reference,
-                             reference_profile=ref_profile,
+    return MergedStudyReport(seed=world.seed, reference_profile=ref_profile,
                              merged_profile=merged_profile, outcomes=outcomes)
 
 
@@ -822,10 +825,7 @@ def write_study_files(study: StudyReport, outdir) -> None:
         lines.append(f"{target},{fmt(rho)},{best_source(by_target[target])}")
     write_lines(outdir / "per_target.csv", lines)
 
-    lines = [SELECTIONS_HEADER]
-    for target, outcomes in study.outcomes.items():
-        lines.extend(selection_row(target, o) for o in outcomes.values())
-    write_lines(outdir / "selections.csv", lines)
+    write_lines(outdir / "selections.csv", selection_lines(study.outcomes))
 
     lines = ["method,mean_accuracy,top1_hit_rate,mean_picks_to_best"]
     text = [

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from p2l.calibrate import (
     DEFAULT_K_GRID,
     EvaluationConfig,
+    MethodOutcome,
     average_ranks,
     compare_methods,
     picks_to_best,
+    selection_lines,
     spearman_or_zero,
     spearman_rho,
     tune_k,
@@ -406,3 +408,20 @@ class TestGainTable(MethodTask):
         out = self.outcomes({"big": 0.4, "near": 0.3, "mid": 0.0})
         assert out["P2L"].gain_vs_p2l == 0.0
         assert [out[m].gain_vs_p2l for m in ("B1", "B4", "B5")] == [-1.0] * 3
+
+
+class TestSelectionLines:
+    def test_header_then_a_row_per_target_and_method(self):
+        outcomes = {
+            "t1": {"P2L": MethodOutcome("P2L", "mid", 0.5, 0.0, 2),
+                   "B4": MethodOutcome("B4", None, 0.25, 1.0, None)},
+            "t2": {"P2L": MethodOutcome("P2L", "big", 0.75, 0.0, 1),
+                   "B4": MethodOutcome("B4", None, 0.5, 0.5, None)},
+        }
+        assert list(selection_lines(outcomes)) == [
+            "target,method,selection,perf,gain_vs_p2l,picks_to_best",
+            "t1,P2L,mid,0.5,0.0,2",
+            "t1,B4,,0.25,1.0,",
+            "t2,P2L,big,0.75,0.0,1",
+            "t2,B4,,0.5,0.5,",
+        ]

@@ -78,8 +78,9 @@ class TestSummarizer:
     def test_parse_cli_form(self):
         assert Summarizer.parse("trimmed:0.2") == Summarizer.trimmed(0.2)
 
-    def test_trimmed_trims_a_tenth_by_default(self):
-        assert Summarizer.trimmed() == Summarizer.parse("trimmed:0.1")
+    def test_trimmed_needs_a_fraction(self):
+        with pytest.raises(TypeError):
+            Summarizer.trimmed()
 
     @pytest.mark.parametrize("text", [7, None, ["mean"], b"mean"])
     def test_parse_refuses_non_strings(self, text):

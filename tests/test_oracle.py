@@ -1,3 +1,4 @@
+import dataclasses
 import multiprocessing
 import os
 import threading
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from p2l import fork, oracle
+from p2l.calibrate import MethodOutcome, tune_k
 from p2l.core import EPSILON, DivergenceKind, EstimatorConfig, ImprovementRecord
 from p2l.divergence import distances
 from p2l.errors import BadSpec, UnknownName
@@ -378,6 +380,50 @@ class TestStudies:
             assert study.outcomes[t]["B4"].gain_vs_p2l == pytest.approx(
                 (ours - scratch[t]) / scratch[t])
 
+    def test_study_report_stores_only_what_the_study_measures(self):
+        assert [f.name for f in dataclasses.fields(oracle.StudyReport)] == [
+            "seed", "estimator", "records", "per_target_rho", "outcomes"]
+
+    def test_study_report_derives_its_method_tables(self):
+        def outcomes(p2l, b1, b4, b5):  # (selection, perf, picks_to_best) each
+            return {m: MethodOutcome(m, sel, perf, (p2l[1] - perf) / perf, pick)
+                    for m, (sel, perf, pick) in zip(("P2L", "B1", "B4", "B5"),
+                                                    (p2l, b1, b4, b5))}
+        study = oracle.StudyReport(
+            seed=1, estimator=EstimatorConfig(), records=[],
+            per_target_rho={"t1": 0.5, "t2": -0.25},
+            outcomes={"t1": outcomes(("a", 0.75, 1), ("b", 0.5, 2), (None, 0.25, None),
+                                     ("a", 0.75, 1)),
+                      "t2": outcomes(("c", 0.5, 2), ("b", 1.0, 1), (None, 0.25, None),
+                                     ("b", 1.0, 1))})
+        assert study.mean_rho == 0.125
+        assert study.selections == {"P2L": {"t1": "a", "t2": "c"},
+                                    "B1": {"t1": "b", "t2": "b"},
+                                    "B4": {"t1": None, "t2": None},
+                                    "B5": {"t1": "a", "t2": "b"}}
+        assert list(study.selections) == ["P2L", "B1", "B4", "B5"]
+        assert study.mean_accuracy == {"P2L": 0.625, "B1": 0.75, "B4": 0.25, "B5": 0.875}
+        assert study.picks == {"P2L": {"t1": 1, "t2": 2}, "B1": {"t1": 2, "t2": 1},
+                               "B5": {"t1": 1, "t2": 1}}
+        assert study.hit_rate == {"P2L": 0.5, "B1": 0.5, "B5": 1.0}
+        assert study.mean_picks == {"P2L": 1.5, "B1": 1.5, "B5": 1.0}
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_k_zero_grid_cell_is_the_size_only_study(self, seed):
+        # scripts/run_oracle_study.py reads its size-only rho off this cell.
+        cfg = oracle.OracleConfig(epochs=2)
+        world = oracle.default_world(seed, cfg, n_sources=4, n_targets=4)
+        records = oracle.ground_truth(world, cfg)
+        report = tune_k(*oracle.calibration_tasks(world, records))
+        cells = [g for g in report.grid if g.k == 0.0]
+        assert [g.distance for g in cells] == list(DivergenceKind)
+        for cell in cells:
+            study = oracle.run_study(world, cfg,
+                                     EstimatorConfig(distance=cell.distance, k=0.0), records)
+            assert ({t: rho.hex() for t, rho in cell.task_rho.items()}
+                    == {t: rho.hex() for t, rho in study.per_target_rho.items()})
+            assert cell.mean_rho.hex() == study.mean_rho.hex()
+
     def test_run_study_refuses_records_of_other_targets(self, monkeypatch):
         # A 3x2 world's targets are dom03 and dom04; the study scores nothing
         # unless its records cover exactly those.
@@ -507,6 +553,11 @@ class TestStudies:
         ref_sizes = {n: world.domain(n).source_train.items
                      for n in world.source_names()}
         assert ref_sizes[report.reference_name] == max(ref_sizes.values())
+
+    def test_merged_study_takes_no_reference(self):
+        world = oracle.default_world(1, n_sources=3, n_targets=2)
+        with pytest.raises(TypeError):
+            oracle.merged_source_study(world, oracle.OracleConfig(), reference_name="dom01")
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_merged_study_reference_runs_like_train_transfer(self, seed):

@@ -37,6 +37,12 @@ def test_run_merged_study(tmp_path):
         assert winner == expected
 
 
+def test_run_merged_study_takes_no_reference():
+    result = run_script("run_merged_study.py", "--reference", "dom01")
+    assert result.returncode == 2
+    assert "unrecognized arguments: --reference dom01" in result.stderr
+
+
 def test_run_oracle_study():
     result = run_script("run_oracle_study.py", "--seeds", "1", "--sources", "4",
                         "--targets", "4", "--epochs", "2")
