@@ -16,7 +16,6 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .core import (
-    EPSILON,
     CalibrationReport,
     DatasetProfile,
     DivergenceKind,
@@ -165,7 +164,7 @@ def tune_k(training_tasks: Sequence[TrainingTask],
         check_candidates(target, candidates)
         z_logs = zscale(np.log([float(size) for size in candidates.sizes]))
         matrix = candidates.matrix(target.summary.dim)
-        z_dists = np.array([zscale(distances(kind, target.summary, matrix, EPSILON))
+        z_dists = np.array([zscale(distances(kind, target.summary, matrix))
                             for kind in cfg.distance_kinds])
         # One row per grid cell, in grid order: k-major, kind-minor.
         scores = (z_logs + ks[:, None, None] * z_dists).reshape(-1, len(candidates))
@@ -221,7 +220,6 @@ class MethodOutcome:
 def compare_methods(target: DatasetProfile, records: Sequence[ImprovementRecord],
                     pool: Sequence[DatasetProfile], cfg: EstimatorConfig,
                     reference_name: str | None = None, rng_seed: int | None = None,
-                    allow_mixed_extractors: bool = False,
                     ) -> tuple[list[ScoredSource], dict[str, MethodOutcome]]:
     """Run every selection method on one target and score it against its records.
 
@@ -234,8 +232,7 @@ def compare_methods(target: DatasetProfile, records: Sequence[ImprovementRecord]
     candidates and each method's outcome keyed by method.
     """
     candidates = _candidates(target.name, records, Shelf.of(pool))
-    scored = score_sources(target, candidates, cfg,
-                           allow_mixed_extractors=allow_mixed_extractors)
+    scored = score_sources(target, candidates, cfg)
     rankings = {"P2L": [s.source_name for s in scored],
                 **baseline_rankings(scored, candidates, reference_name, rng_seed)}
     transfer = {r.source_name: r.perf_transfer for r in records}

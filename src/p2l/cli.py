@@ -13,6 +13,7 @@ import io
 import math
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 # A fresh process: one that has not loaded numpy yet (`python -m p2l.cli` and
@@ -29,43 +30,56 @@ _FRESH_PROCESS = "numpy" not in sys.modules
 # in BENCH_23.json. Set only before numpy loads and when the user has not.
 BLAS_IDLE_SPIN = "22"
 
+if _FRESH_PROCESS:
+    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", BLAS_IDLE_SPIN)
+
+
 # The imports below leave about 22,000 objects (numpy's and p2l's) that live
 # until exit, and the cyclic collector would walk every one of them on each
 # full pass, at exit too. A fresh process imports with the collector off, then
 # freezes what the imports made (gc.freeze: never examined, never collected),
 # so a command collects only what it allocates itself, and so do its forked
-# workers. The collector sets only when cyclic garbage is freed, never a
-# value. A caller that turned it off finds it off.
-_COLLECTING = gc.isenabled()
-if _FRESH_PROCESS:
-    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", BLAS_IDLE_SPIN)
+# workers. simulate imports the oracle the same way. The collector sets only
+# when cyclic garbage is freed, never a value. A caller that turned it off
+# finds it off.
+@contextmanager
+def _frozen_imports():
+    """In a fresh process, run the block with the collector off, then freeze
+    every object alive, the block's among them; elsewhere, run it as it is."""
+    if not _FRESH_PROCESS:
+        yield
+        return
+    collecting = gc.isenabled()
     gc.disable()
+    try:
+        yield
+    finally:
+        gc.freeze()
+        if collecting:
+            gc.enable()
+
 
 # The package modules below import numpy, so they come after the settings.
-from .calibrate import (  # noqa: E402
-    DEFAULT_K_GRID,
-    EvaluationConfig,
-    compare_methods,
-    selection_lines,
-    tune_k,
-    write_grid_csv,
-)
-from .core import DivergenceKind, EstimatorConfig, Summarizer
-from .errors import InputError, ReferentialError, StateError
-from .estimator import BASELINES, baseline_rankings, merge_profiles, score_sources
-from .io import (
-    ProfileRegistry,
-    fmt,
-    group_records_by_target,
-    read_improvements_csv,
-    sniff_and_read_embeddings,
-)
-from .summarize import profile_from_matrix
-
-if _FRESH_PROCESS:
-    gc.freeze()
-    if _COLLECTING:
-        gc.enable()
+with _frozen_imports():
+    from .calibrate import (
+        DEFAULT_K_GRID,
+        EvaluationConfig,
+        compare_methods,
+        selection_lines,
+        tune_k,
+        write_grid_csv,
+    )
+    from .core import DivergenceKind, EstimatorConfig, Summarizer
+    from .errors import InputError, ReferentialError, StateError
+    from .estimator import BASELINES, baseline_rankings, merge_profiles, score_sources
+    from .io import (
+        ProfileRegistry,
+        fmt,
+        group_records_by_target,
+        read_improvements_csv,
+        sniff_and_read_embeddings,
+    )
+    from .summarize import profile_from_matrix
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -162,8 +176,7 @@ def cmd_rank(args) -> int:
         target = rows[0]
     candidates = shelf.take([i for i, (name, role) in enumerate(zip(shelf.names, shelf.roles))
                              if role == "source" and name not in own])
-    scored = score_sources(target, candidates, cfg,
-                           allow_mixed_extractors=args.allow_mixed_extractors)
+    scored = score_sources(target, candidates, cfg)
     picks = {}
     if args.baselines:
         rankings = baseline_rankings(scored, candidates, args.reference, args.seed)
@@ -219,8 +232,7 @@ def cmd_evaluate(args) -> int:
     outcomes = {}
     for target, recs in tasks:
         _, outcomes[target.name] = compare_methods(
-            target, recs, sources, cfg, reference_name=args.reference,
-            rng_seed=args.seed, allow_mixed_extractors=args.allow_mixed_extractors)
+            target, recs, sources, cfg, reference_name=args.reference, rng_seed=args.seed)
     for line in selection_lines(outcomes):
         print(line)
     return EXIT_OK
@@ -238,7 +250,8 @@ def cmd_merge(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from . import oracle  # only simulate trains; the other commands skip its import
+    with _frozen_imports():
+        from . import oracle  # only simulate trains; the other commands skip its import
     cfg = oracle.OracleConfig(epochs=args.epochs)
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
@@ -280,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=float, required=True)
         p.add_argument("--reference", default=None, help="reference source for B2")
         p.add_argument("--seed", type=int, default=None, help="seed for the B3 baseline")
-        p.add_argument("--allow-mixed-extractors", action="store_true")
 
     p = sub.add_parser("profile", help="summarize an embeddings file into the registry")
     p.add_argument("--input", required=True)

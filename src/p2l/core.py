@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyMatrix, NonFiniteValue, NonPositiveEpsilon
+from .errors import DimensionMismatch, EmptyMatrix, NonFiniteValue
 
 # Scores equal once rounded to a multiple of this tie when ranked.
 SCORE_IDENTITY_TOL = 1e-12
@@ -42,12 +42,6 @@ class DivergenceKind(str, Enum):
 PROBABILITY_KINDS = frozenset(
     (DivergenceKind.KL, DivergenceKind.JSD, DivergenceKind.CHI2)
 )
-
-
-def check_epsilon(epsilon: float) -> None:
-    """Smoothing weights must be finite and > 0."""
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise NonPositiveEpsilon(f"epsilon must be a finite value > 0, got {epsilon!r}")
 
 
 def _owned(values, dtype) -> np.ndarray:
@@ -424,7 +418,7 @@ class GridPoint:
             if not (-1.0 - 1e-12 <= rho <= 1.0 + 1e-12):
                 raise ValueError(f"rho for task {task!r} outside [-1, 1]")
 
-    @property
+    @cached_property
     def mean_rho(self) -> float:
         return float(np.mean(list(self.task_rho.values())))
 

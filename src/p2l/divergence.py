@@ -8,10 +8,10 @@ Five candidates, natural log throughout:
     EUC       = sqrt(sum (p_i - q_i)^2)
     CITYBLOCK = sum |p_i - q_i|
 
-KL/JSD/CHI2 treat summaries as probability vectors and need strictly positive
-input; pass ``epsilon`` to smooth both arguments first, or smooth upstream.
-EUC/CITYBLOCK never smooth. ``distances`` is the one implementation, over an
-N x d matrix of candidates at once; ``distance`` is its one-row case.
+KL/JSD/CHI2 treat summaries as probability vectors and measure both
+arguments smoothed by EPSILON (summarize.smooth_values), so a zero component
+is fine. EUC/CITYBLOCK never smooth. ``distances`` is the one implementation,
+over an N x d matrix of candidates at once; ``distance`` is its one-row case.
 """
 from __future__ import annotations
 
@@ -28,8 +28,7 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[..., None])[:, 0, 0]
 
 
-def distances(kind: DivergenceKind | str, p: SummaryVector, qs: np.ndarray,
-              epsilon: float | None = None) -> np.ndarray:
+def distances(kind: DivergenceKind | str, p: SummaryVector, qs: np.ndarray) -> np.ndarray:
     """D(p, q) >= 0 for each row q of qs, p being the target by convention.
     qs is one N x d array, such as Shelf.matrix(d); p is smoothed once."""
     kind = DivergenceKind(kind)
@@ -42,13 +41,12 @@ def distances(kind: DivergenceKind | str, p: SummaryVector, qs: np.ndarray,
     pv = p.values
 
     if kind in PROBABILITY_KINDS:
-        if epsilon is not None:
-            pv = smooth_values(pv, epsilon)
-            qv = smooth_values(qv, epsilon)
-        if float(pv.min()) <= 0.0 or float(qv.min(initial=np.inf)) <= 0.0:
+        pv = smooth_values(pv)
+        qv = smooth_values(qv)
+        if float(qv.min(initial=np.inf)) <= 0.0:
             raise NonPositiveComponent(
-                f"{kind.value} needs strictly positive input; smooth first "
-                "or pass epsilon")
+                f"{kind.value} needs non-negative candidates; one has a "
+                "component that smoothing leaves <= 0")
         if kind is DivergenceKind.KL:
             return np.maximum(_rowdot(np.log(pv / qv), pv), 0.0)
         if kind is DivergenceKind.JSD:
@@ -65,7 +63,6 @@ def distances(kind: DivergenceKind | str, p: SummaryVector, qs: np.ndarray,
     return np.sum(np.abs(diff), axis=1)
 
 
-def distance(kind: DivergenceKind | str, p: SummaryVector, q: SummaryVector,
-             epsilon: float | None = None) -> float:
+def distance(kind: DivergenceKind | str, p: SummaryVector, q: SummaryVector) -> float:
     """D(p, q) >= 0 for the requested kind: the one-row case of distances."""
-    return float(distances(kind, p, q.values[None], epsilon)[0])
+    return float(distances(kind, p, q.values[None])[0])

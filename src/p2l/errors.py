@@ -44,10 +44,6 @@ class DimensionMismatch(InputError):
     """Vectors or profiles of different dimensionality were combined."""
 
 
-class NonPositiveEpsilon(InputError):
-    """Smoothing epsilon must be a finite value > 0."""
-
-
 # -- summarization ------------------------------------------------------------
 
 class NegativeMass(InputError):
@@ -61,7 +57,8 @@ class NegativeComponent(InputError):
 # -- divergence ---------------------------------------------------------------
 
 class NonPositiveComponent(InputError):
-    """Probability-type distance applied to an unsmoothed vector with a zero."""
+    """Probability-type distance applied to a candidate with a component that
+    smoothing leaves <= 0."""
 
 
 # -- estimation / selection ---------------------------------------------------

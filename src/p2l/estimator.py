@@ -21,7 +21,6 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    EPSILON,
     SCORE_IDENTITY_TOL,
     DatasetProfile,
     EstimatorConfig,
@@ -96,11 +95,10 @@ def score_table(names: Sequence[str], sizes: Sequence[float],
     return [scored[i] for i in order]
 
 
-def check_candidates(target: DatasetProfile, sources: Sequence[DatasetProfile],
-                     allow_mixed_extractors: bool = False) -> None:
+def check_candidates(target: DatasetProfile, sources: Sequence[DatasetProfile]) -> None:
     """A (target, candidates) set every ranking accepts: at least one
-    candidate, distinct names, the target's dimension and, unless allowed
-    otherwise, the target's extractor. The first bad candidate is refused."""
+    candidate, distinct names, the target's dimension and the target's
+    extractor. The first bad candidate is refused."""
     shelf = Shelf.of(sources)
     if not shelf:
         raise EmptyCandidates("need at least one candidate source")
@@ -114,7 +112,7 @@ def check_candidates(target: DatasetProfile, sources: Sequence[DatasetProfile],
         if s_dim != dim:
             raise DimensionMismatch(
                 f"source {name!r} has dim {s_dim}, target has {dim}")
-        if not allow_mixed_extractors and extractor_id != target.extractor_id:
+        if extractor_id != target.extractor_id:
             raise MixedExtractors(
                 f"source {name!r} was embedded by {extractor_id!r}, target "
                 f"by {target.extractor_id!r}; distances are only meaningful "
@@ -122,8 +120,7 @@ def check_candidates(target: DatasetProfile, sources: Sequence[DatasetProfile],
 
 
 def score_sources(target: DatasetProfile, sources: Sequence[DatasetProfile],
-                  cfg: EstimatorConfig,
-                  allow_mixed_extractors: bool = False) -> list[ScoredSource]:
+                  cfg: EstimatorConfig) -> list[ScoredSource]:
     """Score every candidate for this target; result is sorted best-first.
 
     z-statistics are computed across exactly this candidate set, separately
@@ -131,9 +128,8 @@ def score_sources(target: DatasetProfile, sources: Sequence[DatasetProfile],
     a Shelf once; a Shelf is read by column.
     """
     shelf = Shelf.of(sources)
-    check_candidates(target, shelf, allow_mixed_extractors)
-    dists = distances(cfg.distance, target.summary,
-                      shelf.matrix(target.summary.dim), EPSILON)
+    check_candidates(target, shelf)
+    dists = distances(cfg.distance, target.summary, shelf.matrix(target.summary.dim))
     return score_table(shelf.names, [float(size) for size in shelf.sizes], dists, cfg.k)
 
 
@@ -171,8 +167,7 @@ def baseline_ranking(kind: str, target: DatasetProfile,
                      sources: Sequence[DatasetProfile],
                      cfg: EstimatorConfig | None = None,
                      reference_name: str | None = None,
-                     rng_seed: int | None = None,
-                     allow_mixed_extractors: bool = False) -> list[str] | None:
+                     rng_seed: int | None = None) -> list[str] | None:
     """One baseline's full candidate ordering, as baseline_rankings gives it;
     None for B4. The candidates are checked and scored first, at k = 0, so
     that no |k| is refused; then B2 needs a reference, B3 a seed and B5 cfg,
@@ -183,8 +178,7 @@ def baseline_ranking(kind: str, target: DatasetProfile,
     if kind == "B4":
         return None
     shelf = Shelf.of(sources)
-    scored = score_sources(target, shelf, replace(cfg or EstimatorConfig(), k=0.0),
-                           allow_mixed_extractors)
+    scored = score_sources(target, shelf, replace(cfg or EstimatorConfig(), k=0.0))
     if kind == "B2" and reference_name is None:
         raise MissingReference("reference source None not among candidates")
     if kind == "B3" and rng_seed is None:

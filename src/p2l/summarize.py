@@ -1,8 +1,8 @@
 """Collapse an embedding matrix to a dataset summary vector.
 
 The summary is the (trimmed) per-dimension mean of the item vectors,
-L1-normalized so probability-type distances apply, with optional epsilon
-smoothing to remove zero components.
+L1-normalized so probability-type distances apply; those distances smooth
+it by EPSILON to remove zero components.
 """
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .core import DatasetProfile, EmbeddingMatrix, Summarizer, SummaryVector, check_epsilon
+from .core import EPSILON, DatasetProfile, EmbeddingMatrix, Summarizer, SummaryVector
 from .errors import NegativeComponent, NegativeMass
 
 
@@ -40,16 +40,10 @@ def summary_from_mean(raw: np.ndarray, summarizer: Summarizer) -> SummaryVector:
     return SummaryVector(values=raw / total, raw_mean=raw, summarizer=summarizer)
 
 
-def smooth_values(values: np.ndarray, epsilon: float) -> np.ndarray:
-    """(v_i + eps) / (1 + d * eps) along the last axis, d being its length."""
-    check_epsilon(epsilon)
-    return (values + epsilon) / (1.0 + values.shape[-1] * epsilon)
-
-
-def smooth(v: SummaryVector, epsilon: float) -> SummaryVector:
-    """Uniform smoothing (smooth_values); stays positive and L1-normalized."""
-    return SummaryVector(values=smooth_values(v.values, epsilon), raw_mean=v.raw_mean,
-                         summarizer=v.summarizer)
+def smooth_values(values: np.ndarray) -> np.ndarray:
+    """(v_i + EPSILON) / (1 + d * EPSILON) along the last axis, d being its
+    length: a probability vector stays one, with every component > 0."""
+    return (values + EPSILON) / (1.0 + values.shape[-1] * EPSILON)
 
 
 def profile_from_matrix(name: str, matrix: EmbeddingMatrix,

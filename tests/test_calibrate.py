@@ -19,7 +19,6 @@ from p2l.calibrate import (
     write_grid_csv,
 )
 from p2l.core import (
-    EPSILON,
     DivergenceKind,
     EmbeddingMatrix,
     EstimatorConfig,
@@ -308,7 +307,7 @@ class TestTuneK:
             z_logs = zscale(np.log([float(c.size) for c in candidates]))
             improvements = np.array([r.improvement for r in records])
             matrix = np.array([c.summary.values for c in candidates])
-            z_dists = {kind: zscale(distances(kind, target.summary, matrix, EPSILON))
+            z_dists = {kind: zscale(distances(kind, target.summary, matrix))
                        for kind in cfg.distance_kinds}
             for g in report.grid:
                 got = g.task_rho[target.name]
@@ -371,6 +370,14 @@ class TestCompareMethods(MethodTask):
         out = self.outcomes(perfs, reference_name="near", rng_seed=0)
         assert list(out) == ["P2L", "B1", "B2", "B3", "B4", "B5"]
         assert out["B2"].gain_vs_p2l == (0.5 - 0.3) / 0.3
+
+    def test_mixed_extractors_refused_with_no_override(self):
+        perfs = {"big": 0.4, "near": 0.3, "mid": 0.5}
+        self.pool[0] = profile("big", 1_000_000, [4.0, 0.2], extractor="other")
+        with pytest.raises(MixedExtractors):
+            self.outcomes(perfs)
+        with pytest.raises(TypeError):
+            self.outcomes(perfs, allow_mixed_extractors=True)
 
     def test_one_candidate_check_and_distance_vector(self, estimator_passes):
         self.outcomes({"big": 0.4, "near": 0.3, "mid": 0.5}, reference_name="near",

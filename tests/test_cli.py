@@ -384,17 +384,14 @@ class TestRankCommand:
         assert code == 4
         assert out == ""
 
-    def test_rank_mixed_extractors_exit_2_then_override(self, capsys, tmp_path,
-                                                        registry_dir):
+    def test_rank_mixed_extractors_exit_2(self, capsys, tmp_path, registry_dir):
         seed_registry(tmp_path, registry_dir)
         alien = tmp_path / "alien.csv"
         write_embeddings(alien, np.ones((2, 4)), extractor="other")
-        code, _, _ = run(capsys, "rank", "--target", str(alien), "--registry",
-                         registry_dir, "--k", "0")
-        assert code == 2
         code, out, _ = run(capsys, "rank", "--target", str(alien), "--registry",
-                           registry_dir, "--k", "0", "--allow-mixed-extractors")
-        assert code == 0
+                           registry_dir, "--k", "0")
+        assert code == 2
+        assert out == ""
 
     @pytest.mark.parametrize("k", ["1e300", "-1e300"])
     def test_rank_k_whose_scores_overflow_exits_2(self, capsys, tmp_path,
@@ -954,14 +951,18 @@ class TestFixedSettings:
         ["rank", "--target", "t.csv", "--k", "-1", "--epsilon", "1e-3"],
         ["evaluate", "--truth", "t.csv", "--k", "0", "--epsilon", "1e-3"],
         ["calibrate", "--truth", "t.csv", "--out", "g.csv", "--epsilon", "1e-3"],
+        ["rank", "--target", "t.csv", "--k", "-1", "--allow-mixed-extractors"],
+        ["evaluate", "--truth", "t.csv", "--k", "0", "--allow-mixed-extractors"],
         ["simulate", "--feature-dim", "8"],
         ["simulate", "--embed-dim", "8"],
         ["simulate", "--learn-rate", "0.1"],
     ], ids=["rank-epsilon", "evaluate-epsilon", "calibrate-epsilon",
+            "rank-allow-mixed-extractors", "evaluate-allow-mixed-extractors",
             "simulate-feature-dim", "simulate-embed-dim", "simulate-learn-rate"])
     def test_flag_of_a_fixed_setting_exits_2(self, capsys, tmp_path, argv):
-        """The smoothing weight, the oracle's learn rate and the simulated
-        world's widths are constants."""
+        """The smoothing weight, the rule that candidates share the target's
+        extractor, the oracle's learn rate and the simulated world's widths
+        are constants."""
         command, *rest = argv
         extra = (["--seed", "1", "--sources", "3", "--targets", "2", "--epochs", "1",
                   "--out", str(tmp_path / "study")] if command == "simulate"
@@ -1074,6 +1075,27 @@ class TestImports:
                 "sys.stdout = sys.__stdout__\n"
                 "print(gc.isenabled(), gc.get_freeze_count() > 0)\n")
         assert self.fresh(code) == "True True\n"
+
+    @pytest.mark.parametrize("setup,want", [
+        ("", "0 True True True"),
+        ("gc.disable()", "0 True True False"),
+        ("import numpy", "0 True False True"),
+    ], ids=["fresh", "collector-off", "numpy-first"])
+    def test_simulate_freezes_its_oracle_import(self, tmp_path, setup, want):
+        """In a fresh process simulate imports p2l.oracle as the start-up
+        imports are made: collector off, import, freeze, collector back on
+        unless the caller had it off. After numpy it freezes nothing."""
+        argv = ["simulate", "--seed", "1", "--sources", "3", "--targets", "2",
+                "--epochs", "1", "--out", str(tmp_path / "study")]
+        code = ("import contextlib, gc, io, sys\n"
+                f"{setup}\n"
+                "import p2l.cli\n"
+                "before = gc.get_freeze_count()\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    code = p2l.cli.main({argv!r})\n"
+                "print(code, 'p2l.oracle' in sys.modules, gc.get_freeze_count() > before,\n"
+                "      gc.isenabled())\n")
+        assert self.fresh(code) == f"{want}\n"
 
     def test_warm_commands_load_no_openssl(self, tmp_path):
         """rank, calibrate and profile on a registry whose summary cache vouches

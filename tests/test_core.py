@@ -189,6 +189,12 @@ class TestCalibrationReport:
         assert (best.k, best.distance) == (0.5, DivergenceKind.JSD)
         assert CalibrationReport(grid[::-1]).best_point() is best
 
+    def test_mean_rho_is_computed_once_per_point(self):
+        g = GridPoint(-1.0, DivergenceKind.KL, {"t": 0.8, "u": 0.3})
+        assert g.mean_rho is g.mean_rho
+        assert g.mean_rho == float(np.mean([0.8, 0.3]))
+        assert g == GridPoint(-1.0, DivergenceKind.KL, {"t": 0.8, "u": 0.3})
+
     def test_task_rho_checked(self):
         with pytest.raises(ValueError):
             point(0.0, DivergenceKind.KL, 1.5)

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from p2l.core import DivergenceKind, Summarizer, SummaryVector
 from p2l.divergence import distance, distances
-from p2l.errors import DimensionMismatch, NonPositiveComponent, NonPositiveEpsilon
-from p2l.summarize import smooth
+from p2l.errors import DimensionMismatch, NonPositiveComponent
+from p2l.summarize import smooth_values
 
 ALL_KINDS = tuple(DivergenceKind)
+PROBABILITY_KINDS = (DivergenceKind.KL, DivergenceKind.JSD, DivergenceKind.CHI2)
 METRIC_KINDS = (DivergenceKind.JSD, DivergenceKind.EUC, DivergenceKind.CITYBLOCK)
 
 
@@ -23,6 +24,11 @@ def summary(values):
 def stacked(summaries):
     """The summaries' vectors as the N x d array distances takes."""
     return np.array([q.values for q in summaries])
+
+
+def smoothed(values):
+    """The probability kinds' view of a summary: smooth_values as plain floats."""
+    return smooth_values(np.asarray(values, dtype=float)).tolist()
 
 
 def positive_summaries(dim, count, seed):
@@ -39,7 +45,8 @@ class TestDefinitions:
     def test_kl_against_direct_formula(self):
         p = summary([0.5, 0.5])
         q = summary([0.25, 0.75])
-        expected = 0.5 * math.log(0.5 / 0.25) + 0.5 * math.log(0.5 / 0.75)
+        expected = sum(a * math.log(a / b)
+                       for a, b in zip(smoothed(p.values), smoothed(q.values)))
         assert distance(DivergenceKind.KL, p, q) == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(0.14384, abs=5e-6)
 
@@ -51,14 +58,22 @@ class TestDefinitions:
     def test_jsd_limit_is_sqrt_ln2(self):
         p = summary([1.0, 1e-300])
         q = summary([1e-300, 1.0])
-        value = distance(DivergenceKind.JSD, p, q, epsilon=1e-9)
+        ps, qs = smoothed(p.values), smoothed(q.values)
+        ms = [(a + b) / 2 for a, b in zip(ps, qs)]
+        expected = math.sqrt(0.5 * sum(a * math.log(a / m) for a, m in zip(ps, ms))
+                             + 0.5 * sum(b * math.log(b / m) for b, m in zip(qs, ms)))
+        value = distance(DivergenceKind.JSD, p, q)
+        assert value == pytest.approx(expected, rel=1e-12)
         assert value == pytest.approx(math.sqrt(math.log(2.0)), abs=1e-3)
 
     def test_chi2_direct_formula(self):
         p = summary([0.5, 0.5])
         q = summary([0.25, 0.75])
-        expected = 0.5 * ((0.25 ** 2) / 0.75 + (0.25 ** 2) / 1.25)
+        expected = 0.5 * sum((a - b) ** 2 / (a + b)
+                             for a, b in zip(smoothed(p.values), smoothed(q.values)))
         assert distance(DivergenceKind.CHI2, p, q) == pytest.approx(expected, rel=1e-12)
+        assert expected == pytest.approx(0.5 * ((0.25 ** 2) / 0.75 + (0.25 ** 2) / 1.25),
+                                         abs=5e-6)
 
     def test_euclidean_direct_formula(self):
         p = summary([0.5, 0.5])
@@ -72,14 +87,22 @@ class TestContracts:
         with pytest.raises(DimensionMismatch):
             distance(DivergenceKind.EUC, summary([1.0, 1.0]), summary([1.0, 1.0, 1.0]))
 
-    def test_probability_kinds_reject_zero_without_epsilon(self):
-        p = summary([1.0, 1.0])
-        q = SummaryVector(values=np.array([1.0, 0.0]), raw_mean=np.array([1.0, 0.0]),
-                          summarizer=Summarizer.mean())
-        for kind in (DivergenceKind.KL, DivergenceKind.JSD, DivergenceKind.CHI2):
-            with pytest.raises(NonPositiveComponent):
-                distance(kind, p, q)
-            assert distance(kind, p, q, epsilon=1e-6) >= 0.0
+    @pytest.mark.parametrize("kind", PROBABILITY_KINDS)
+    def test_probability_kinds_accept_a_zero_component(self, kind):
+        even = summary([1.0, 1.0])
+        zero = summary([1.0, 0.0])
+        for p, q in ((even, zero), (zero, even), (zero, zero)):
+            d = distance(kind, p, q)
+            assert math.isfinite(d) and d >= 0.0
+            assert (d == 0.0) == (p is q)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_no_smoothing_weight_is_taken(self, kind):
+        p, q = positive_summaries(3, 2, 0)
+        with pytest.raises(TypeError):
+            distances(kind, p, q.values[None], epsilon=1e-6)
+        with pytest.raises(TypeError):
+            distance(kind, p, q, epsilon=1e-6)
 
     def test_kl_asymmetry_witness(self):
         p = summary([0.5, 0.5])
@@ -124,15 +147,6 @@ class TestProperties:
         assert distance(DivergenceKind.CHI2, p, q) <= 1.0 + 1e-9
         assert distance(DivergenceKind.CITYBLOCK, p, q) <= 2.0 + 1e-9
 
-    @given(st.integers(2, 8), st.integers(0, 2 ** 31 - 1), st.floats(1e-8, 1e-2))
-    @settings(max_examples=60, deadline=None)
-    def test_epsilon_argument_matches_presmoothing(self, dim, seed, eps):
-        p, q = positive_summaries(dim, 2, seed)
-        for kind in (DivergenceKind.KL, DivergenceKind.JSD, DivergenceKind.CHI2):
-            inline = distance(kind, p, q, epsilon=eps)
-            manual = distance(kind, smooth(p, eps), smooth(q, eps))
-            assert inline == pytest.approx(manual, rel=1e-12, abs=1e-15)
-
 
 def per_pair_reference(kind, pv, qv):
     """The per-pair formulas with 1-d dot products and 1-d sums."""
@@ -160,36 +174,28 @@ class TestBatchedKernel:
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_bit_exact_with_epsilon(self, kind):
+        """The probability kinds measure smooth_values of both arguments;
+        EUC and CITYBLOCK measure the summaries as they are. The batch and
+        its one-row case both equal the per-pair formulas."""
         p, qs = self.shelf()
-        eps = 1e-6
-        got = distances(kind, p, stacked(qs), epsilon=eps)
-        if kind in (DivergenceKind.EUC, DivergenceKind.CITYBLOCK):
-            ref = [per_pair_reference(kind, p.values, q.values) for q in qs]
+        got = distances(kind, p, stacked(qs))
+        if kind in PROBABILITY_KINDS:
+            ps = smooth_values(p.values)
+            ref = [per_pair_reference(kind, ps, smooth_values(q.values)) for q in qs]
         else:
-            ps = smooth(p, eps).values
-            ref = [per_pair_reference(kind, ps, smooth(q, eps).values) for q in qs]
+            ref = [per_pair_reference(kind, p.values, q.values) for q in qs]
         assert got.shape == (len(qs),)
         assert got.tolist() == ref
-
-    @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_bit_exact_without_epsilon(self, kind):
-        p, qs = self.shelf(floor=0.01)
-        got = distances(kind, p, stacked(qs))
-        assert got.tolist() == [per_pair_reference(kind, p.values, q.values) for q in qs]
-        assert [distance(kind, p, q) for q in qs[:5]] == got[:5].tolist()
+        assert [distance(kind, p, q) for q in qs[:40]] == ref[:40]
 
     def test_validation(self):
         p, qs = self.shelf(n=3, dim=4, floor=0.01)
         with pytest.raises(DimensionMismatch, match="summary dims differ: 4 vs 2"):
-            distances("KL", p, np.ones((3, 2)), epsilon=1e-6)
-        with pytest.raises(NonPositiveComponent):
-            distances("KL", p, stacked(qs + [summary([1.0, 0.0, 1.0, 1.0])]))
-        for bad in (0.0, -1e-6, float("nan"), float("inf")):
-            with pytest.raises(NonPositiveEpsilon):
-                distances("JSD", p, stacked(qs), epsilon=bad)
-        # L1/L2 kinds never smooth, so epsilon is not consulted.
-        assert distances("EUC", p, stacked(qs), epsilon=-1.0).tolist() == \
-            distances("EUC", p, stacked(qs)).tolist()
+            distances("KL", p, np.ones((3, 2)))
+        negative = np.vstack([stacked(qs), [0.5, -0.1, 0.3, 0.3]])
+        for kind in PROBABILITY_KINDS:
+            with pytest.raises(NonPositiveComponent):
+                distances(kind, p, negative)
         assert distances("CHI2", p, np.empty((0, 4))).shape == (0,)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -197,4 +203,4 @@ class TestBatchedKernel:
         p, qs = self.shelf(n=3, dim=4, floor=0.01)
         for bad in (qs, [q.values for q in qs], qs[0].values, stacked(qs)[None], ()):
             with pytest.raises(DimensionMismatch, match="expected an N x 4 array"):
-                distances(kind, p, bad, epsilon=1e-6)
+                distances(kind, p, bad)

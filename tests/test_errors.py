@@ -21,7 +21,7 @@ EXIT_CODES = {
     "LengthMismatch": 2, "MissingSeed": 2,
     "MixedExtractors": 2, "MixedSummarizers": 2, "NegativeComponent": 2,
     "NegativeMass": 2, "NonFiniteValue": 2, "NonPositiveComponent": 2,
-    "NonPositiveEpsilon": 2, "RaggedRow": 2, "TooFewSources": 2,
+    "RaggedRow": 2, "TooFewSources": 2,
     "TruncatedFile": 2, "UnsupportedVersion": 2, "ZeroDenominator": 2,
     "NameCollision": 3,
     "MissingReference": 4, "NotFound": 4, "UnknownName": 4, "UnknownSource": 4,

@@ -25,6 +25,7 @@ from p2l.estimator import (
     BASELINES,
     baseline_ranking,
     baseline_rankings,
+    check_candidates,
     merge_profiles,
     score_sources,
     score_table,
@@ -141,14 +142,22 @@ class TestScoreSources:
         with pytest.raises(DimensionMismatch):
             score_sources(target, [bad], EstimatorConfig(k=-1.0))
 
-    def test_mixed_extractors_refused_by_default(self):
+    def test_mixed_extractors_refused(self):
         target = profile("t", 10, [1.0, 1.0], role="target")
         alien = profile("s", 10, [1.0, 2.0], extractor="other")
         with pytest.raises(MixedExtractors):
             score_sources(target, [alien], EstimatorConfig(k=-1.0))
-        scored = score_sources(target, [alien], EstimatorConfig(k=-1.0),
-                               allow_mixed_extractors=True)
-        assert scored[0].source_name == "s"
+
+    def test_no_mixed_extractor_override_is_taken(self):
+        target = profile("t", 10, [1.0, 1.0], role="target")
+        alien = profile("s", 10, [1.0, 2.0], extractor="other")
+        cfg = EstimatorConfig(k=-1.0)
+        with pytest.raises(TypeError):
+            score_sources(target, [alien], cfg, allow_mixed_extractors=True)
+        with pytest.raises(TypeError):
+            check_candidates(target, [alien], allow_mixed_extractors=True)
+        with pytest.raises(TypeError):
+            baseline_ranking("B1", target, [alien], cfg, allow_mixed_extractors=True)
 
 
 class TestSelect:
@@ -208,8 +217,6 @@ class TestBaselines:
         alien = self.sources + [profile("alien", 10, [1.0, 2.0], extractor="other")]
         with pytest.raises(MixedExtractors):
             baseline_ranking(kind, self.target, alien, **opts)
-        assert len(baseline_ranking(kind, self.target, alien,
-                                    allow_mixed_extractors=True, **opts)) == 4
         wide = self.sources + [profile("wide", 10, [1.0, 1.0, 1.0])]
         with pytest.raises(DimensionMismatch):
             baseline_ranking(kind, self.target, wide, **opts)
@@ -238,14 +245,13 @@ class TestBaselines:
         assert got["B4"] is None
 
     def test_rankings_order_the_scored_candidates(self):
-        alien = self.sources + [profile("alien", 10, [1.0, 2.0], extractor="other")]
-        scored = score_sources(self.target, alien, self.cfg, allow_mixed_extractors=True)
-        got = baseline_rankings(scored, alien)
-        assert [len(ranking) for ranking in got.values() if ranking] == [4, 4]
+        scored = score_sources(self.target, self.sources, self.cfg)
+        got = baseline_rankings(scored, self.sources)
+        assert [len(ranking) for ranking in got.values() if ranking] == [3, 3]
         by_distance = sorted(scored, key=lambda s: s.distance_value)
         assert got["B5"] == [s.source_name for s in by_distance]
         with pytest.raises(MissingReference):
-            baseline_rankings(scored, alien, reference_name="nope")
+            baseline_rankings(scored, self.sources, reference_name="nope")
 
 
 class TestMergeProfiles:

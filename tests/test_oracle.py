@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from p2l import fork, oracle
 from p2l.calibrate import MethodOutcome, tune_k
-from p2l.core import EPSILON, DivergenceKind, EstimatorConfig, ImprovementRecord
+from p2l.core import DivergenceKind, EstimatorConfig, ImprovementRecord
 from p2l.divergence import distances
 from p2l.errors import BadSpec, UnknownName
 from p2l.estimator import merge_profiles
@@ -86,8 +86,7 @@ class TestWorldGeneration:
             b_src = sources[1]
             a_resample = targets["aaa"]
             d_ab, d_aa = distances(est.distance, a_resample.summary,
-                                   np.array([b_src.summary.values, a_src.summary.values]),
-                                   EPSILON)
+                                   np.array([b_src.summary.values, a_src.summary.values]))
             wins += d_ab > 2.0 * d_aa
         assert wins >= 5
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from p2l.calibrate import EvaluationConfig, compare_methods, tune_k
 from p2l.core import (
-    EPSILON,
     L1_TOL,
     DatasetProfile,
     DivergenceKind,
@@ -95,7 +94,7 @@ def rows_bytes(scored):
 
 # -- the per-profile rules, as they read before profiles were stacked ------------
 
-def reference_check(target, sources, allow_mixed_extractors):
+def reference_check(target, sources):
     if not sources:
         raise EmptyCandidates("need at least one candidate source")
     seen = set()
@@ -107,7 +106,7 @@ def reference_check(target, sources, allow_mixed_extractors):
             raise DimensionMismatch(
                 f"source {s.name!r} has dim {s.summary.dim}, target has "
                 f"{target.summary.dim}")
-        if not allow_mixed_extractors and s.extractor_id != target.extractor_id:
+        if s.extractor_id != target.extractor_id:
             raise MixedExtractors(
                 f"source {s.name!r} was embedded by {s.extractor_id!r}, target "
                 f"by {target.extractor_id!r}; distances are only meaningful "
@@ -119,15 +118,15 @@ def stacked(sources):
     return np.array([s.summary.values for s in sources])
 
 
-def reference_scores(target, sources, cfg, allow):
-    reference_check(target, sources, allow)
-    dists = distances(cfg.distance, target.summary, stacked(sources), EPSILON)
+def reference_scores(target, sources, cfg):
+    reference_check(target, sources)
+    dists = distances(cfg.distance, target.summary, stacked(sources))
     return score_table([s.name for s in sources], [float(s.size) for s in sources],
                        dists, cfg.k)
 
 
-def reference_baseline(kind, target, sources, cfg, reference_name, seed, allow):
-    reference_check(target, sources, allow)
+def reference_baseline(kind, target, sources, cfg, reference_name, seed):
+    reference_check(target, sources)
     names = [s.name for s in sources]
     by_size = sorted(sources, key=lambda s: (-s.size, s.name))
     if kind == "B1":
@@ -138,16 +137,15 @@ def reference_baseline(kind, target, sources, cfg, reference_name, seed, allow):
         ordered = sorted(names)
         random.Random(seed).shuffle(ordered)
         return ordered
-    dists = dict(zip(names, distances(cfg.distance, target.summary, stacked(sources),
-                                      EPSILON)))
+    dists = dict(zip(names, distances(cfg.distance, target.summary, stacked(sources))))
     return [s.name for s in sorted(sources, key=lambda s: (dists[s.name], -s.size, s.name))]
 
 
 class TestRankingFromColumns:
     @settings(max_examples=300, deadline=None)
     @given(candidate_sets(), st.sampled_from(list(DivergenceKind)),
-           st.sampled_from([-1.0, -0.5, 0.0, 2.0]), st.booleans())
-    def test_shelf_ranks_as_the_list_does(self, case, kind, k, allow):
+           st.sampled_from([-1.0, -0.5, 0.0, 2.0]))
+    def test_shelf_ranks_as_the_list_does(self, case, kind, k):
         target, profiles = case
         shelf = columns_copy(Shelf.of(profiles))
         # rank's source filter: by role, on the columns or on the profiles
@@ -156,21 +154,20 @@ class TestRankingFromColumns:
         from_list = [p for p in profiles if p.role == "source"]
         cfg = EstimatorConfig(distance=kind, k=k)
 
-        want = outcome(lambda: rows_bytes(reference_scores(target, from_list, cfg, allow)))
+        want = outcome(lambda: rows_bytes(reference_scores(target, from_list, cfg)))
         for sources in (from_list, from_shelf):
-            assert outcome(lambda: rows_bytes(
-                score_sources(target, sources, cfg, allow))) == want
+            assert outcome(lambda: rows_bytes(score_sources(target, sources, cfg))) == want
 
         names = [p.name for p in from_list]
         reference_name = names[0] if names else None
         for base in BASELINES[:-2] + ("B5",):  # B4 ranks nothing
             want = outcome(lambda: reference_baseline(base, target, from_list, cfg,
-                                                      reference_name, 7, allow))
+                                                      reference_name, 7))
             for sources in (from_list, from_shelf):
                 assert outcome(lambda: baseline_ranking(
-                    base, target, sources, cfg, reference_name, 7, allow)) == want
+                    base, target, sources, cfg, reference_name, 7)) == want
         rankings = [outcome(lambda: baseline_rankings(
-                        score_sources(target, sources, cfg, allow), sources,
+                        score_sources(target, sources, cfg), sources,
                         reference_name, 7))
                     for sources in (from_list, from_shelf)]
         assert rankings[0] == rankings[1]
@@ -178,12 +175,10 @@ class TestRankingFromColumns:
         # Each row of the shelf's matrix is measured as its one-row case is.
         same_dim = [p for p in from_list if p.summary.dim == target.summary.dim]
         matrix = Shelf.of(same_dim).matrix(target.summary.dim)
-        for epsilon in (None, EPSILON):
-            assert (outcome(lambda: distances(kind, target.summary, matrix,
-                                              epsilon).tobytes())
-                    == outcome(lambda: np.array(
-                        [distance(kind, target.summary, p.summary, epsilon)
-                         for p in same_dim], dtype=np.float64).tobytes()))
+        assert (outcome(lambda: distances(kind, target.summary, matrix).tobytes())
+                == outcome(lambda: np.array(
+                    [distance(kind, target.summary, p.summary) for p in same_dim],
+                    dtype=np.float64).tobytes()))
 
     def test_first_bad_candidate_is_refused(self):
         target = make("t", [1.0, 1.0], role="target")

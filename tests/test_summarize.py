@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from p2l.core import EmbeddingMatrix, Summarizer
-from p2l.errors import NegativeComponent, NegativeMass, NonPositiveEpsilon
-from p2l.summarize import profile_from_matrix, smooth, summarize
+from p2l.core import EPSILON, EmbeddingMatrix, Summarizer
+from p2l.errors import NegativeComponent, NegativeMass
+from p2l.summarize import profile_from_matrix, smooth_values, summarize
 
 
 def matrix(rows, extractor="ext"):
@@ -88,35 +88,29 @@ class TestSummarize:
 class TestSmooth:
     def test_two_component_example(self):
         sv = summarize(matrix([[1.0, 0.0]]))
-        out = smooth(sv, 0.5)
-        assert np.allclose(out.values, [0.75, 0.25])
+        out = smooth_values(sv.values)
+        scale = 1.0 + 2 * EPSILON
+        assert np.allclose(out, [(1.0 + EPSILON) / scale, EPSILON / scale],
+                           rtol=1e-15, atol=0.0)
 
     def test_uniform_fixed_point(self):
         sv = summarize(matrix([[1.0, 1.0]]))
-        out = smooth(sv, 0.123)
-        assert np.allclose(out.values, [0.5, 0.5])
+        assert np.allclose(smooth_values(sv.values), [0.5, 0.5])
 
     def test_small_epsilon_positive_and_normalized(self):
         sv = summarize(matrix([[0.7, 0.3, 0.0]]))
-        out = smooth(sv, 1e-6)
-        assert out.values.min() > 0.0
-        assert abs(out.values.sum() - 1.0) < 1e-12
+        out = smooth_values(sv.values)
+        assert out.min() > 0.0
+        assert abs(out.sum() - 1.0) < 1e-12
 
-    def test_bad_epsilon(self):
-        sv = summarize(matrix([[0.5, 0.5]]))
-        for eps in (0.0, -1.0, float("inf")):
-            with pytest.raises(NonPositiveEpsilon):
-                smooth(sv, eps)
-
-    @given(st.integers(1, 8), st.integers(0, 2 ** 31 - 1),
-           st.floats(1e-9, 1.0))
+    @given(st.integers(1, 8), st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=80, deadline=None)
-    def test_preserves_l1_and_positivity(self, d, seed, eps):
+    def test_preserves_l1_and_positivity(self, d, seed):
         rng = np.random.default_rng(seed)
         rows = rng.uniform(0.0, 3.0, (4, d)) + 1e-6
-        out = smooth(summarize(matrix(rows)), eps)
-        assert out.values.min() > 0.0
-        assert abs(float(out.values.sum()) - 1.0) < 1e-12
+        out = smooth_values(summarize(matrix(rows)).values)
+        assert out.min() > 0.0
+        assert abs(float(out.sum()) - 1.0) < 1e-12
 
     @given(st.integers(1, 8), st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=40, deadline=None)
