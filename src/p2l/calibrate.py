@@ -163,8 +163,7 @@ def tune_k(training_tasks: Sequence[TrainingTask],
                 f"task {target.name!r} has {len(candidates)} sources, need >= 3")
         check_candidates(target, candidates)
         z_logs = zscale(np.log([float(size) for size in candidates.sizes]))
-        matrix = candidates.matrix(target.summary.dim)
-        z_dists = np.array([zscale(distances(kind, target.summary, matrix))
+        z_dists = np.array([zscale(distances(kind, target.summary, candidates.summary))
                             for kind in cfg.distance_kinds])
         # One row per grid cell, in grid order: k-major, kind-minor.
         scores = (z_logs + ks[:, None, None] * z_dists).reshape(-1, len(candidates))

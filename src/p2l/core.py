@@ -203,27 +203,37 @@ def _parses(label) -> bool:
     return True
 
 
+def _one_dim(names, dims) -> int:
+    """The dimension every row has, 0 for no rows; the first row whose
+    dimension differs from the first row's is refused."""
+    for name, dim in zip(names, dims):
+        if dim != dims[0]:
+            raise DimensionMismatch(f"profile {name!r} has dim {dim}, profile "
+                                    f"{names[0]!r} has {dims[0]}; a shelf holds "
+                                    "one feature space")
+    return dims[0] if dims else 0
+
+
 class Shelf(Sequence[DatasetProfile]):
-    """Profiles stored by column, as the registry loads them.
+    """Profiles of one dimension stored by column, as the registry loads them.
 
     Row i is the profile named names[i]: sizes[i], roles[i], extractor_ids[i],
-    labels[i] (its summarizer's label) and the vectors
-    summary[offsets[i]:offsets[i + 1]] and raw_mean[offsets[i]:offsets[i + 1]].
-    Building a shelf from columns checks every row as SummaryVector and
-    DatasetProfile check one, in one numpy pass over the vectors; the first
-    bad row raises the error its own profile raises. Shelf.of stacks profiles,
-    which are checked already. As a read-only Sequence of DatasetProfile, a
-    shelf builds row i's profile only when it is asked for it.
+    labels[i] (its summarizer's label) and the vectors summary[i] and
+    raw_mean[i], rows of two (rows, dim) matrices. Building a shelf from
+    columns checks every row as SummaryVector and DatasetProfile check one, in
+    one numpy pass over the matrices; the first bad row raises the error its
+    own profile raises. Shelf.of stacks profiles, which are checked already.
+    As a read-only Sequence of DatasetProfile, a shelf builds row i's profile
+    only when it is asked for it.
     """
 
     __slots__ = ("names", "sizes", "roles", "extractor_ids", "labels",
-                 "summary", "raw_mean", "offsets")
+                 "summary", "raw_mean")
 
     def __init__(self, names: Iterable[str], sizes: Iterable[int], roles: Iterable[str],
-                 extractor_ids: Iterable[str], labels: Iterable[str], summary, raw_mean,
-                 offsets):
+                 extractor_ids: Iterable[str], labels: Iterable[str], summary, raw_mean):
         self._fill(names, sizes, roles, extractor_ids, labels, _owned(summary, np.float64),
-                   _owned(raw_mean, np.float64), _owned(offsets, np.int64))
+                   _owned(raw_mean, np.float64))
         self._check()
 
     @classmethod
@@ -233,26 +243,27 @@ class Shelf(Sequence[DatasetProfile]):
             return profiles
         profiles = list(profiles)
         summaries = [p.summary for p in profiles]
+        shape = len(profiles), _one_dim([p.name for p in profiles],
+                                        [s.dim for s in summaries])
         return cls._unchecked(
             [p.name for p in profiles], [p.size for p in profiles],
             [p.role for p in profiles], [p.extractor_id for p in profiles],
             [s.summarizer.label() for s in summaries],
-            np.concatenate([np.empty(0)] + [s.values for s in summaries]),
-            np.concatenate([np.empty(0)] + [s.raw_mean for s in summaries]),
-            np.cumsum([0] + [s.dim for s in summaries], dtype=np.int64))
+            np.array([s.values for s in summaries], dtype=np.float64).reshape(shape),
+            np.array([s.raw_mean for s in summaries], dtype=np.float64).reshape(shape))
 
     @classmethod
     def concat(cls, shelves: Iterable["Shelf"]) -> "Shelf":
         """The rows of these shelves, one shelf after the other."""
-        shelves = list(shelves)
-        ends = np.cumsum([0] + [s.offsets[-1] for s in shelves[:-1]], dtype=np.int64)
+        shelves = [s for s in shelves if s]
+        if not shelves:
+            return cls.of(())
+        _one_dim([s.names[0] for s in shelves], [s.summary.shape[1] for s in shelves])
         return cls._unchecked(
             *(sum((getattr(s, column) for s in shelves), ())
               for column in ("names", "sizes", "roles", "extractor_ids", "labels")),
-            np.concatenate([np.empty(0)] + [s.summary for s in shelves]),
-            np.concatenate([np.empty(0)] + [s.raw_mean for s in shelves]),
-            np.concatenate([np.zeros(1, np.int64)]
-                           + [s.offsets[1:] + end for s, end in zip(shelves, ends)]))
+            np.concatenate([s.summary for s in shelves]),
+            np.concatenate([s.raw_mean for s in shelves]))
 
     @classmethod
     def _unchecked(cls, *columns) -> "Shelf":
@@ -261,12 +272,12 @@ class Shelf(Sequence[DatasetProfile]):
         shelf._fill(*columns)
         return shelf
 
-    def _fill(self, names, sizes, roles, extractor_ids, labels, summary, raw_mean, offsets):
+    def _fill(self, names, sizes, roles, extractor_ids, labels, summary, raw_mean):
         self.names, self.sizes, self.roles, self.extractor_ids, self.labels = map(
             tuple, (names, sizes, roles, extractor_ids, labels))
-        for arr in (summary, raw_mean, offsets):
+        for arr in (summary, raw_mean):
             arr.flags.writeable = False
-        self.summary, self.raw_mean, self.offsets = summary, raw_mean, offsets
+        self.summary, self.raw_mean = summary, raw_mean
 
     def _check(self) -> None:
         n = len(self.names)
@@ -275,23 +286,14 @@ class Shelf(Sequence[DatasetProfile]):
             raise ValueError("shelf columns must hold one entry per row")
         if self.summary.shape != self.raw_mean.shape:
             raise ValueError("values and raw_mean must have the same dimension")
-        offsets = self.offsets
-        if (self.summary.ndim != 1 or offsets.shape != (n + 1,) or offsets[0] != 0
-                or offsets[-1] != self.summary.size or (self.dims() < 0).any()):
-            raise ValueError("shelf offsets must rise from 0 to the vector length")
+        if self.summary.ndim != 2 or len(self.summary) != n:
+            raise ValueError("shelf vectors must be (rows, dim) matrices")
         values = self.summary
-        bad_item = ~(np.isfinite(values) & np.isfinite(self.raw_mean)) | (values < 0.0)
-        bad = np.zeros(n, dtype=bool)
-        bad[np.searchsorted(offsets, np.flatnonzero(bad_item), side="right") - 1] = True
+        bad = (~(np.isfinite(values) & np.isfinite(self.raw_mean))
+               | (values < 0.0)).any(axis=1)
         # Each row summed as SummaryVector sums its own vector, bit for bit:
         # a 2-d sum along rows adds each row as a 1-d sum does.
-        dims = self.dims()
-        if n and (dims == dims[0]).all():
-            sums = values.reshape(n, int(dims[0])).sum(axis=1)
-        else:
-            sums = np.array([values[lo:hi].sum() for lo, hi in
-                             zip(offsets[:-1].tolist(), offsets[1:].tolist())])
-        bad |= np.abs(sums - 1.0) > L1_TOL
+        bad |= np.abs(values.sum(axis=1) - 1.0) > L1_TOL
         texts = {label for label in self.labels if isinstance(label, str)}
         good_labels = {label for label in texts if _parses(label)}  # each once
         bad |= np.array([
@@ -305,33 +307,16 @@ class Shelf(Sequence[DatasetProfile]):
         for i in np.flatnonzero(bad).tolist():
             self[i]  # builds the row's profile, which raises the row's error
 
-    def dims(self) -> np.ndarray:
-        """Each row's vector length."""
-        return np.diff(self.offsets)
-
-    def matrix(self, dim: int) -> np.ndarray:
-        """The summaries as one (rows, dim) array, without copying; every row
-        must have dimension dim."""
-        other = self.dims() != dim
-        if other.any():
-            raise DimensionMismatch(
-                f"summary dims differ: {dim} vs {self.dims()[other.argmax()]}")
-        return self.summary.reshape(len(self), dim)
-
     def take(self, rows) -> "Shelf":
         """The shelf of these rows, indices in [0, len(self)), in this order."""
         rows = np.asarray(rows, dtype=np.int64).reshape(-1)
         if rows.size == len(self) and (rows == np.arange(len(self))).all():
             return self
-        starts = self.offsets[rows]
-        dims = self.offsets[rows + 1] - starts
-        offsets = np.concatenate([np.zeros(1, np.int64), np.cumsum(dims)])
-        flat = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], dims)
         picked = rows.tolist()
         return Shelf._unchecked(
             *([column[i] for i in picked] for column in (
                 self.names, self.sizes, self.roles, self.extractor_ids, self.labels)),
-            self.summary[flat], self.raw_mean[flat], offsets)
+            self.summary[rows], self.raw_mean[rows])
 
     def __len__(self) -> int:
         return len(self.names)
@@ -340,8 +325,7 @@ class Shelf(Sequence[DatasetProfile]):
         if isinstance(i, slice):
             return self.take(range(len(self))[i])
         i = range(len(self))[i]
-        lo, hi = self.offsets[i], self.offsets[i + 1]
-        summary = SummaryVector(values=self.summary[lo:hi], raw_mean=self.raw_mean[lo:hi],
+        summary = SummaryVector(values=self.summary[i], raw_mean=self.raw_mean[i],
                                 summarizer=Summarizer.parse(self.labels[i]))
         return DatasetProfile(name=self.names[i], size=self.sizes[i], summary=summary,
                               extractor_id=self.extractor_ids[i], role=self.roles[i])

@@ -10,8 +10,10 @@ Five candidates, natural log throughout:
 
 KL/JSD/CHI2 treat summaries as probability vectors and measure both
 arguments smoothed by EPSILON (summarize.smooth_values), so a zero component
-is fine. EUC/CITYBLOCK never smooth. ``distances`` is the one implementation,
-over an N x d matrix of candidates at once; ``distance`` is its one-row case.
+is fine. EUC/CITYBLOCK never smooth. Every kind refuses a candidate with a
+negative component, as no summary has one. ``distances`` is the one
+implementation, over an N x d matrix of candidates at once; ``distance`` is
+its one-row case.
 """
 from __future__ import annotations
 
@@ -30,7 +32,8 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def distances(kind: DivergenceKind | str, p: SummaryVector, qs: np.ndarray) -> np.ndarray:
     """D(p, q) >= 0 for each row q of qs, p being the target by convention.
-    qs is one N x d array, such as Shelf.matrix(d); p is smoothed once."""
+    qs is one N x d array of non-negative rows, such as a Shelf's summary;
+    p is smoothed once."""
     kind = DivergenceKind(kind)
     if not isinstance(qs, np.ndarray) or qs.ndim != 2:
         raise DimensionMismatch(f"expected an N x {p.dim} array, got "
@@ -38,15 +41,14 @@ def distances(kind: DivergenceKind | str, p: SummaryVector, qs: np.ndarray) -> n
     if qs.shape[1] != p.dim:
         raise DimensionMismatch(f"summary dims differ: {p.dim} vs {qs.shape[1]}")
     qv = np.asarray(qs, dtype=np.float64)
+    if float(qv.min(initial=np.inf)) < 0.0:
+        raise NonPositiveComponent(
+            f"{kind.value} needs non-negative candidates; one has a negative component")
     pv = p.values
 
     if kind in PROBABILITY_KINDS:
         pv = smooth_values(pv)
         qv = smooth_values(qv)
-        if float(qv.min(initial=np.inf)) <= 0.0:
-            raise NonPositiveComponent(
-                f"{kind.value} needs non-negative candidates; one has a "
-                "component that smoothing leaves <= 0")
         if kind is DivergenceKind.KL:
             return np.maximum(_rowdot(np.log(pv / qv), pv), 0.0)
         if kind is DivergenceKind.JSD:

@@ -57,8 +57,7 @@ class NegativeComponent(InputError):
 # -- divergence ---------------------------------------------------------------
 
 class NonPositiveComponent(InputError):
-    """Probability-type distance applied to a candidate with a component that
-    smoothing leaves <= 0."""
+    """Distance applied to a candidate with a negative component."""
 
 
 # -- estimation / selection ---------------------------------------------------

@@ -102,16 +102,15 @@ def check_candidates(target: DatasetProfile, sources: Sequence[DatasetProfile]) 
     shelf = Shelf.of(sources)
     if not shelf:
         raise EmptyCandidates("need at least one candidate source")
-    dim = target.summary.dim
+    dim, s_dim = target.summary.dim, shelf.summary.shape[1]
+    if s_dim != dim:  # every row has the shelf's one dimension, so the first fails
+        raise DimensionMismatch(
+            f"source {shelf.names[0]!r} has dim {s_dim}, target has {dim}")
     seen = set()
-    for name, s_dim, extractor_id in zip(shelf.names, shelf.dims().tolist(),
-                                         shelf.extractor_ids):
+    for name, extractor_id in zip(shelf.names, shelf.extractor_ids):
         if name in seen:
             raise DuplicateSourceName(f"duplicate source name {name!r}")
         seen.add(name)
-        if s_dim != dim:
-            raise DimensionMismatch(
-                f"source {name!r} has dim {s_dim}, target has {dim}")
         if extractor_id != target.extractor_id:
             raise MixedExtractors(
                 f"source {name!r} was embedded by {extractor_id!r}, target "
@@ -129,7 +128,7 @@ def score_sources(target: DatasetProfile, sources: Sequence[DatasetProfile],
     """
     shelf = Shelf.of(sources)
     check_candidates(target, shelf)
-    dists = distances(cfg.distance, target.summary, shelf.matrix(target.summary.dim))
+    dists = distances(cfg.distance, target.summary, shelf.summary)
     return score_table(shelf.names, [float(size) for size in shelf.sizes], dists, cfg.k)
 
 

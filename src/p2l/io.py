@@ -56,8 +56,8 @@ MANIFEST_NAME = "manifest.json"
 PROFILE_SUFFIX = ".profile.json"
 CACHE_NAME = ".p2l-summaries.npz"
 # 3: entries carry the stat key of the file they were read from (2 was never
-# written).
-CACHE_VERSION = 3
+# written). 4: the vectors are two (rows, dim) matrices.
+CACHE_VERSION = 4
 IMPROVEMENTS_HEADER = "target,source,perf_transfer,perf_scratch"
 PROFILE_KEYS = ("name", "role", "size", "dim", "summarizer", "extractor_id",
                 "raw_mean", "summary")
@@ -291,18 +291,18 @@ def _read_summary_cache(path: Path) -> tuple[Shelf, list, int]:
         with path.open("rb") as fh:
             written = os.fstat(fh.fileno()).st_mtime_ns
             with np.load(fh, allow_pickle=False) as npz:
-                version, meta, offsets, values, raw = (
-                    npz[key] for key in ("version", "meta", "offsets", "summary", "raw_mean"))
+                version, meta, values, raw = (
+                    npz[key] for key in ("version", "meta", "summary", "raw_mean"))
         if version.tolist() != CACHE_VERSION:
             raise ValueError("another cache version")
         entries = json.loads(meta.tobytes())
-        if not (offsets.dtype == np.int64 and values.dtype == raw.dtype == np.float64):
+        if not values.dtype == raw.dtype == np.float64:
             raise ValueError("cache arrays of another type")
         hashes, names, sizes, roles, labels, extractor_ids, stats = (
             list(zip(*entries, strict=True)) or [()] * 7)
-        for arr in (offsets, values, raw):
+        for arr in (values, raw):
             arr.flags.writeable = False
-        shelf = Shelf(names, sizes, roles, extractor_ids, labels, values, raw, offsets)
+        shelf = Shelf(names, sizes, roles, extractor_ids, labels, values, raw)
         return shelf, list(zip(hashes, stats)), written
     except _CACHE_READ_ERRORS:
         return Shelf.of(()), [], 0
@@ -310,13 +310,12 @@ def _read_summary_cache(path: Path) -> tuple[Shelf, list, int]:
 
 def _write_summary_cache(fh: BinaryIO, shelf: Shelf, keys) -> None:
     """The stacked form _read_summary_cache reads: one meta entry per row,
-    holding its (sha256, stat key) from keys, and the rows' vectors
-    concatenated, row i's at offsets[i]:offsets[i + 1]."""
+    holding its (sha256, stat key) from keys, and the shelf's two matrices."""
     entries = [[sha, *row, stat] for (sha, stat), row in zip(keys, zip(
         shelf.names, shelf.sizes, shelf.roles, shelf.labels, shelf.extractor_ids))]
     np.savez(fh, version=np.array(CACHE_VERSION),
              meta=np.frombuffer(json.dumps(entries).encode(), dtype=np.uint8),
-             offsets=shelf.offsets, summary=shelf.summary, raw_mean=shelf.raw_mean)
+             summary=shelf.summary, raw_mean=shelf.raw_mean)
 
 
 def _unchanged(path: str, stat, written: int) -> bool:
@@ -407,7 +406,8 @@ class ProfileRegistry:
 
     def load_all(self) -> Shelf:
         """Every profile, in names() order, as one Shelf. As with load(), a
-        file must hold the profile it is named after.
+        file must hold the profile it is named after; profiles of two
+        dimensions are refused (DimensionMismatch), as a shelf holds one.
 
         A file is not opened when the summary cache vouches for it: its stat
         key (inode, length, mtime_ns, ctime_ns) is the one recorded when its
@@ -441,7 +441,13 @@ class ProfileRegistry:
                 sha, stat = digest, read_stat
             rows.append(i)
             keys.append((sha, stat))
-        shelf = Shelf.concat([cached, Shelf.of(parsed)]) if parsed else cached
+        shelf, rows = cached, np.array(rows, dtype=np.int64)
+        if parsed:
+            # The cached rows in use, then the parsed ones: a cached row that no
+            # file uses any longer, of another dimension maybe, is left out.
+            fresh = rows >= len(cached)
+            shelf = Shelf.concat([cached.take(rows[~fresh]), Shelf.of(parsed)])
+            rows = np.argsort(np.argsort(fresh, kind="stable"))
         shelf = shelf.take(rows)
         if stale or len(rows) != len(cached):
             try:

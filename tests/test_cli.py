@@ -485,15 +485,27 @@ class TestSummaryCache:
             os.chmod(registry_dir, 0o755)
         assert not (Path(registry_dir) / CACHE_NAME).exists()
 
-    def test_mixed_dimensions_keep_their_error(self, capsys, tmp_path, registry_dir):
-        for name, dim in (("a", 4), ("b", 3)):
-            write_embeddings(tmp_path / f"{name}.csv", np.ones((2, dim)))
-            assert main(["profile", "--input", str(tmp_path / f"{name}.csv"),
-                         "--name", name, "--registry", registry_dir]) == 0
-        cold = self.rank(capsys, registry_dir, tmp_path / "a.csv")
-        assert cold == (2, "", "p2l: error: source 'b' has dim 3, target has 4\n")
-        assert (Path(registry_dir) / CACHE_NAME).exists()
-        assert self.rank(capsys, registry_dir, tmp_path / "a.csv") == cold
+    def test_mixed_dimensions_are_refused(self, capsys, tmp_path, registry_dir):
+        truth = seed_truth(tmp_path, registry_dir)
+        assert self.rank(capsys, registry_dir, tmp_path / "target.csv")[0] == 0
+        write_embeddings(tmp_path / "odd.csv", np.ones((2, 3)))
+        assert main(["profile", "--input", str(tmp_path / "odd.csv"), "--name", "odd",
+                     "--registry", registry_dir]) == 0
+        refused = (2, "", "p2l: error: profile 'odd' has dim 3, profile 'big_far' has 4; "
+                          "a shelf holds one feature space\n")
+        grid = tmp_path / "grid.csv"
+        commands = [("rank", "--target", str(tmp_path / "target.csv"), "--k", "-1"),
+                    ("rank", "--target", "tprof", "--k", "-1"),
+                    ("calibrate", "--truth", str(truth), "--out", str(grid)),
+                    ("evaluate", "--truth", str(truth), "--k", "-1")]
+        for warm in (True, False):
+            # The cache holds the four profiles of dimension 4; a refused load
+            # writes none.
+            assert (Path(registry_dir) / CACHE_NAME).exists() == warm
+            for argv in commands:
+                assert run(capsys, *argv, "--registry", registry_dir) == refused
+            (Path(registry_dir) / CACHE_NAME).unlink(missing_ok=True)
+        assert not grid.exists()
 
 
 def cache_as_read(registry_dir, name):
@@ -504,9 +516,8 @@ def cache_as_read(registry_dir, name):
     doc = json.loads(path.read_text())
     row = Shelf._unchecked(
         *([doc[key]] for key in ("name", "size", "role", "extractor_id", "summarizer")),
-        np.array(doc["summary"], dtype=np.float64),
-        np.array(doc["raw_mean"], dtype=np.float64),
-        np.array([0, len(doc["summary"])], dtype=np.int64))
+        np.array([doc["summary"]], dtype=np.float64),
+        np.array([doc["raw_mean"]], dtype=np.float64))
     key = hashlib.sha256(path.read_bytes()).hexdigest()
     with open(Path(registry_dir) / CACHE_NAME, "wb") as fh:
         _write_summary_cache(fh, row, [(key, None)])

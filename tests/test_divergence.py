@@ -199,6 +199,17 @@ class TestBatchedKernel:
         assert distances("CHI2", p, np.empty((0, 4))).shape == (0,)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_any_negative_component_is_refused(self, kind):
+        # Smoothing by EPSILON would lift the first row's -5e-7 above zero, and
+        # EUC and CITYBLOCK never smooth.
+        p = summary([0.5, 0.5])
+        for row in ([1.0000005, -5e-7], [1.5, -0.5]):
+            with pytest.raises(NonPositiveComponent, match=(
+                    f"^{kind.value} needs non-negative candidates; one has a "
+                    "negative component$")):
+                distances(kind, p, np.array([[0.5, 0.5], row]))
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_only_an_n_by_d_array_is_taken(self, kind):
         p, qs = self.shelf(n=3, dim=4, floor=0.01)
         for bad in (qs, [q.values for q in qs], qs[0].values, stacked(qs)[None], ()):

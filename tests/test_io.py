@@ -23,6 +23,7 @@ from p2l.core import DatasetProfile, EmbeddingMatrix, Summarizer, SummaryVector
 from p2l.errors import (
     BadHeader,
     BadMagic,
+    DimensionMismatch,
     DuplicateSourceName,
     EmptyMatrix,
     InconsistentScratch,
@@ -99,10 +100,11 @@ def make_profile(name, values, raw_mean, summarizer=Summarizer.mean(), size=10,
 
 
 @st.composite
-def profiles(draw, name=st.from_regex(r"[A-Za-z0-9_-]{1,12}", fullmatch=True)):
+def profiles(draw, name=st.from_regex(r"[A-Za-z0-9_-]{1,12}", fullmatch=True),
+             dim=st.integers(1, 512)):
     """Random valid profiles: either role and summarizer, d from 1 to 512,
     any extractor id, raw means over the whole float range."""
-    d = draw(st.integers(1, 512))
+    d = draw(dim)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     raw_mean = rng.standard_normal(d) * 10.0 ** rng.integers(-300, 300, d)
     raw_mean[0] = draw(st.sampled_from([0.0, -0.0, 5e-324, -1.7976931348623157e308,
@@ -689,10 +691,10 @@ class TestProfileJson:
 
 
 class TestSummaryCache:
-    def registry(self, tmp_path, n=3):
+    def registry(self, tmp_path, n=3, d=3):
         reg = ProfileRegistry.open(tmp_path / "reg")
         for i in range(n):
-            reg.save(profile_from_matrix(f"p{i}", random_matrix(i, d=3 + i), size=5 + i))
+            reg.save(profile_from_matrix(f"p{i}", random_matrix(i, d=d), size=5 + i))
         return reg
 
     def no_parsing(self, monkeypatch):
@@ -701,8 +703,8 @@ class TestSummaryCache:
         monkeypatch.setattr("p2l.io.profile_from_dict", refuse)
 
     @settings(max_examples=40, deadline=None)
-    @given(st.lists(profiles(), min_size=1, max_size=6,
-                    unique_by=lambda p: p.name))
+    @given(st.integers(1, 512).flatmap(lambda d: st.lists(
+        profiles(dim=st.just(d)), min_size=1, max_size=6, unique_by=lambda p: p.name)))
     def test_warm_load_equals_load_without_cache(self, saved):
         with tempfile.TemporaryDirectory() as name:
             reg = ProfileRegistry.open(name)
@@ -762,7 +764,7 @@ class TestSummaryCache:
 
     @pytest.mark.parametrize("damage", [
         "truncated", "empty", "random", "bit_flip", "version", "missing_array",
-        "short_offsets", "offsets_past_end", "offsets_not_increasing",
+        "row_missing", "widths_differ", "flat_vectors", "version_3_layout",
         "vector_lengths_differ", "float32_vectors", "entry_not_a_summary"])
     def test_damaged_cache_falls_back_to_json(self, tmp_path, monkeypatch, damage):
         reg = self.registry(tmp_path)
@@ -771,7 +773,7 @@ class TestSummaryCache:
         data = cache.read_bytes()
         with np.load(cache) as npz:
             arrays = dict(npz)
-        offsets, values = arrays["offsets"], arrays["summary"]
+        values, raw = arrays["summary"], arrays["raw_mean"]
         if damage == "truncated":
             cache.write_bytes(data[:len(data) // 2])
         elif damage == "empty":
@@ -787,12 +789,18 @@ class TestSummaryCache:
                 arrays["version"] = np.array(2)
             elif damage == "missing_array":
                 del arrays["raw_mean"]
-            elif damage == "short_offsets":
-                arrays["offsets"] = offsets[:-1]
-            elif damage == "offsets_past_end":
-                arrays["offsets"] = offsets + np.array([0, 0, 0, 1])
-            elif damage == "offsets_not_increasing":
-                arrays["offsets"] = np.array([0, 4, 3, offsets[-1]])
+            elif damage == "row_missing":
+                arrays["summary"], arrays["raw_mean"] = values[:-1], raw[:-1]
+            elif damage == "widths_differ":
+                arrays["raw_mean"] = raw[:, :-1]
+            elif damage == "flat_vectors":
+                arrays["summary"], arrays["raw_mean"] = values.ravel(), raw.ravel()
+            elif damage == "version_3_layout":
+                # What CACHE_VERSION 3 wrote: the vectors concatenated, each
+                # row's slice given by offsets.
+                arrays.update(version=np.array(3), summary=values.ravel(),
+                              raw_mean=raw.ravel(), offsets=np.arange(
+                                  0, values.size + 1, values.shape[1], dtype=np.int64))
             elif damage == "vector_lengths_differ":
                 arrays["raw_mean"] = arrays["raw_mean"][:-1]
             elif damage == "float32_vectors":
@@ -825,10 +833,31 @@ class TestSummaryCache:
         assert_same_profiles(reg.load_all(), json_only(reg.root))
         assert not (reg.root / CACHE_NAME).exists()
 
-    def test_mixed_dimensions_round_trip(self, tmp_path, monkeypatch):
-        reg = self.registry(tmp_path, n=4)
-        assert sorted({p.summary.dim for p in reg.load_all()}) == [3, 4, 5, 6]
+    def test_mixed_dimensions_are_refused(self, tmp_path):
+        reg = self.registry(tmp_path)
+        reg.load_all()
+        odd = profile_from_matrix("p1b", random_matrix(7, d=4))
+        reg.save(odd)
+        for cache in ("warm", "cold"):
+            if cache == "cold":
+                (reg.root / CACHE_NAME).unlink()
+            with pytest.raises(DimensionMismatch,
+                               match="profile 'p1b' has dim 4, profile 'p0' has 3"):
+                reg.load_all()
+        assert not (reg.root / CACHE_NAME).exists()  # a refused load caches nothing
+        # save and load take any dimension; only a whole shelf holds one.
+        assert_same_profiles([reg.load("p1b")], [odd])
+
+    def test_registry_moved_to_another_dimension_loads(self, tmp_path, monkeypatch):
+        reg = self.registry(tmp_path)
+        reg.load_all()
+        (reg.root / "p2.profile.json").unlink()
+        for i in range(2):
+            reg.save(profile_from_matrix(f"p{i}", random_matrix(i, d=5)), overwrite=True)
+        reg.save(profile_from_matrix("q", random_matrix(9, d=5)))
         expected = json_only(reg.root)
+        assert {p.summary.dim for p in expected} == {5}
+        assert_same_profiles(reg.load_all(), expected)
         self.no_parsing(monkeypatch)
         assert_same_profiles(reg.load_all(), expected)
 
@@ -853,8 +882,8 @@ class TestSummaryCache:
         assert_same_profiles(reg.load_all(), [first])
 
     def test_saves_racing_loads_leave_no_stale_entry(self, tmp_path):
-        reg = self.registry(tmp_path)
         d = 500
+        reg = self.registry(tmp_path, d=d)
         versions = [make_profile("alpha", np.arange(1.0, d + 1), np.arange(1.0, d + 1)),
                     make_profile("alpha", np.arange(d, 0.0, -1), np.arange(d, 0.0, -1))]
         reg.save(versions[0])
@@ -893,7 +922,7 @@ class TestSummaryCacheStatKeys:
     def registry(self, tmp_path):
         reg = ProfileRegistry.open(tmp_path / "reg")
         for i in range(3):
-            reg.save(profile_from_matrix(f"p{i}", random_matrix(i, d=3 + i), size=5 + i))
+            reg.save(profile_from_matrix(f"p{i}", random_matrix(i, d=3), size=5 + i))
         return reg
 
     def reads(self, monkeypatch):
@@ -1002,6 +1031,8 @@ class TestRefusals:
         (read_embeddings_bin, b"P2", TruncatedFile, "file shorter than the magic bytes",
          None),
         (read_embeddings_bin, b"P2LE\x01\x00", TruncatedFile, "incomplete header", None),
+        (read_embeddings_bin, _bin(b"", floats=()), EmptyMatrix,
+         "embedding matrix must be at least 1x1, got 0x1", None),
         (read_embeddings_bin, _bin(b"ab", id_len=5, floats=()), TruncatedFile,
          "incomplete extractor id", None),
         (read_embeddings_bin, _bin(b"\xff"), BadHeader,
@@ -1014,7 +1045,7 @@ class TestRefusals:
         (read_improvements_csv, TRUTH_HEADER + "t,s,0.5,nan\n",
          NonFiniteValue, "line 2: non-finite performance value", 2),
     ], ids=["csv-dim-0", "csv-unparseable", "bin-shorter-than-magic",
-            "bin-incomplete-header", "bin-incomplete-id", "bin-id-not-utf8",
+            "bin-incomplete-header", "bin-header-only", "bin-incomplete-id", "bin-id-not-utf8",
             "bin-trailing-bytes", "truth-unparseable", "truth-not-finite"])
     def test_malformed_file(self, tmp_path, read, content, cls, message, line_no):
         path = tmp_path / "input"

@@ -67,6 +67,17 @@ class TestWorldGeneration:
             oracle.WorldSpec(domains=(spec.domains[0],
                                       oracle.DomainSpec("c", 100, np.zeros((2, 4)))))
 
+    def test_smallest_domain_has_a_one_item_target_split(self):
+        # 40 items: a quarter of 10 leaves floor(0.1 * 10) = 1 target item
+        world = oracle.generate_world(1, two_cluster_spec(n_items=40))
+        assert [dom.target_train.items for dom in world.domains] == [1, 1]
+
+    @pytest.mark.parametrize("n_sources,n_targets", [(1, 3), (3, 1), (1, 1)])
+    def test_default_world_with_one_source_or_one_target(self, n_sources, n_targets):
+        world = oracle.default_world(1, n_sources=n_sources, n_targets=n_targets)
+        assert (len(world.source_names()), len(world.target_names())) == \
+               (n_sources, n_targets)
+
     def test_unknown_domain(self):
         world = oracle.generate_world(1, two_cluster_spec())
         with pytest.raises(UnknownName):

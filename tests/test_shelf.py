@@ -50,16 +50,16 @@ def make(name, values, size=10, extractor="e1", role="source", label="mean"):
 
 @st.composite
 def candidate_sets(draw):
-    """A target and candidates that vary in dimension, name (repeats too),
-    extractor, role, size and summarizer; most share the target's dimension.
-    512 is wider than numpy's 128-item pairwise-summation block, so a row's
-    L1 sum is added in blocks there."""
+    """A target and candidates of one dimension, most often the target's, that
+    vary in name (repeats too), extractor, role, size and summarizer. 512 is
+    wider than numpy's 128-item pairwise-summation block, so a row's L1 sum is
+    added in blocks there."""
     dim = draw(st.sampled_from(DIMS))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     target = make("t", rng.dirichlet(np.full(dim, 0.5)) + 1e-300, role="target")
+    d = draw(st.one_of(st.just(dim), st.sampled_from(DIMS)))
     sources = []
     for _ in range(draw(st.integers(0, 8))):
-        d = draw(st.one_of(st.just(dim), st.sampled_from(DIMS)))
         raw = rng.gamma(0.5, 1.0, d) * 10.0 ** float(rng.integers(-3, 3))
         if raw.sum() <= 0.0:
             raw[0] = 1.0
@@ -75,7 +75,7 @@ def columns_copy(shelf):
     """A shelf built from copies of another's columns, as a loaded cache is."""
     return Shelf(list(shelf.names), list(shelf.sizes), list(shelf.roles),
                  list(shelf.extractor_ids), list(shelf.labels), shelf.summary.copy(),
-                 shelf.raw_mean.copy(), shelf.offsets.copy())
+                 shelf.raw_mean.copy())
 
 
 def outcome(fn):
@@ -174,7 +174,7 @@ class TestRankingFromColumns:
 
         # Each row of the shelf's matrix is measured as its one-row case is.
         same_dim = [p for p in from_list if p.summary.dim == target.summary.dim]
-        matrix = Shelf.of(same_dim).matrix(target.summary.dim)
+        matrix = Shelf.of(same_dim).summary.reshape(len(same_dim), target.summary.dim)
         assert (outcome(lambda: distances(kind, target.summary, matrix).tobytes())
                 == outcome(lambda: np.array(
                     [distance(kind, target.summary, p.summary) for p in same_dim],
@@ -182,15 +182,26 @@ class TestRankingFromColumns:
 
     def test_first_bad_candidate_is_refused(self):
         target = make("t", [1.0, 1.0], role="target")
-        sources = [make("a", [1.0, 2.0]), make("b", [1.0, 2.0, 3.0]),
+        sources = [make("a", [1.0, 2.0]), make("b", [1.0, 2.0], extractor="e2"),
                    make("a", [2.0, 1.0])]
-        with pytest.raises(DimensionMismatch, match="source 'b' has dim 3"):
+        with pytest.raises(MixedExtractors, match="source 'b' was embedded by 'e2'"):
             check_candidates(target, Shelf.of(sources))
+        # The shelf's one dimension is every row's, so its first row fails first.
+        wide = [make("a", [1.0, 2.0, 3.0]), make("a", [3.0, 2.0, 1.0])]
+        with pytest.raises(DimensionMismatch, match="source 'a' has dim 3, target has 2"):
+            check_candidates(target, Shelf.of(wide))
 
-    def test_matrix_of_mixed_dimensions_is_refused(self):
-        shelf = Shelf.of([make("a", [1.0, 2.0]), make("b", [1.0, 2.0, 3.0])])
-        with pytest.raises(DimensionMismatch, match="summary dims differ: 2 vs 3"):
-            shelf.matrix(2)
+    def test_a_shelf_holds_one_dimension(self):
+        a, b, c = make("a", [1.0, 2.0]), make("b", [1.0, 2.0, 3.0]), make("c", [2.0, 1.0])
+        message = "profile 'b' has dim 3, profile 'a' has 2"
+        with pytest.raises(DimensionMismatch, match=message):
+            Shelf.of([a, c, b])
+        with pytest.raises(DimensionMismatch, match=message):
+            Shelf.concat([Shelf.of([]), Shelf.of([a, c]), Shelf.of([]), Shelf.of([b])])
+        with pytest.raises(DimensionMismatch, match=message):
+            score_sources(make("t", [1.0, 1.0], role="target"), [a, b], EstimatorConfig())
+        joined = Shelf.concat([Shelf.of([]), Shelf.of([a]), Shelf.of([c])])
+        assert joined.summary.shape == joined.raw_mean.shape == (2, 2)
 
 
 # -- calibration and evaluation pools, as a list or as a shelf ----------------------
@@ -282,19 +293,18 @@ def damaged_columns(profiles, damages):
     cols = {"names": list(shelf.names), "sizes": list(shelf.sizes),
             "roles": list(shelf.roles), "extractor_ids": list(shelf.extractor_ids),
             "labels": list(shelf.labels), "summary": shelf.summary.copy(),
-            "raw_mean": shelf.raw_mean.copy(), "offsets": shelf.offsets.copy()}
+            "raw_mean": shelf.raw_mean.copy()}
     for row, damage in damages:
-        lo, hi = cols["offsets"][row], cols["offsets"][row + 1]
         if damage == "nan":
-            cols["summary"][lo] = np.nan
+            cols["summary"][row, 0] = np.nan
         elif damage == "inf_raw":
-            cols["raw_mean"][hi - 1] = np.inf
+            cols["raw_mean"][row, -1] = np.inf
         elif damage == "negative":
-            cols["summary"][lo] = -1e-300
+            cols["summary"][row, 0] = -1e-300
         elif damage == "sum_off":
-            cols["summary"][lo:hi] *= 1.0 + 1e-8
+            cols["summary"][row] *= 1.0 + 1e-8
         elif damage == "sum_near_tolerance":
-            cols["summary"][lo:hi] *= 1.0 + 1e-9 * (1.0 + 2.0 ** -20 * (row - 2))
+            cols["summary"][row] *= 1.0 + 1e-9 * (1.0 + 2.0 ** -20 * (row - 2))
         elif damage == "size_zero":
             cols["sizes"][row] = 0
         elif damage == "size_bool":
@@ -315,12 +325,10 @@ def damaged_columns(profiles, damages):
 def first_row_error(cols):
     """What building the rows one at a time raises first, as the summary
     cache built them: None when every row builds."""
-    offsets = cols["offsets"]
     for i in range(len(cols["names"])):
-        lo, hi = offsets[i], offsets[i + 1]
         try:
-            summary = SummaryVector(values=cols["summary"][lo:hi],
-                                    raw_mean=cols["raw_mean"][lo:hi],
+            summary = SummaryVector(values=cols["summary"][i],
+                                    raw_mean=cols["raw_mean"][i],
                                     summarizer=Summarizer.parse(cols["labels"][i]))
             DatasetProfile(name=cols["names"][i], size=cols["sizes"][i], summary=summary,
                            extractor_id=cols["extractor_ids"][i], role=cols["roles"][i])
@@ -365,51 +373,43 @@ class TestShelfChecks:
             rows += [last, row]
         for row in rows:
             cols = {"names": ["a"], "sizes": [1], "roles": ["source"],
-                    "extractor_ids": ["e"], "labels": ["mean"], "summary": row,
-                    "raw_mean": row, "offsets": [0, dim]}
+                    "extractor_ids": ["e"], "labels": ["mean"], "summary": row[None],
+                    "raw_mean": row[None]}
             assert built(cols) == first_row_error(cols)
         assert len({abs(row.sum() - 1.0) <= L1_TOL for row in rows}) == 2
-        # The same rows stacked, alone (one (rows, dim) sum) and beside a row of
-        # another dimension (a sum per row): each row is still judged alone.
-        for extra in ([], [np.full(3, 1.0 / 3.0)]):
-            for row in rows:
-                stacked = [np.full(dim, 1.0 / dim)] * 2 + [row] + extra
-                cols = {"names": ["a", "b", "c", "d"][:len(stacked)],
-                        "sizes": [1] * len(stacked), "roles": ["source"] * len(stacked),
-                        "extractor_ids": ["e"] * len(stacked),
-                        "labels": ["mean"] * len(stacked),
-                        "summary": np.concatenate(stacked),
-                        "raw_mean": np.concatenate(stacked),
-                        "offsets": np.cumsum([0] + [len(r) for r in stacked])}
-                assert built(cols) == first_row_error(cols)
+        # The same rows stacked, one (rows, dim) sum: each row is still judged alone.
+        for row in rows:
+            stacked = np.array([np.full(dim, 1.0 / dim)] * 2 + [row])
+            cols = {"names": ["a", "b", "c"], "sizes": [1] * 3, "roles": ["source"] * 3,
+                    "extractor_ids": ["e"] * 3, "labels": ["mean"] * 3,
+                    "summary": stacked, "raw_mean": stacked}
+            assert built(cols) == first_row_error(cols)
 
-    @pytest.mark.parametrize("offsets", [[0, 2, 4], [0, 3, 2, 5], [1, 3, 5], [0, 3, 6]])
-    def test_offsets_must_rise_to_the_vector_length(self, offsets):
-        with pytest.raises(ValueError, match="offsets"):
-            Shelf("abc"[:len(offsets) - 1], [1] * (len(offsets) - 1),
-                  ["source"] * (len(offsets) - 1), ["e"] * (len(offsets) - 1),
-                  ["mean"] * (len(offsets) - 1), np.full(5, 0.2), np.full(5, 0.2),
-                  offsets)
+    @pytest.mark.parametrize("shape", [(4,), (2, 2), (4, 2), (3, 1, 2)])
+    def test_vectors_must_be_rows_by_dim_matrices(self, shape):
+        with pytest.raises(ValueError, match=r"\(rows, dim\) matrices"):
+            Shelf("abc", [1] * 3, ["source"] * 3, ["e"] * 3, ["mean"] * 3,
+                  np.full(shape, 0.5), np.full(shape, 0.5))
 
     def test_columns_must_align(self):
         with pytest.raises(ValueError, match="one entry per row"):
             Shelf(["a", "b"], [1], ["source"] * 2, ["e"] * 2, ["mean"] * 2,
-                  np.full(2, 0.5), np.full(2, 0.5), [0, 1, 2])
+                  np.full((2, 1), 1.0), np.full((2, 1), 1.0))
 
     def test_arrays_are_read_only_copies(self):
-        values = np.array([0.5, 0.5])
-        shelf = Shelf(["a"], [1], ["source"], ["e"], ["mean"], values, values, [0, 2])
-        values[0] = 9.0
-        assert shelf.summary.tolist() == [0.5, 0.5]
+        values = np.array([[0.5, 0.5]])
+        shelf = Shelf(["a"], [1], ["source"], ["e"], ["mean"], values, values)
+        values[0, 0] = 9.0
+        assert shelf.summary.tolist() == [[0.5, 0.5]]
         with pytest.raises(ValueError):
             shelf.summary[0] = 1.0
 
 
 class TestSequenceView:
     def profiles(self):
-        return [make("a", [1.0, 3.0], size=4), make("b", [2.0, 2.0, 4.0], size=2**70,
+        return [make("a", [1.0, 3.0], size=4), make("b", [2.0, 4.0], size=2**70,
                                                      role="target", label="trimmed_mean:0.1"),
-                make("c", [5.0], extractor="e2")]
+                make("c", [5.0, 1.0], extractor="e2")]
 
     def assert_same(self, got, want):
         assert len(got) == len(want)
@@ -436,6 +436,6 @@ class TestSequenceView:
     def test_empty_shelf(self):
         empty = Shelf.of([])
         assert len(empty) == 0 and list(empty) == [] and not empty
-        assert empty.matrix(4).shape == (0, 4)
+        assert empty.summary.shape == empty.raw_mean.shape == (0, 0)
         with pytest.raises(EmptyCandidates):
             check_candidates(make("t", [1.0]), empty)
