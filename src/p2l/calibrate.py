@@ -233,7 +233,7 @@ def compare_methods(target: DatasetProfile, records: Sequence[ImprovementRecord]
     candidates = _candidates(target.name, records, Shelf.of(pool))
     scored = score_sources(target, candidates, cfg)
     rankings = {"P2L": [s.source_name for s in scored],
-                **baseline_rankings(scored, candidates, reference_name, rng_seed)}
+                **baseline_rankings(scored, reference_name, rng_seed)}
     transfer = {r.source_name: r.perf_transfer for r in records}
     best = best_source(records)
     p2l_perf = transfer[scored[0].source_name]

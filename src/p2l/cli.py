@@ -96,6 +96,11 @@ def _note(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+# The most k values --grid may give (-1:0:0.00001 gives this many): the grid
+# is built whole, so -3:0:1e-9 would take about 96 GB before anything ran.
+MAX_GRID_POINTS = 100_001
+
+
 def _parse_grid(text: str | None) -> tuple[float, ...]:
     if text is None:
         return DEFAULT_K_GRID
@@ -108,6 +113,9 @@ def _parse_grid(text: str | None) -> tuple[float, ...]:
         raise ValueError(f"bad grid spec {text!r}")
     # 1e-9 keeps hi when rounding leaves the step count just short of whole.
     n = math.floor((hi - lo) / step + 1e-9)
+    if n + 1 > MAX_GRID_POINTS:
+        raise ValueError(f"grid spec {text!r} gives {n + 1} points; "
+                         f"at most {MAX_GRID_POINTS} are allowed")
     return tuple(round(lo + i * step, 12) for i in range(n + 1))
 
 
@@ -179,15 +187,14 @@ def cmd_rank(args) -> int:
     scored = score_sources(target, candidates, cfg)
     picks = {}
     if args.baselines:
-        rankings = baseline_rankings(scored, candidates, args.reference, args.seed)
+        rankings = baseline_rankings(scored, args.reference, args.seed)
         # B2 without --reference and B3 without --seed do not run: an empty pick.
         picks = {kind: rankings[kind][0] if kind in rankings else ""
                  for kind in BASELINES if kind != "B4"}
-    sizes = dict(zip(candidates.names, candidates.sizes))
     rows = scored if args.top is None else scored[:args.top]
     print("name,size,distance,z_log_size,z_distance,score")
     for s in rows:
-        print(f"{s.source_name},{sizes[s.source_name]},{fmt(s.distance_value)},"
+        print(f"{s.source_name},{s.size},{fmt(s.distance_value)},"
               f"{fmt(s.z_log_size)},{fmt(s.z_distance)},{fmt(s.score)}")
     for kind, pick in picks.items():
         print(f"baseline,{kind},{pick}")

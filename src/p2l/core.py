@@ -347,18 +347,22 @@ class EstimatorConfig:
 
 @dataclass(frozen=True)
 class ScoredSource:
-    """One candidate's score decomposition; the score is derived from it."""
+    """One candidate's size and score decomposition; the score is derived from it."""
 
     source_name: str
+    size: float
     distance_value: float
     z_log_size: float
     z_distance: float
     k: float
 
     def __post_init__(self):
-        parts = (self.distance_value, self.z_log_size, self.z_distance, self.k, self.score)
+        parts = (self.size, self.distance_value, self.z_log_size, self.z_distance,
+                 self.k, self.score)
         if not all(math.isfinite(x) for x in parts):
             raise NonFiniteValue("scored source contains NaN or Inf")
+        if self.size <= 0:
+            raise ValueError("size must be > 0")
         if self.distance_value < 0.0:
             raise ValueError("distance must be >= 0")
 

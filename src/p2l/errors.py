@@ -83,7 +83,8 @@ class MixedSummarizers(InputError):
 
 
 class MixedExtractors(InputError):
-    """Profiles from different reference extractors were compared without override."""
+    """A candidate was embedded by another extractor than its target, or a
+    merge member by another than the first member."""
 
 
 # -- rank statistics / calibration ---------------------------------------------

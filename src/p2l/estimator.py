@@ -63,8 +63,8 @@ def score_table(names: Sequence[str], sizes: Sequence[float],
 
     Scores equal once rounded to SCORE_IDENTITY_TOL tie, whatever their float
     noise, and break by descending size, then name; a k whose scores overflow
-    that rounding is refused. Sizes may be any positive reals so callers can
-    exercise scale-invariance directly.
+    that rounding is refused. A row keeps its size as given, any positive
+    real, so callers can exercise scale-invariance directly.
     """
     names = list(names)
     n = len(names)
@@ -74,24 +74,24 @@ def score_table(names: Sequence[str], sizes: Sequence[float],
         raise DuplicateSourceName("candidate names must be distinct")
     if len(sizes) != n or len(distances) != n:
         raise ValueError("names, sizes and distances must align")
-    sizes = np.asarray(sizes, dtype=np.float64)
+    reals = np.asarray(sizes, dtype=np.float64)
     dists = np.asarray(distances, dtype=np.float64)
-    if not (np.all(np.isfinite(sizes)) and np.all(sizes > 0.0)):
+    if not (np.all(np.isfinite(reals)) and np.all(reals > 0.0)):
         raise ValueError("sizes must be positive and finite")
     if not (np.all(np.isfinite(dists)) and np.all(dists >= 0.0)):
         raise ValueError("distances must be >= 0 and finite")
 
-    z_logs = zscale(np.log(sizes))
+    z_logs = zscale(np.log(reals))
     z_dists = zscale(dists)
-    scored = [ScoredSource(source_name=name, distance_value=float(dists[i]),
+    scored = [ScoredSource(source_name=name, size=size, distance_value=float(dists[i]),
                            z_log_size=float(z_logs[i]), z_distance=float(z_dists[i]),
                            k=float(k))
-              for i, name in enumerate(names)]
+              for i, (name, size) in enumerate(zip(names, sizes))]
     ticks = [s.score / SCORE_IDENTITY_TOL for s in scored]
     if not all(map(math.isfinite, ticks)):
         raise ValueError(f"|k| = {abs(k)!r} gives scores too large to rank; "
                          "use a smaller |k|")
-    order = sorted(range(n), key=lambda i: (-round(ticks[i]), -sizes[i], names[i]))
+    order = sorted(range(n), key=lambda i: (-round(ticks[i]), -reals[i], names[i]))
     return [scored[i] for i in order]
 
 
@@ -129,36 +129,33 @@ def score_sources(target: DatasetProfile, sources: Sequence[DatasetProfile],
     shelf = Shelf.of(sources)
     check_candidates(target, shelf)
     dists = distances(cfg.distance, target.summary, shelf.summary)
-    return score_table(shelf.names, [float(size) for size in shelf.sizes], dists, cfg.k)
+    return score_table(shelf.names, shelf.sizes, dists, cfg.k)
 
 
 def baseline_rankings(scored: Sequence[ScoredSource],
-                      candidates: Sequence[DatasetProfile],
                       reference_name: str | None = None, rng_seed: int | None = None,
                       ) -> dict[str, list[str] | None]:
     """Every baseline that can run, in BASELINES order, as an ordering of
-    score_sources' rows for these candidates, which it checked already.
+    score_sources' rows, whose candidates it checked already.
 
-    B1: by size, largest first, ties to the smaller name. B2: the reference,
-    then B1's order; it runs only with a reference. B3: a seeded shuffle of
-    the sorted names; it runs only with a seed. B4: None, no transfer. B5:
-    by the scored distance, least first, ties as B1's.
+    B1: by the rows' size, largest first, ties to the smaller name. B2: the
+    reference, then B1's order; it runs only with a reference. B3: a seeded
+    shuffle of the sorted names; it runs only with a seed. B4: None, no
+    transfer. B5: by the scored distance, least first, ties as B1's.
     """
-    shelf = Shelf.of(candidates)
-    size = dict(zip(shelf.names, shelf.sizes))
-    by_size = sorted(size, key=lambda name: (-size[name], name))
+    by_size = [s.source_name for s in sorted(scored, key=lambda s: (-s.size, s.source_name))]
     rankings: dict[str, list[str] | None] = {"B1": by_size}
     if reference_name is not None:
-        if reference_name not in size:
+        if reference_name not in by_size:
             raise MissingReference(
                 f"reference source {reference_name!r} not among candidates")
         rankings["B2"] = [reference_name] + [n for n in by_size if n != reference_name]
     if rng_seed is not None:
-        rankings["B3"] = sorted(size)
+        rankings["B3"] = sorted(by_size)
         random.Random(rng_seed).shuffle(rankings["B3"])
     rankings["B4"] = None
     rankings["B5"] = [s.source_name for s in sorted(
-        scored, key=lambda s: (s.distance_value, -size[s.source_name], s.source_name))]
+        scored, key=lambda s: (s.distance_value, -s.size, s.source_name))]
     return rankings
 
 
@@ -176,15 +173,14 @@ def baseline_ranking(kind: str, target: DatasetProfile,
         raise ValueError(f"unknown baseline {kind!r}")
     if kind == "B4":
         return None
-    shelf = Shelf.of(sources)
-    scored = score_sources(target, shelf, replace(cfg or EstimatorConfig(), k=0.0))
+    scored = score_sources(target, sources, replace(cfg or EstimatorConfig(), k=0.0))
     if kind == "B2" and reference_name is None:
         raise MissingReference("reference source None not among candidates")
     if kind == "B3" and rng_seed is None:
         raise MissingSeed("random baseline needs an explicit seed")
     if kind == "B5" and cfg is None:
         raise ValueError("B5 needs an estimator config for the distance")
-    return baseline_rankings(scored, shelf, reference_name, rng_seed)[kind]
+    return baseline_rankings(scored, reference_name, rng_seed)[kind]
 
 
 def merge_profiles(profiles: Sequence[DatasetProfile], name: str) -> DatasetProfile:

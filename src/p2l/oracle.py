@@ -134,14 +134,12 @@ class WorldSpec:
     """
 
     domains: tuple[DomainSpec, ...]
-    n_sources: int | None = None
+    n_sources: int
 
     def __post_init__(self):
         object.__setattr__(self, "domains", tuple(self.domains))
-        n_sources = len(self.domains) if self.n_sources is None else self.n_sources
-        if not (1 <= n_sources <= len(self.domains)):
+        if not (1 <= self.n_sources <= len(self.domains)):
             raise BadSpec("n_sources must lie in [1, number of domains]")
-        object.__setattr__(self, "n_sources", n_sources)
         widths = {d.centroids.shape[1] for d in self.domains}
         if len(widths) > 1:
             raise BadSpec(f"domains differ in centroid width: {sorted(widths)}")
@@ -430,11 +428,11 @@ def _softmax_grads(params: ModelParams, x: np.ndarray, y: np.ndarray,
 
 
 def sgd_train(params: ModelParams, x: np.ndarray, y: np.ndarray,
-              rngs: Sequence[np.random.Generator], learn_rate: float, epochs: int,
-              batch: int, rep_scale: float | Sequence[float] = 1.0,
+              rngs: Sequence[np.random.Generator], epochs: int,
+              rep_scale: float | Sequence[float] = 1.0,
               rows: Sequence[range] | None = None) -> ModelParams:
     """Plain mini-batch gradient descent of R runs, in lockstep and in place;
-    no momentum, fixed budget.
+    no momentum, fixed budget: LEARN_RATE, mini-batches of OracleConfig.batch.
 
     Run r trains on the rows rows[r] of the stacked split x, y (every run on
     all of it when rows is None), draws each epoch's order from its own
@@ -452,7 +450,7 @@ def sgd_train(params: ModelParams, x: np.ndarray, y: np.ndarray,
     take. Runs whose batches differ in length at a step (a short last batch
     of an epoch) step apart.
     """
-    n_runs = len(rngs)
+    n_runs, batch = len(rngs), OracleConfig.batch
     if rows is None:
         rows = [range(x.shape[0])] * n_runs
     by_size = np.argsort([-len(r) for r in rows], kind="stable")
@@ -461,9 +459,9 @@ def sgd_train(params: ModelParams, x: np.ndarray, y: np.ndarray,
     rngs = [rngs[r] for r in by_size]
     # Every run's weights, and each weight's learn rate, as one row.
     flat = params.flat()[by_size]
-    rates = np.full_like(flat, learn_rate)
+    rates = np.full_like(flat, LEARN_RATE)
     rates[:, :params.w1[0].size + params.b1[0].size] = (
-        learn_rate * np.broadcast_to(rep_scale, (n_runs,)))[by_size, None]
+        LEARN_RATE * np.broadcast_to(rep_scale, (n_runs,)))[by_size, None]
     lockstep = {}  # (first run, end run) -> its weights, rates and gradients
     # Cohorts: runs of one row count, which start their epochs at the same steps.
     cuts = [r for r in range(1, n_runs) if sizes[r] != sizes[r - 1]]
@@ -547,8 +545,7 @@ def _fit_target(world: OracleWorld, target_name: str,
             rep_scale.append(FINETUNE_MULTIPLIER)
         rngs.append(rng)
     params = sgd_train(ModelParams.concat(runs), data.target_train.x,
-                       data.target_train.y, rngs, LEARN_RATE, cfg.epochs,
-                       cfg.batch, rep_scale)
+                       data.target_train.y, rngs, cfg.epochs, rep_scale)
     return accuracy(params, data.target_val.x, data.target_val.y)
 
 
@@ -598,8 +595,7 @@ def _train_models(world: OracleWorld, cfg: OracleConfig,
             rngs.append(_stream(world.seed, *tags))
             starts.append(init_params(rngs[-1], world.spec.feature_dim, HIDDEN_DIM, offset))
         params = sgd_train(ModelParams.concat(starts), np.concatenate(xs),
-                           np.concatenate(ys), rngs, LEARN_RATE, cfg.epochs,
-                           cfg.batch, rows=rows)
+                           np.concatenate(ys), rngs, cfg.epochs, rows=rows)
         trained = params.flat()
         return [params.views(trained[r:r + 1]) for r in range(len(group))]
 

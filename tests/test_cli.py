@@ -9,6 +9,7 @@ import os
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ import pytest
 import p2l
 from p2l import oracle
 from p2l.calibrate import tune_k
-from p2l.cli import build_parser, main
+from p2l.cli import MAX_GRID_POINTS, build_parser, main
 from p2l.core import EmbeddingMatrix, Shelf
 from p2l.io import CACHE_NAME, ProfileRegistry, _write_summary_cache, fmt, \
     write_embeddings_bin, write_embeddings_csv, write_improvements_csv
@@ -709,6 +710,37 @@ class TestCalibrateAndEvaluate:
         assert (code, out) == (2, "")
         assert err == "p2l: error: k grid repeats values: 6 distinct of 51\n"
         assert not root.exists() and not (tmp_path / "g.csv").exists()
+
+    def test_calibrate_grid_of_too_many_points_exits_2_at_once(self, capsys, tmp_path):
+        # 3,000,000,001 points would be about 96 GB of floats: refused before
+        # the grid is built and before any input is read.
+        root, grid_out = tmp_path / "registry", tmp_path / "g.csv"
+        start = time.perf_counter()
+        code, out, err = run(capsys, "calibrate", "--truth", str(tmp_path / "missing.csv"),
+                             "--registry", str(root), "--out", str(grid_out),
+                             "--grid=-3:0:1e-9")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == ("p2l: error: grid spec '-3:0:1e-9' gives 3000000001 points; "
+                       f"at most {MAX_GRID_POINTS} are allowed\n")
+        assert not root.exists() and not grid_out.exists()
+
+    def test_calibrate_grid_of_the_most_points_runs(self, capsys, tmp_path, registry_dir):
+        truth = seed_truth(tmp_path, registry_dir)
+        grid_out = tmp_path / "grid.csv"
+        code, _, err = run(capsys, "calibrate", "--truth", str(truth), "--registry",
+                           registry_dir, "--out", str(grid_out), "--grid=-1:0:0.00001",
+                           "--kinds", "KL")
+        assert code == 0
+        ks = [float(row[0]) for row in parse_csv(grid_out.read_text())[1:]]
+        assert len(ks) == MAX_GRID_POINTS == 100_001
+        assert (ks[0], ks[-1]) == (-1.0, 0.0)
+        code, out, err = run(capsys, "calibrate", "--truth", str(truth), "--registry",
+                             registry_dir, "--out", str(tmp_path / "g.csv"),
+                             "--grid=-1:0.00001:0.00001", "--kinds", "KL")
+        assert (code, out) == (2, "")
+        assert "gives 100002 points" in err
+        assert not (tmp_path / "g.csv").exists()
 
     def test_calibrate_notes_per_task_rho(self, capsys, tmp_path):
         registry_dir = tmp_path / "registry"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -135,12 +137,22 @@ class TestEstimatorConfig:
 
 class TestScoredSource:
     def test_identity_rederivable_from_fields(self):
-        s = ScoredSource("a", 0.3, 0.7, -0.2, -1.5)
+        s = ScoredSource("a", 40, 0.3, 0.7, -0.2, -1.5)
+        assert s.size == 40
         assert abs(s.score - (s.z_log_size + s.k * s.z_distance)) < 1e-12
 
     def test_negative_distance_rejected(self):
         with pytest.raises(ValueError):
-            ScoredSource("a", -0.1, 0.0, 0.0, -1.0)
+            ScoredSource("a", 40, -0.1, 0.0, 0.0, -1.0)
+
+    @pytest.mark.parametrize("size,error", [
+        (0, ValueError), (-3, ValueError), (-0.5, ValueError),
+        (math.nan, NonFiniteValue), (math.inf, NonFiniteValue),
+        (-math.inf, NonFiniteValue),
+    ])
+    def test_size_must_be_positive_and_finite(self, size, error):
+        with pytest.raises(error):
+            ScoredSource("a", size, 0.3, 0.7, -0.2, -1.5)
 
 
 class TestImprovementRecord:

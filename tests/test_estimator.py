@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -127,6 +128,13 @@ class TestScoreTable:
 
 
 class TestScoreSources:
+    def test_rows_keep_the_candidates_sizes_as_they_are(self):
+        target = profile("t", 10, [1.0, 1.0], role="target")
+        sources = [profile("a", 7, [1.0, 2.0]), profile("b", 2 ** 60 + 1, [2.0, 1.0])]
+        scored = score_sources(target, sources, EstimatorConfig(k=-1.0))
+        assert {s.source_name: s.size for s in scored} == {"a": 7, "b": 2 ** 60 + 1}
+        assert all(type(s.size) is int for s in scored)
+
     def test_distance_degenerate_ranking_equals_size_order(self):
         target = profile("t", 10, [1.0, 1.0], role="target")
         shared = summarize(EmbeddingMatrix(np.array([[3.0, 1.0]]), "ext"))
@@ -237,7 +245,7 @@ class TestBaselines:
     ])
     def test_rankings_of_the_baselines_that_can_run(self, reference, seed, kinds):
         scored = score_sources(self.target, self.sources, self.cfg)
-        got = baseline_rankings(scored, self.sources, reference, seed)
+        got = baseline_rankings(scored, reference, seed)
         assert list(got) == kinds
         assert got == {kind: baseline_ranking(kind, self.target, self.sources, self.cfg,
                                               reference_name=reference, rng_seed=seed)
@@ -246,12 +254,43 @@ class TestBaselines:
 
     def test_rankings_order_the_scored_candidates(self):
         scored = score_sources(self.target, self.sources, self.cfg)
-        got = baseline_rankings(scored, self.sources)
+        got = baseline_rankings(scored)
         assert [len(ranking) for ranking in got.values() if ranking] == [3, 3]
         by_distance = sorted(scored, key=lambda s: s.distance_value)
         assert got["B5"] == [s.source_name for s in by_distance]
         with pytest.raises(MissingReference):
-            baseline_rankings(scored, self.sources, reference_name="nope")
+            baseline_rankings(scored, reference_name="nope")
+
+    @given(rows=st.lists(st.tuples(st.sampled_from([1, 2, 30, 30_000]),
+                                   st.sampled_from([0.0, 0.25, 1.0, 4.0])),
+                         min_size=1, max_size=9),
+           names=st.permutations([f"s{i}" for i in range(9)]),
+           k=st.sampled_from([0.0, -0.5, -3.0]),
+           reference=st.one_of(st.none(), st.integers(0, 8)),
+           seed=st.one_of(st.none(), st.integers(0, 2 ** 32 - 1)))
+    @settings(max_examples=200, deadline=None)
+    def test_rankings_follow_the_scored_rows_own_columns(self, rows, names, k,
+                                                         reference, seed):
+        """With sizes and distances tied, each baseline orders the scored rows
+        by their own (size, distance, name) columns, whatever order P2L
+        scored them in."""
+        names = names[:len(rows)]
+        sizes = {name: size for name, (size, _) in zip(names, rows)}
+        dists = {name: dist for name, (_, dist) in zip(names, rows)}
+        reference = None if reference is None else names[reference % len(names)]
+        scored = score_table(names, list(sizes.values()), list(dists.values()), k)
+        assert {s.source_name: s.size for s in scored} == sizes
+
+        by_size = sorted(names, key=lambda n: (-sizes[n], n))
+        want = {"B1": by_size}
+        if reference is not None:
+            want["B2"] = [reference] + [n for n in by_size if n != reference]
+        if seed is not None:
+            want["B3"] = sorted(names)
+            random.Random(seed).shuffle(want["B3"])
+        want["B4"] = None
+        want["B5"] = sorted(names, key=lambda n: (dists[n], -sizes[n], n))
+        assert baseline_rankings(scored, reference, seed) == want
 
 
 class TestMergeProfiles:

@@ -17,14 +17,15 @@ from p2l.estimator import merge_profiles
 
 
 def two_cluster_spec(feature_dim=8, n_items=400, gap=8.0, n_classes=5, seed=0):
-    """Two well-separated domains of overlapping Gaussian classes."""
+    """Two well-separated domains of overlapping Gaussian classes, each both
+    a source and a target."""
     rng = np.random.default_rng(seed)
     a = rng.normal(0.0, 1.0, (n_classes, feature_dim))
     b = a + gap
     return oracle.WorldSpec(domains=(
         oracle.DomainSpec("aaa", n_items, a),
         oracle.DomainSpec("bbb", n_items, b),
-    ))
+    ), n_sources=2)
 
 
 class TestWorldGeneration:
@@ -55,7 +56,8 @@ class TestWorldGeneration:
     def test_bad_specs(self):
         spec = two_cluster_spec()
         with pytest.raises(BadSpec):
-            oracle.generate_world(1, oracle.WorldSpec(domains=spec.domains[:1]))
+            oracle.generate_world(1, oracle.WorldSpec(domains=spec.domains[:1],
+                                                      n_sources=1))
         with pytest.raises(BadSpec, match="empty target split"):
             # 39 items: a quarter of 9 leaves floor(0.1 * 9) = 0 target items
             oracle.generate_world(1, two_cluster_spec(n_items=39))
@@ -65,7 +67,12 @@ class TestWorldGeneration:
             oracle.DomainSpec("c", 100, np.zeros(8))
         with pytest.raises(BadSpec, match="differ in centroid width"):
             oracle.WorldSpec(domains=(spec.domains[0],
-                                      oracle.DomainSpec("c", 100, np.zeros((2, 4)))))
+                                      oracle.DomainSpec("c", 100, np.zeros((2, 4)))),
+                             n_sources=1)
+        with pytest.raises(BadSpec, match="n_sources must lie"):
+            oracle.WorldSpec(domains=spec.domains, n_sources=3)
+        with pytest.raises(TypeError):
+            oracle.WorldSpec(domains=spec.domains)  # a spec names its sources
 
     def test_smallest_domain_has_a_one_item_target_split(self):
         # 40 items: a quarter of 10 leaves floor(0.1 * 10) = 1 target item
@@ -143,16 +150,21 @@ class TestTrainer:
     def test_training_reduces_loss(self):
         params, x, y = self.random_instance(99)
         before, _ = oracle.loss_and_grads(params, x, y)
-        oracle.sgd_train(params, x, y, [np.random.default_rng(0)], 0.1, 50, 4)
+        oracle.sgd_train(params, x, y, [np.random.default_rng(0)], 50)
         after, _ = oracle.loss_and_grads(params, x, y)
         assert after < before
 
     def test_rep_scale_zero_freezes_representation(self):
         params, x, y = self.random_instance(7)
         w1_before = params.w1.copy()
-        oracle.sgd_train(params, x, y, [np.random.default_rng(0)], 0.1, 5, 4,
-                         rep_scale=0.0)
+        oracle.sgd_train(params, x, y, [np.random.default_rng(0)], 5, rep_scale=0.0)
         np.testing.assert_array_equal(params.w1, w1_before)
+
+    @pytest.mark.parametrize("setting", [{"learn_rate": 0.1}, {"batch": 4}])
+    def test_trains_only_at_the_oracle_constants(self, setting):
+        params, x, y = self.random_instance(7)
+        with pytest.raises(TypeError):
+            oracle.sgd_train(params, x, y, [np.random.default_rng(0)], 5, **setting)
 
 
 def reference_grads(params, x, y):
@@ -188,19 +200,25 @@ def reference_sgd_train(params, x, y, rng, learn_rate, epochs, batch, rep_scale)
     return params
 
 
+# Row counts on both sides of the batch (32): below it, whole batches, and
+# a short last batch.
+ROW_COUNTS = st.one_of(st.integers(1, 100), st.sampled_from([31, 32, 33, 64, 65]))
+
+
 class TestStackedTrainer:
     @settings(max_examples=150, deadline=None)
-    @given(n=st.integers(1, 89), d=st.integers(1, 19), hidden=st.integers(1, 9),
-           classes=st.integers(1, 7), batch=st.integers(1, 39),
-           epochs=st.integers(0, 3), learn_rate=st.sampled_from([0.1, 0.05, 0.3]),
+    @given(n=ROW_COUNTS, d=st.integers(1, 19), hidden=st.integers(1, 9),
+           classes=st.integers(1, 7), epochs=st.integers(0, 3),
            rep_scales=st.lists(st.one_of(st.sampled_from([1.0, 0.1, 0.0, 0.37]),
                                          st.floats(0.0, 2.0)),
                                min_size=1, max_size=13),
            seed=st.integers(0, 2**32 - 1))
-    @example(n=10, d=3, hidden=2, classes=3, batch=4, epochs=2, learn_rate=0.1,
+    @example(n=40, d=3, hidden=2, classes=3, epochs=2,
              rep_scales=[1.0, 0.1, 0.1], seed=1)  # a short last batch
+    @example(n=10, d=3, hidden=2, classes=3, epochs=2,
+             rep_scales=[1.0, 0.1, 0.1], seed=1)  # below the batch
     def test_stacked_runs_match_runs_alone_bit_for_bit(
-            self, n, d, hidden, classes, batch, epochs, learn_rate, rep_scales, seed):
+            self, n, d, hidden, classes, epochs, rep_scales, seed):
         """Every weight of every run, trained in lockstep on one split, has the
         float64 bits of the same run trained alone from the same stream."""
         data_rng = np.random.default_rng(seed)
@@ -213,13 +231,14 @@ class TestStackedTrainer:
         rngs = [stream(r) for r in range(len(rep_scales))]
         starts = [oracle.init_params(rng, d, hidden, classes) for rng in rngs]
         stacked = oracle.sgd_train(oracle.ModelParams.concat(starts), x, y, rngs,
-                                   learn_rate, epochs, batch, rep_scales)
+                                   epochs, rep_scales)
         for r, rep_scale in enumerate(rep_scales):
             rng = stream(r)
             start = oracle.init_params(rng, d, hidden, classes)
             alone = oracle.ModelParams(w1=start.w1[0], b1=start.b1[0],
                                        w2=start.w2[0], b2=start.b2[0])
-            reference_sgd_train(alone, x, y, rng, learn_rate, epochs, batch, rep_scale)
+            reference_sgd_train(alone, x, y, rng, oracle.LEARN_RATE, epochs,
+                                oracle.OracleConfig.batch, rep_scale)
             for field in ("w1", "b1", "w2", "b2"):
                 got = getattr(stacked, field)[r]
                 want = getattr(alone, field)
@@ -228,19 +247,17 @@ class TestStackedTrainer:
                 assert got.tobytes() == want.tobytes(), (field, r)
 
     @settings(max_examples=150, deadline=None)
-    @given(runs=st.lists(st.tuples(st.one_of(st.integers(1, 89), st.sampled_from([5, 32])),
+    @given(runs=st.lists(st.tuples(st.one_of(ROW_COUNTS, st.sampled_from([5, 32])),
                                    st.sampled_from([1.0, 0.1, 0.0, 0.37])),
                          min_size=1, max_size=9),
            d=st.integers(1, 19), hidden=st.integers(1, 9), classes=st.integers(1, 7),
-           batch=st.integers(1, 39), epochs=st.integers(0, 3),
-           learn_rate=st.sampled_from([0.1, 0.05, 0.3]), seed=st.integers(0, 2**32 - 1))
+           epochs=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
     # below the batch, a whole number of batches, equal lengths, a short last batch
     @example(runs=[(5, 1.0), (64, 0.1), (5, 0.1), (70, 1.0), (1, 0.37)], d=3, hidden=2,
-             classes=3, batch=32, epochs=3, learn_rate=0.1, seed=2)
-    @example(runs=[(8, 1.0), (8, 0.1)], d=1, hidden=3, classes=2, batch=3, epochs=2,
-             learn_rate=0.3, seed=5)
+             classes=3, epochs=3, seed=2)
+    @example(runs=[(40, 1.0), (40, 0.1)], d=1, hidden=3, classes=2, epochs=2, seed=5)
     def test_runs_on_their_own_rows_match_runs_alone_bit_for_bit(
-            self, runs, d, hidden, classes, batch, epochs, learn_rate, seed):
+            self, runs, d, hidden, classes, epochs, seed):
         """Runs of different row counts, each on its own rows of one stacked
         split, train in one call; every weight has the float64 bits of the same
         run trained alone on its rows from the same stream."""
@@ -258,15 +275,15 @@ class TestStackedTrainer:
         rngs = [stream(r) for r in range(len(runs))]
         starts = [oracle.init_params(rng, d, hidden, classes) for rng in rngs]
         stacked = oracle.sgd_train(oracle.ModelParams.concat(starts), x, y, rngs,
-                                   learn_rate, epochs, batch, rep_scales, rows=rows)
+                                   epochs, rep_scales, rows=rows)
         for r, (run_rows, rep_scale) in enumerate(zip(rows, rep_scales)):
             rng = stream(r)
             start = oracle.init_params(rng, d, hidden, classes)
             alone = oracle.ModelParams(w1=start.w1[0], b1=start.b1[0],
                                        w2=start.w2[0], b2=start.b2[0])
             reference_sgd_train(alone, x[run_rows.start:run_rows.stop],
-                                y[run_rows.start:run_rows.stop], rng, learn_rate,
-                                epochs, batch, rep_scale)
+                                y[run_rows.start:run_rows.stop], rng, oracle.LEARN_RATE,
+                                epochs, oracle.OracleConfig.batch, rep_scale)
             for field in ("w1", "b1", "w2", "b2"):
                 got = getattr(stacked, field)[r]
                 want = getattr(alone, field)
@@ -283,7 +300,7 @@ class TestStackedTrainer:
         def train(rep_scale):
             return oracle.sgd_train(oracle.ModelParams.concat(starts), x, y,
                                     [np.random.default_rng(9 + r) for r in range(3)],
-                                    0.1, 2, 4, rep_scale)
+                                    2, rep_scale)
 
         one, each = train(0.1), train([0.1, 0.1, 0.1])
         for field in ("w1", "b1", "w2", "b2"):

@@ -87,7 +87,7 @@ def outcome(fn):
 
 
 def rows_bytes(scored):
-    return [(s.source_name, np.float64(s.distance_value).tobytes(),
+    return [(s.source_name, s.size, np.float64(s.distance_value).tobytes(),
              np.float64(s.z_log_size).tobytes(), np.float64(s.z_distance).tobytes(),
              np.float64(s.score).tobytes()) for s in scored]
 
@@ -121,8 +121,7 @@ def stacked(sources):
 def reference_scores(target, sources, cfg):
     reference_check(target, sources)
     dists = distances(cfg.distance, target.summary, stacked(sources))
-    return score_table([s.name for s in sources], [float(s.size) for s in sources],
-                       dists, cfg.k)
+    return score_table([s.name for s in sources], [s.size for s in sources], dists, cfg.k)
 
 
 def reference_baseline(kind, target, sources, cfg, reference_name, seed):
@@ -167,8 +166,7 @@ class TestRankingFromColumns:
                 assert outcome(lambda: baseline_ranking(
                     base, target, sources, cfg, reference_name, 7)) == want
         rankings = [outcome(lambda: baseline_rankings(
-                        score_sources(target, sources, cfg), sources,
-                        reference_name, 7))
+                        score_sources(target, sources, cfg), reference_name, 7))
                     for sources in (from_list, from_shelf)]
         assert rankings[0] == rankings[1]
 
