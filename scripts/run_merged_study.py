@@ -15,16 +15,13 @@ from p2l.oracle import write_merged_csv
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])
-    parser.add_argument("--sources", type=int, default=6)
-    parser.add_argument("--targets", type=int, default=8)
     parser.add_argument("--out", default=None,
                         help="CSV path prefix; one file per seed")
     args = parser.parse_args()
 
     cfg = oracle.OracleConfig()
     for seed in args.seeds:
-        world = oracle.default_world(seed, cfg, n_sources=args.sources,
-                                     n_targets=args.targets)
+        world = oracle.default_world(seed, cfg)
         report = oracle.merged_source_study(world, cfg)
         if args.out:
             write_merged_csv(report, f"{args.out}.seed{seed}.csv")

@@ -14,10 +14,9 @@ from p2l.calibrate import EvaluationConfig, tune_k
 from p2l.core import EstimatorConfig
 
 
-def run_seed(seed, args):
-    cfg = oracle.OracleConfig(epochs=args.epochs)
-    world = oracle.default_world(seed, cfg, n_sources=args.sources,
-                                 n_targets=args.targets)
+def run_seed(seed):
+    cfg = oracle.OracleConfig()
+    world = oracle.default_world(seed, cfg)
     records = oracle.ground_truth(world, cfg)
     tasks, sources = oracle.calibration_tasks(world, records)
     report = tune_k(tasks, sources, EvaluationConfig())
@@ -25,22 +24,17 @@ def run_seed(seed, args):
     study = oracle.run_study(world, cfg, best, records=records)
     # The grid's k = 0 cell ranks the z(ln size) scores a study at k = 0 ranks,
     # so its rho is the size-only study's, bit for bit.
-    size_only = next(g for g in report.grid
-                     if g.k == 0.0 and g.distance is report.best_distance)
-    return report, study, size_only.mean_rho
+    return report, study, dict(report.curve(report.best_distance))[0.0]
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])
-    parser.add_argument("--sources", type=int, default=6)
-    parser.add_argument("--targets", type=int, default=8)
-    parser.add_argument("--epochs", type=int, default=10)
     args = parser.parse_args()
 
     rows = []
     for seed in args.seeds:
-        report, study, size_only = run_seed(seed, args)
+        report, study, size_only = run_seed(seed)
         rows.append((seed, report.best_k, report.best_distance.value,
                      study.mean_rho, size_only,
                      study.hit_rate["P2L"], study.hit_rate["B1"],

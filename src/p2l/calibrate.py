@@ -22,7 +22,6 @@ from .core import (
     EstimatorConfig,
     GridPoint,
     ImprovementRecord,
-    ScoredSource,
     Shelf,
 )
 from .divergence import distances
@@ -34,7 +33,7 @@ from .errors import (
     UnknownSource,
     ZeroDenominator,
 )
-from .estimator import baseline_rankings, check_candidates, score_sources, zscale
+from .estimator import baseline_rankings, check_candidates, score_grid, score_sources
 from .io import fmt, write_lines
 
 # k in [-3, 0] by steps of 0.05; distance works against size, so k <= 0.
@@ -144,15 +143,14 @@ def tune_k(training_tasks: Sequence[TrainingTask],
     its candidates are the sources its records name, in record order, as
     rows of the sources stacked once (a name may appear once). The report's
     best_point() breaks grid ties toward smaller |k|, then kind declaration
-    order. A task's whole grid is one score matrix, ranked and correlated in
-    one _rank_correlations pass, bit-equal to per-cell np.corrcoef.
+    order. A task's whole grid is one score_grid matrix, ranked and
+    correlated in one _rank_correlations pass, bit-equal to per-cell np.corrcoef.
     """
     cfg = cfg if cfg is not None else EvaluationConfig()
     if not training_tasks:
         raise ValueError("need at least one training task")
     pool = Shelf.of(sources)
 
-    ks = np.array(cfg.k_grid)
     task_rhos = {}
     for target, records in training_tasks:
         if target.name in task_rhos:
@@ -162,13 +160,12 @@ def tune_k(training_tasks: Sequence[TrainingTask],
             raise TooFewSources(
                 f"task {target.name!r} has {len(candidates)} sources, need >= 3")
         check_candidates(target, candidates)
-        z_logs = zscale(np.log([float(size) for size in candidates.sizes]))
-        z_dists = np.array([zscale(distances(kind, target.summary, candidates.summary))
-                            for kind in cfg.distance_kinds])
+        _, _, scores = score_grid(candidates.sizes, [
+            distances(kind, target.summary, candidates.summary)
+            for kind in cfg.distance_kinds], cfg.k_grid)
         # One row per grid cell, in grid order: k-major, kind-minor.
-        scores = (z_logs + ks[:, None, None] * z_dists).reshape(-1, len(candidates))
         task_rhos[target.name] = spearman_or_zero(
-            scores, [r.improvement for r in records]).tolist()
+            scores.reshape(-1, len(candidates)), [r.improvement for r in records]).tolist()
 
     cells = [(k, kind) for k in cfg.k_grid for kind in cfg.distance_kinds]
     return CalibrationReport(tuple(
@@ -219,7 +216,7 @@ class MethodOutcome:
 def compare_methods(target: DatasetProfile, records: Sequence[ImprovementRecord],
                     pool: Sequence[DatasetProfile], cfg: EstimatorConfig,
                     reference_name: str | None = None, rng_seed: int | None = None,
-                    ) -> tuple[list[ScoredSource], dict[str, MethodOutcome]]:
+                    ) -> dict[str, MethodOutcome]:
     """Run every selection method on one target and score it against its records.
 
     The records are the target's, as group_records_by_target gives them; the
@@ -227,8 +224,8 @@ def compare_methods(target: DatasetProfile, records: Sequence[ImprovementRecord]
     name may appear once. A list pool is stacked into a Shelf. Methods run
     in the order P2L, then baseline_rankings', which order P2L's scored
     candidates: they are checked and measured once. A method's perf is its pick's
-    perf_transfer, perf_scratch for no transfer (B4). Returns P2L's scored
-    candidates and each method's outcome keyed by method.
+    perf_transfer, perf_scratch for no transfer (B4). Returns each method's
+    outcome keyed by method.
     """
     candidates = _candidates(target.name, records, Shelf.of(pool))
     scored = score_sources(target, candidates, cfg)
@@ -247,7 +244,7 @@ def compare_methods(target: DatasetProfile, records: Sequence[ImprovementRecord]
             method=method, selection=chosen, perf=perf,
             gain_vs_p2l=0.0 if method == "P2L" else (p2l_perf - perf) / perf,
             picks_to_best=None if ranking is None else picks_to_best(ranking, best))
-    return scored, outcomes
+    return outcomes
 
 
 def selection_lines(outcomes: Mapping[str, Mapping[str, MethodOutcome]]) -> Iterator[str]:

@@ -236,10 +236,9 @@ def cmd_evaluate(args) -> int:
     cfg = _estimator_config(args)
     grouped = _read_truth(args.truth)
     tasks, sources = _tasks(ProfileRegistry.open(args.registry), grouped)
-    outcomes = {}
-    for target, recs in tasks:
-        _, outcomes[target.name] = compare_methods(
-            target, recs, sources, cfg, reference_name=args.reference, rng_seed=args.seed)
+    outcomes = {target.name: compare_methods(target, recs, sources, cfg,
+                                             reference_name=args.reference, rng_seed=args.seed)
+                for target, recs in tasks}
     for line in selection_lines(outcomes):
         print(line)
     return EXIT_OK

@@ -13,7 +13,6 @@ merging.
 """
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import replace
 from typing import Sequence
@@ -57,6 +56,20 @@ def zscale(values) -> np.ndarray:
     return (arr - arr.mean()) / sigma
 
 
+def score_grid(sizes, dists, ks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """P2L's score, the one place it is computed: z(ln sizes), z of each row
+    of dists, and z_logs + k * z_dists shaped (k, row, candidate). A k whose
+    scores overflow when counted in SCORE_IDENTITY_TOL units is refused."""
+    z_logs = zscale(np.log(np.asarray(sizes, dtype=np.float64)))
+    z_dists = np.array([zscale(row) for row in dists])
+    with np.errstate(over="ignore"):
+        scores = z_logs + np.multiply.outer(ks, z_dists)
+        if not np.all(np.isfinite(scores / SCORE_IDENTITY_TOL)):
+            raise ValueError(f"|k| = {float(np.abs(ks).max())!r} gives scores too "
+                             "large to rank; use a smaller |k|")
+    return z_logs, z_dists, scores
+
+
 def score_table(names: Sequence[str], sizes: Sequence[float],
                 distances: Sequence[float], k: float) -> list[ScoredSource]:
     """Score precomputed (size, distance) rows and sort best-first.
@@ -81,16 +94,12 @@ def score_table(names: Sequence[str], sizes: Sequence[float],
     if not (np.all(np.isfinite(dists)) and np.all(dists >= 0.0)):
         raise ValueError("distances must be >= 0 and finite")
 
-    z_logs = zscale(np.log(reals))
-    z_dists = zscale(dists)
+    z_logs, z_dists, scores = score_grid(reals, [dists], [float(k)])
     scored = [ScoredSource(source_name=name, size=size, distance_value=float(dists[i]),
-                           z_log_size=float(z_logs[i]), z_distance=float(z_dists[i]),
+                           z_log_size=float(z_logs[i]), z_distance=float(z_dists[0, i]),
                            k=float(k))
               for i, (name, size) in enumerate(zip(names, sizes))]
-    ticks = [s.score / SCORE_IDENTITY_TOL for s in scored]
-    if not all(map(math.isfinite, ticks)):
-        raise ValueError(f"|k| = {abs(k)!r} gives scores too large to rank; "
-                         "use a smaller |k|")
+    ticks = (scores[0, 0] / SCORE_IDENTITY_TOL).tolist()
     order = sorted(range(n), key=lambda i: (-round(ticks[i]), -reals[i], names[i]))
     return [scored[i] for i in order]
 

@@ -37,11 +37,12 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .calibrate import (
+    EvaluationConfig,
     MethodOutcome,
     best_source,
     compare_methods,
     selection_lines,
-    spearman_or_zero,
+    tune_k,
 )
 from .core import (
     EPSILON,
@@ -715,8 +716,8 @@ def run_study(world: OracleWorld, cfg: OracleConfig,
 
     The records are ground_truth(world, cfg), for every target of the world
     and no other; the tasks are calibration_tasks', which refuses any other
-    records before a profile is built. Emits per-target rank correlation
-    between scores and improvements, and each method's (P2L, B1, B4, B5)
+    records before a profile is built. Emits each target's rho, tune_k's at
+    the study's own (k, distance), and each method's (P2L, B1, B4, B5)
     outcome per target, from which the report derives its method tables.
     """
     check_study_size(len(world.source_names()), len(world.target_names()))
@@ -724,15 +725,12 @@ def run_study(world: OracleWorld, cfg: OracleConfig,
     tasks, sources = calibration_tasks(world, records)
     pool = Shelf.of(sources)
 
-    per_target_rho: dict[str, float] = {}
-    outcomes: dict[str, dict[str, MethodOutcome]] = {}
-    for target, recs in tasks:
-        scored, outcomes[target.name] = compare_methods(target, recs, pool, estimator_cfg)
-        escore = {s.source_name: s.score for s in scored}
-        per_target_rho[target.name] = float(spearman_or_zero(
-            [[escore[r.source_name] for r in recs]], [r.improvement for r in recs])[0])
+    (cell,) = tune_k(tasks, pool, EvaluationConfig((estimator_cfg.k,),
+                                                   (estimator_cfg.distance,))).grid
+    outcomes = {target.name: compare_methods(target, recs, pool, estimator_cfg)
+                for target, recs in tasks}
     return StudyReport(seed=world.seed, estimator=estimator_cfg, records=records,
-                       per_target_rho=per_target_rho, outcomes=outcomes)
+                       per_target_rho=dict(cell.task_rho), outcomes=outcomes)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from p2l.errors import (
     UnknownSource,
     ZeroDenominator,
 )
-from p2l.estimator import zscale
+from p2l.estimator import score_sources, zscale
 from p2l.summarize import profile_from_matrix
 
 
@@ -240,6 +240,20 @@ class TestTuneK:
         with pytest.raises(ValueError):
             tune_k([(target, records)], sources, EvaluationConfig(k_grid=(bad, -1.0)))
 
+    @pytest.mark.parametrize("grid, largest", [((-1e300, -5e299, 0.0), "1e+300"),
+                                               ((-1e308, -5e307, 0.0), "1e+308")])
+    def test_k_grid_whose_scores_overflow_refused_as_score_table_refuses(self, grid,
+                                                                         largest):
+        target, sources, records = distance_task()
+        message = (f"|k| = {largest} gives scores too large to rank; "
+                   "use a smaller |k|")
+        with pytest.raises(ValueError) as tuned:
+            tune_k([(target, records)], sources, EvaluationConfig(k_grid=grid))
+        assert str(tuned.value) == message
+        with pytest.raises(ValueError) as scored:
+            score_sources(target, sources, EstimatorConfig(k=grid[0]))
+        assert str(scored.value) == message
+
     @pytest.mark.parametrize("grid", [(-1.0, 0.0, -1.0), (0.0, -0.0)])
     def test_repeated_k_refused(self, grid):
         # A repeated k would write the same grid cells twice.
@@ -353,7 +367,7 @@ class MethodTask:
         records = [ImprovementRecord("t", name, perf, scratch)
                    for name, perf in perfs.items()]
         cfg = EstimatorConfig(distance="CITYBLOCK", k=k)
-        return compare_methods(self.target, records, self.pool, cfg, **opts)[1]
+        return compare_methods(self.target, records, self.pool, cfg, **opts)
 
 
 class TestCompareMethods(MethodTask):

@@ -403,6 +403,8 @@ class TestRankCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("p2l: error:") and err.count("\n") == 1
+        assert err == ("p2l: error: |k| = 1e+300 gives scores too large to rank; "
+                       "use a smaller |k|\n")
 
 
 class TestSummaryCache:
@@ -699,6 +701,19 @@ class TestCalibrateAndEvaluate:
         assert code == 2
         assert out == ""
         assert err == f"p2l: error: bad grid spec {grid!r}\n"
+
+    @pytest.mark.parametrize("grid, largest", [("-1e300:0:5e299", "1e+300"),
+                                               ("-1e308:0:5e307", "1e+308")])
+    def test_calibrate_k_whose_scores_overflow_exits_2_as_rank_does(
+            self, capsys, tmp_path, registry_dir, grid, largest):
+        truth = seed_truth(tmp_path, registry_dir)
+        grid_out = tmp_path / "g.csv"
+        code, out, err = run(capsys, "calibrate", "--truth", str(truth), "--registry",
+                             registry_dir, "--out", str(grid_out), f"--grid={grid}")
+        assert (code, out) == (2, "")
+        assert err == (f"p2l: error: |k| = {largest} gives scores too large to rank; "
+                       "use a smaller |k|\n")
+        assert not grid_out.exists()
 
     def test_calibrate_grid_finer_than_rounding_exits_2_before_reading(self, capsys,
                                                                       tmp_path):

@@ -9,11 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from p2l import fork, oracle
-from p2l.calibrate import MethodOutcome, tune_k
+from p2l.calibrate import EvaluationConfig, MethodOutcome, spearman_or_zero, tune_k
 from p2l.core import DivergenceKind, EstimatorConfig, ImprovementRecord
 from p2l.divergence import distances
 from p2l.errors import BadSpec, UnknownName
-from p2l.estimator import merge_profiles
+from p2l.estimator import merge_profiles, score_sources
 
 
 def two_cluster_spec(feature_dim=8, n_items=400, gap=8.0, n_classes=5, seed=0):
@@ -436,20 +436,35 @@ class TestStudies:
         assert study.mean_picks == {"P2L": 1.5, "B1": 1.5, "B5": 1.0}
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_k_zero_grid_cell_is_the_size_only_study(self, seed):
-        # scripts/run_oracle_study.py reads its size-only rho off this cell.
+    def test_study_rho_is_the_calibration_grid_cell(self, seed):
+        # scripts/run_oracle_study.py reads its size-only rho off the k = 0 cell.
+        # At every kind for k = 0 and k = -1.3, and at the calibrated cell, each
+        # target's rho is the grid's, the one-cell tune_k's, and the rank
+        # correlation of the target's own score_sources scores with its
+        # improvements, in record order.
         cfg = oracle.OracleConfig(epochs=2)
         world = oracle.default_world(seed, cfg, n_sources=4, n_targets=4)
         records = oracle.ground_truth(world, cfg)
-        report = tune_k(*oracle.calibration_tasks(world, records))
+        tasks, sources = oracle.calibration_tasks(world, records)
+        report = tune_k(tasks, sources)
         cells = [g for g in report.grid if g.k == 0.0]
         assert [g.distance for g in cells] == list(DivergenceKind)
+        cells += [g for g in report.grid if g.k == -1.3] + [report.best_point()]
+        by_name = {p.name: p for p in sources}
         for cell in cells:
-            study = oracle.run_study(world, cfg,
-                                     EstimatorConfig(distance=cell.distance, k=0.0), records)
-            assert ({t: rho.hex() for t, rho in cell.task_rho.items()}
-                    == {t: rho.hex() for t, rho in study.per_target_rho.items()})
-            assert cell.mean_rho.hex() == study.mean_rho.hex()
+            est = EstimatorConfig(distance=cell.distance, k=cell.k)
+            study = oracle.run_study(world, cfg, est, records)
+            (alone,) = tune_k(tasks, sources, EvaluationConfig((cell.k,), (cell.distance,))).grid
+            for c in (cell, alone):
+                assert ({t: rho.hex() for t, rho in c.task_rho.items()}
+                        == {t: rho.hex() for t, rho in study.per_target_rho.items()})
+                assert c.mean_rho.hex() == study.mean_rho.hex()
+            for target, recs in tasks:
+                score = {s.source_name: s.score for s in score_sources(
+                    target, [by_name[r.source_name] for r in recs], est)}
+                rho = spearman_or_zero([[score[r.source_name] for r in recs]],
+                                       [r.improvement for r in recs])[0]
+                assert float(rho).hex() == study.per_target_rho[target.name].hex()
 
     def test_run_study_refuses_records_of_other_targets(self, monkeypatch):
         # A 3x2 world's targets are dom03 and dom04; the study scores nothing
@@ -458,6 +473,7 @@ class TestStudies:
         world = oracle.default_world(1, cfg, n_sources=3, n_targets=2)
         records = oracle.ground_truth(world, cfg)
         monkeypatch.setattr(oracle, "compare_methods", self.no_scoring)
+        monkeypatch.setattr(oracle, "tune_k", self.no_scoring)
         est = EstimatorConfig()
         with pytest.raises(BadSpec, match="no run onto target 'dom03'"):
             oracle.run_study(world, cfg, est,

@@ -22,15 +22,14 @@ def run_script(name, *args):
 
 
 def test_run_merged_study(tmp_path):
-    result = run_script("run_merged_study.py", "--seeds", "1", "--sources", "4",
-                        "--targets", "4", "--out", str(tmp_path / "m"))
+    result = run_script("run_merged_study.py", "--seeds", "1", "--out", str(tmp_path / "m"))
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("seed 1: reference=")
     lines = (tmp_path / "m.seed1.csv").read_text().splitlines()
     assert lines[0] == ("target,divergence_from_reference,perf_reference,"
                         "perf_merged,predicted,winner")
     rows = [line.split(",") for line in lines[1:]]
-    assert sorted(r[0] for r in rows) == [f"dom{i:02d}" for i in range(8)]
+    assert sorted(r[0] for r in rows) == [f"dom{i:02d}" for i in range(14)]
     for _, _, ref, merged, _, winner in rows:
         expected = ("tie" if float(ref) == float(merged)
                     else "reference" if float(ref) > float(merged) else "merged")
@@ -43,9 +42,16 @@ def test_run_merged_study_takes_no_reference():
     assert "unrecognized arguments: --reference dom01" in result.stderr
 
 
+@pytest.mark.parametrize("script", ["run_merged_study.py", "run_oracle_study.py"])
+def test_study_scripts_take_no_world_size(script):
+    # Both run the default world; its size is no setting of theirs.
+    result = run_script(script, "--sources", "4")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert "unrecognized arguments: --sources 4" in result.stderr
+
+
 def test_run_oracle_study():
-    result = run_script("run_oracle_study.py", "--seeds", "1", "--sources", "4",
-                        "--targets", "4", "--epochs", "2")
+    result = run_script("run_oracle_study.py", "--seeds", "1")
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1].startswith("mean over 1 seeds: rho=")
 

@@ -249,10 +249,13 @@ class TestPoolsFromColumns:
         cfg = EstimatorConfig(distance=kind, k=k)
         for target, records in tasks:
             def compared(form):
-                scored, outcomes = compare_methods(
+                outcomes = compare_methods(
                     target, records, form, cfg, reference_name=records[0].source_name,
                     rng_seed=7)
-                return rows_bytes(scored), outcomes
+                shelf = Shelf.of(form)  # P2L's rows: the records' candidates, in their order
+                row = {name: i for i, name in enumerate(shelf.names)}
+                candidates = shelf.take([row[r.source_name] for r in records])
+                return rows_bytes(score_sources(target, candidates, cfg)), outcomes
             got = [outcome(lambda: compared(form)) for form in forms]
             assert got[1:] == got[:1] * 3
             names = [p.name for p in pool]
